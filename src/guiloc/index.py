@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import Preprocessor, SourceDocument
 from .errors import ConfigError, InputError
-from .util import atomic_write_text, load_json_file, stable_json_dumps
+from .util import atomic_write_text, load_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +50,8 @@ class RankedList:
 
 @dataclass
 class CorpusIndex:
+    """Postings plus per-document lists indexed by doc_id, which runs 0..n-1."""
+
     documents: list[SourceDocument]
     doc_count: int
     doc_freq: dict[str, int]
@@ -55,6 +59,28 @@ class CorpusIndex:
     avg_length: float
     params: ScoringParams
     preprocessor: Preprocessor
+    lengths: list[int]
+    paths: list[str]
+    length_prior: list[float]
+
+    @cached_property
+    def rvsm_norms(self) -> list[float]:
+        """Each document's rVSM vector norm, computed on the first rVSM scoring.
+
+        Kept out of :func:`build_index` so that loading an index for BM25
+        does not pay for it. Each norm is summed over ``doc.terms`` in stored
+        order, which fixes its floating-point value.
+        """
+        n = self.doc_count
+        idf = {term: _rvsm_idf(n, df) for term, df in self.doc_freq.items()}
+        norms = []
+        for doc in self.documents:
+            d_norm_sq = 0.0
+            for term, f in doc.terms.items():
+                w = (1.0 + math.log(f)) * idf[term]
+                d_norm_sq += w * w
+            norms.append(math.sqrt(d_norm_sq))
+        return norms
 
 
 def build_index(
@@ -64,34 +90,52 @@ def build_index(
 ) -> CorpusIndex:
     """Build the inverted index over already-scanned documents.
 
-    Postings lists hold (doc_id, term_frequency) pairs in doc_id order.
+    Document ids must be 0..n-1 in list order, as :func:`scan_corpus` assigns
+    them, so postings lists of (doc_id, term_frequency) come out in doc_id
+    order. Term counts must be at least 1.
     """
     docs = list(documents)
     if not docs:
         raise InputError("cannot index an empty corpus")
     postings: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for doc in docs:
+    for doc_id, doc in enumerate(docs):
+        if doc.doc_id != doc_id:
+            raise InputError(
+                f"document {doc.path!r} has id {doc.doc_id} at position {doc_id}; "
+                f"ids must be 0..{len(docs) - 1} in order"
+            )
+        # rVSM takes the log of every count when it first computes the norms
+        if doc.terms and min(doc.terms.values()) < 1:
+            raise InputError(f"document {doc.path!r} has a term count below 1")
         for term, freq in doc.terms.items():
-            postings[term].append((doc.doc_id, freq))
-    for plist in postings.values():
-        plist.sort()
+            postings[term].append((doc_id, freq))
     doc_freq = {term: len(plist) for term, plist in postings.items()}
-    total_len = sum(doc.length for doc in docs)
+    lengths = [doc.length for doc in docs]
+    min_len = min(lengths)
+    span = max(lengths) - min_len
+    # rVSM's g(d) = 1 / (1 + e^(-norm_len)), norm_len min-max normalized
+    length_prior = [
+        1.0 / (1.0 + math.exp(-((length - min_len) / span if span else 0.0)))
+        for length in lengths
+    ]
     return CorpusIndex(
         documents=docs,
         doc_count=len(docs),
         doc_freq=doc_freq,
         postings=dict(postings),
-        avg_length=total_len / len(docs),
+        avg_length=sum(lengths) / len(docs),
         params=params or ScoringParams(),
         preprocessor=preprocessor or Preprocessor(),
+        lengths=lengths,
+        paths=[doc.path for doc in docs],
+        length_prior=length_prior,
     )
 
 
 def _sorted_entries(scores: dict[int, float], index: CorpusIndex) -> list[RankEntry]:
-    by_id = {doc.doc_id: doc for doc in index.documents}
+    paths = index.paths
     entries = [
-        RankEntry(path=by_id[doc_id].path, score=score)
+        RankEntry(path=paths[doc_id], score=score)
         for doc_id, score in scores.items()
         if score > 0.0
     ]
@@ -113,17 +157,20 @@ def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
     b = index.params.bm25_b
     n = index.doc_count
     avg = index.avg_length
-    lengths = {doc.doc_id: doc.length for doc in index.documents}
+    # hoisted factors keep the left-to-right grouping of
+    # qtf * idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg)), so
+    # every score is bit-identical to evaluating that expression per posting
+    len_norm = [k1 * (1.0 - b + b * length / avg) for length in index.lengths]
+    k1_plus_1 = k1 + 1.0
     scores: dict[int, float] = defaultdict(float)
     for term, qtf in Counter(query).items():
         plist = index.postings.get(term)
         if not plist:
             continue
         df = index.doc_freq[term]
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        weight = qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         for doc_id, f in plist:
-            denom = f + k1 * (1.0 - b + b * lengths[doc_id] / avg)
-            scores[doc_id] += qtf * idf * f * (k1 + 1.0) / denom
+            scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
     return RankedList(_sorted_entries(scores, index), query)
 
 
@@ -152,35 +199,21 @@ def score_rvsm(index: CorpusIndex, query: Sequence[str]) -> RankedList:
     if q_norm == 0.0:
         return RankedList([], query, flags=["no-discriminative-terms"])
 
-    lengths = [doc.length for doc in index.documents]
-    min_len, max_len = min(lengths), max(lengths)
-    span = max_len - min_len
-
+    # each document's dot product sums its terms in q_weights order, as a
+    # per-document loop over q_weights would
+    dots: dict[int, float] = defaultdict(float)
+    for term, qw in q_weights.items():
+        idf = _rvsm_idf(n, index.doc_freq[term])
+        for doc_id, f in index.postings[term]:
+            dots[doc_id] += qw * (1.0 + math.log(f)) * idf
+    norms = index.rvsm_norms
+    prior = index.length_prior
     scores: dict[int, float] = {}
-    candidates: set[int] = set()
-    for term in q_weights:
-        for doc_id, _ in index.postings.get(term, ()):
-            candidates.add(doc_id)
-    by_id = {doc.doc_id: doc for doc in index.documents}
-    for doc_id in candidates:
-        doc = by_id[doc_id]
-        dot = 0.0
-        for term, qw in q_weights.items():
-            f = doc.terms.get(term)
-            if f:
-                dot += qw * (1.0 + math.log(f)) * _rvsm_idf(n, index.doc_freq[term])
-        if dot <= 0.0:
+    for doc_id, dot in dots.items():
+        d_norm = norms[doc_id]
+        if dot <= 0.0 or d_norm == 0.0:
             continue
-        d_norm_sq = 0.0
-        for term, f in doc.terms.items():
-            idf = _rvsm_idf(n, index.doc_freq[term])
-            w = (1.0 + math.log(f)) * idf
-            d_norm_sq += w * w
-        if d_norm_sq == 0.0:
-            continue
-        norm_len = (doc.length - min_len) / span if span else 0.0
-        g = 1.0 / (1.0 + math.exp(-norm_len))
-        scores[doc_id] = g * dot / (q_norm * math.sqrt(d_norm_sq))
+        scores[doc_id] = prior[doc_id] * dot / (q_norm * d_norm)
     return RankedList(_sorted_entries(scores, index), query)
 
 
@@ -197,7 +230,7 @@ def rank(index: CorpusIndex, query: Sequence[str], scorer: str = "bm25") -> Rank
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as versioned JSON; derived statistics are rebuilt on load."""
+    """Write the index as compact versioned JSON; derived statistics are rebuilt on load."""
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -205,7 +238,8 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "preprocess": index.preprocessor.config(),
         "documents": [doc.to_json() for doc in index.documents],
     }
-    atomic_write_text(path, stable_json_dumps(payload))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    atomic_write_text(path, text)
 
 
 def load_index(path: str | Path) -> CorpusIndex:

@@ -169,7 +169,8 @@ def match_component_files(
         return set()
     matched = set()
     for doc in docs:
-        file_terms = set(doc.terms)
+        # a keys view & a set walks the set's few terms; no per-file set is built
+        file_terms = doc.terms.keys()
         for ts in comp_term_sets:
             if len(file_terms & ts) / len(ts) >= threshold:
                 matched.add(doc.path)

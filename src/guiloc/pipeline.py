@@ -108,14 +108,15 @@ def build_query(
 
 
 def _annotate(entry: RankEntry, ctx: GuiContext) -> RankEntry:
+    path = entry.path
     flags = set()
-    if entry.path in ctx.activity_files:
+    if path in ctx.activity_files:
         flags.add("activity")
-    if entry.path in ctx.listener_files:
+    if path in ctx.listener_files:
         flags.add("listener")
-    if entry.path in ctx.component_files:
+    if path in ctx.component_files:
         flags.add("component")
-    return RankEntry(path=entry.path, score=entry.score, gui_flags=flags)
+    return RankEntry(path, entry.score, flags)
 
 
 def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") -> RankedList:
@@ -137,18 +138,22 @@ def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") ->
             flags=list(ranked.flags),
         )
 
-    entries = [_annotate(e, ctx) for e in ranked.entries]
+    entries = ranked.entries
     flags = list(ranked.flags)
 
     if strategy in ("filter", "filter_boost"):
-        if not ctx.gui_related:
+        gui_related = ctx.gui_related
+        if not gui_related:
             flags.append("filter-fallback")
         else:
-            entries = [e for e in entries if e.path in ctx.gui_related]
+            entries = [e for e in entries if e.path in gui_related]
+    # annotate after filtering, so dropped entries cost nothing
+    entries = [_annotate(e, ctx) for e in entries]
 
     if strategy in ("boost", "filter_boost"):
-        front = [e for e in entries if e.path in ctx.boosted]
-        back = [e for e in entries if e.path not in ctx.boosted]
+        boosted = ctx.boosted
+        front = [e for e in entries if e.path in boosted]
+        back = [e for e in entries if e.path not in boosted]
         entries = front + back
 
     return RankedList(entries=entries, query_terms_used=list(ranked.query_terms_used), flags=flags)
@@ -163,14 +168,18 @@ def localize(
     """Rank the indexed corpus for one report and its reproduction trace."""
     config = (config or PipelineConfig()).validate()
     pre = index.preprocessor
-    ctx = gui_context(
-        trace,
-        config.window,
-        index.documents,
-        pre,
-        sources=config.term_sources,
-        component_threshold=config.component_threshold,
-    )
+    if config.query_strategy == "base" and config.rerank_strategy == "none":
+        # neither step reads the GUI context, so skip the matchers
+        ctx = GuiContext(Counter(), set(), set(), set(), config.window)
+    else:
+        ctx = gui_context(
+            trace,
+            config.window,
+            index.documents,
+            pre,
+            sources=config.term_sources,
+            component_threshold=config.component_threshold,
+        )
     report_terms = pre.tokens(report.full_text())
     query, query_flags = build_query(
         report_terms, ctx.terms, config.query_strategy, config.expansion_weight

@@ -84,6 +84,10 @@ def load_report(path: str | Path) -> BugReport:
     if not isinstance(data, dict) or "report_id" not in data:
         raise InputError(f"{path}: report JSON must be an object with a report_id")
     truth = data.get("ground_truth")
+    if truth is not None and (
+        not isinstance(truth, list) or not all(isinstance(p, str) for p in truth)
+    ):
+        raise InputError(f"{path}: ground_truth must be a list of path strings")
     return BugReport(
         report_id=str(data["report_id"]),
         title=data.get("title", "") or "",

@@ -333,3 +333,35 @@ def test_sweep_sources_sets_syntax(workspace):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2
     assert "activity+component_id" in lines[1]
+
+
+def test_evaluate_string_ground_truth_exits_one(workspace, caplog):
+    bad = dict(REPORT, ground_truth="ui/EditorActivity.java")
+    (workspace / "reports" / "r1.json").write_text(json.dumps(bad))
+    code = run(
+        [
+            "evaluate",
+            "--index", str(workspace / "index.json"),
+            "--reports", str(workspace / "reports"),
+            "--traces", str(workspace / "traces"),
+        ]
+    )
+    assert code == 1
+    assert "ground_truth must be a list" in caplog.text
+
+
+def test_localize_index_with_swapped_doc_ids_exits_one(workspace, caplog):
+    path = workspace / "index.json"
+    data = json.loads(path.read_text())
+    data["documents"][0]["doc_id"], data["documents"][1]["doc_id"] = 1, 0
+    path.write_text(json.dumps(data))
+    code = run(
+        [
+            "localize",
+            "--index", str(path),
+            "--report", str(workspace / "reports" / "r1.json"),
+            "--trace", str(workspace / "traces" / "r1.json"),
+        ]
+    )
+    assert code == 1
+    assert "ids must be" in caplog.text

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from guiloc.corpus import scan_corpus
 from guiloc.errors import ConfigError, InputError
+from guiloc.evaluation import load_dataset
 from guiloc.index import (
     ScoringParams,
     build_index,
@@ -17,10 +20,13 @@ from guiloc.index import (
     score_rvsm,
 )
 
-from conftest import make_doc
+from conftest import FIXTURES, make_doc
 
 
-# independent dense references; no postings, no shared helpers
+# independent dense references; no postings, no shared helpers. Each score
+# is summed over the query terms in query order and each rVSM norm over the
+# document's terms in stored order, with the grouping of the definitions, so
+# the exact tests below can compare with ==.
 
 
 def naive_bm25(docs, query, k1=1.2, b=0.75):
@@ -53,16 +59,25 @@ def naive_rvsm(docs, query):
     def idf(t):
         return math.log(n / df[t]) if df[t] else 0.0
 
+    def norm(weights):
+        sq = 0.0
+        for w in weights:
+            sq += w * w
+        return math.sqrt(sq)
+
     qc = Counter(query)
     qvec = {t: (1 + math.log(c)) * idf(t) for t, c in qc.items() if idf(t) > 0}
-    qnorm = math.sqrt(sum(w * w for w in qvec.values()))
+    qnorm = norm(qvec.values())
     lengths = [d.length for d in docs]
     lo, hi = min(lengths), max(lengths)
     out = {}
     for d in docs:
-        dvec = {t: (1 + math.log(f)) * idf(t) for t, f in d.terms.items()}
-        dot = sum(qvec.get(t, 0.0) * w for t, w in dvec.items())
-        dnorm = math.sqrt(sum(w * w for w in dvec.values()))
+        dot = 0.0
+        for t, qw in qvec.items():
+            f = d.terms.get(t, 0)
+            if f:
+                dot += qw * (1 + math.log(f)) * idf(t)
+        dnorm = norm((1 + math.log(f)) * idf(t) for t, f in d.terms.items())
         if qnorm == 0 or dnorm == 0 or dot <= 0:
             out[d.path] = 0.0
             continue
@@ -235,3 +250,84 @@ def test_identical_scores_across_rebuilds():
     first = score_bm25(build_index(docs), ["save", "note"])
     second = score_bm25(build_index(docs), ["save", "note"])
     assert [(e.path, e.score) for e in first.entries] == [(e.path, e.score) for e in second.entries]
+
+
+def test_index_loads_indented_files_from_older_builds(tmp_path):
+    docs = [
+        make_doc(0, "a/A.java", ["save", "note", "save"], refs={"save_button"}),
+        make_doc(1, "b/B.java", ["view", "tag"]),
+    ]
+    index = build_index(docs)
+    compact = tmp_path / "compact.idx.json"
+    save_index(index, compact)
+    assert compact.read_text().count("\n") == 1
+    indented = tmp_path / "indented.idx.json"
+    payload = json.loads(compact.read_text())
+    indented.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    assert load_index(indented).postings == load_index(compact).postings == index.postings
+
+
+def test_doc_ids_must_run_in_list_order(tmp_path):
+    docs = [make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]
+    with pytest.raises(InputError, match="ids must be"):
+        build_index(list(reversed(docs)))
+    with pytest.raises(InputError, match="ids must be"):
+        build_index([make_doc(1, "a.java", ["save"])])
+    path = tmp_path / "swapped.idx.json"
+    save_index(build_index(docs), path)
+    data = json.loads(path.read_text())
+    data["documents"][0]["doc_id"], data["documents"][1]["doc_id"] = 1, 0
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError, match="ids must be"):
+        load_index(path)
+
+
+def test_term_counts_below_one_are_rejected(tmp_path):
+    path = tmp_path / "zero.idx.json"
+    save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
+    data = json.loads(path.read_text())
+    data["documents"][1]["terms"]["unused"] = 0
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError, match="term count below 1"):
+        load_index(path)
+
+
+def _exact(scores):
+    """A dense reference's nonzero scores in ranking order."""
+    return sorted(((p, v) for p, v in scores.items() if v > 0), key=lambda e: (-e[1], e[0]))
+
+
+def _scored(ranked):
+    return [(e.path, e.score) for e in ranked.entries]
+
+
+def test_scores_equal_exact_references_on_fixture():
+    docs = scan_corpus(FIXTURES / "app")
+    index = build_index(docs)
+    pre = index.preprocessor
+    queries = [pre.tokens(r.full_text()) for r, _ in load_dataset(FIXTURES / "reports", FIXTURES / "traces")]
+    queries.append([t for d in docs[:3] for t in d.terms.elements()])
+    for query in queries:
+        assert _scored(score_bm25(index, query)) == _exact(naive_bm25(docs, query))
+        assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))
+
+
+def test_scores_equal_exact_references_with_duplicate_documents():
+    rng = random.Random(31)
+    vocab = [f"w{i}" for i in range(40)]
+    for _ in range(40):
+        docs = []
+        for i in range(rng.randint(3, 30)):
+            if docs and rng.random() < 0.3:
+                terms = list(rng.choice(docs).terms.elements())  # same bag, so tied scores
+            else:
+                terms = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
+            docs.append(make_doc(i, f"d{rng.randrange(1000):03d}_{i}.java", terms))
+        params = ScoringParams(bm25_k1=rng.choice([1.2, 0.9, 2.0]), bm25_b=rng.choice([0.75, 0.3, 1.0]))
+        index = build_index(docs, params)
+        for _ in range(5):
+            query = [rng.choice(vocab + ["absent"]) for _ in range(rng.randint(1, 25))]
+            assert _scored(score_bm25(index, query)) == _exact(
+                naive_bm25(docs, query, params.bm25_k1, params.bm25_b)
+            )
+            assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))

@@ -172,3 +172,41 @@ def test_window_growth_never_shrinks_matches():
         assert match_activity_files(trace, small, docs) <= match_activity_files(trace, large, docs)
         assert match_listener_files(trace, small, docs) <= match_listener_files(trace, large, docs)
         assert match_component_files(trace, small, docs) <= match_component_files(trace, large, docs)
+
+
+def test_component_match_equals_set_intersection_definition():
+    rng = random.Random(7)
+    pre = Preprocessor()
+    words = ["save", "note", "theme", "dark", "font", "size", "sync", "tag"]
+    for _ in range(200):
+        comps = [
+            make_component(
+                "_".join(rng.sample(words, rng.randint(0, 3))),
+                text=" ".join(rng.sample(words, rng.randint(0, 2))),
+                exercised=rng.random() < 0.7,
+                action="click",
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        trace = make_trace("t", [make_screen(0, "com.app.A", components=comps)])
+        docs = [
+            make_doc(i, f"f{i}.java", rng.sample(words, rng.randint(1, 5)))
+            for i in range(rng.randint(1, 8))
+        ]
+        threshold = rng.choice([0.25, 0.5, 0.5, 2 / 3, 1.0])
+        comp_sets = [
+            ts
+            for ts in (
+                pre.term_set(" ".join([c.resource_id, c.text, c.content_desc]))
+                for c in comps
+                if c.exercised
+            )
+            if ts
+        ]
+        want = {
+            d.path
+            for d in docs
+            if any(len(set(d.terms) & ts) / len(ts) >= threshold for ts in comp_sets)
+        }
+        assert match_component_files(trace, 1, docs, pre, threshold) == want
+

@@ -225,3 +225,25 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(top_k=0).validate()
     PipelineConfig().validate()
+
+
+def test_localize_base_none_skips_gui_context(monkeypatch):
+    import guiloc.pipeline as pipeline
+
+    index = _mini_index()
+    report, trace = _mini_case()
+    configs = [PipelineConfig(scorer=s) for s in ("bm25", "rvsm")]
+    before = [localize(report, trace, index, c) for c in configs]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("gui_context called for base + none")
+
+    monkeypatch.setattr(pipeline, "gui_context", unused)
+    for config, want in zip(configs, before):
+        got = localize(report, trace, index, config)
+        assert [(e.path, e.score, e.gui_flags) for e in got.entries] == [
+            (e.path, e.score, e.gui_flags) for e in want.entries
+        ]
+        assert (got.query_terms_used, got.flags) == (want.query_terms_used, want.flags)
+    with pytest.raises(AssertionError):
+        localize(report, trace, index, PipelineConfig(rerank_strategy="boost"))

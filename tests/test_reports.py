@@ -222,3 +222,21 @@ def test_load_report_requires_id(tmp_path):
     path.write_text('{"title": "x"}')
     with pytest.raises(InputError):
         load_report(path)
+
+
+@pytest.mark.parametrize(
+    "truth",
+    ["ui/MainActivity.java", ["ui/A.java", 3], {"ui/A.java": 1}, 7],
+)
+def test_load_report_rejects_ground_truth_not_a_list_of_strings(tmp_path, truth):
+    path = tmp_path / "r1.json"
+    path.write_text(json.dumps({"report_id": "r1", "ground_truth": truth}))
+    with pytest.raises(InputError, match="ground_truth"):
+        load_report(path)
+
+
+def test_load_report_without_ground_truth(tmp_path):
+    for i, data in enumerate([{}, {"ground_truth": None}, {"ground_truth": []}]):
+        path = tmp_path / f"r{i}.json"
+        path.write_text(json.dumps({"report_id": "r1", **data}))
+        assert load_report(path).ground_truth is None
