@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon list of source sets, '+' within a set (e.g. 'activity+component_id;all')",
     )
     p.add_argument("--weights", default="1")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for old scripts; the sweep runs in one thread"
+    )
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import InputError
+from .util import json_fields
 
 logger = logging.getLogger(__name__)
 
@@ -131,20 +132,22 @@ class Preprocessor:
         }
 
     @classmethod
-    def from_config(cls, data: dict) -> "Preprocessor":
-        return cls(
-            stopwords=frozenset(data["stopwords"]),
-            min_term_len=int(data["min_term_len"]),
-            stem=bool(data["stem"]),
-        )
+    def from_config(cls, data: dict, where: str = "preprocess") -> "Preprocessor":
+        stopwords, min_term_len, stem = json_fields(data, _PREPROCESS_FIELDS, where)
+        if not all(type(w) is str for w in stopwords):
+            raise InputError(f"{where}: 'stopwords' must be a list of strings")
+        return cls(stopwords=frozenset(stopwords), min_term_len=min_term_len, stem=stem)
+
+
+_PREPROCESS_FIELDS = {"stopwords": (list,), "min_term_len": (int,), "stem": (bool,)}
 
 
 def preprocess(text: str, preprocessor: Preprocessor | None = None) -> list[str]:
     """Normalize text with the default (or a given) preprocessor."""
-    return (preprocessor or _DEFAULT).tokens(text)
+    return (preprocessor or DEFAULT_PREPROCESSOR).tokens(text)
 
 
-_DEFAULT = Preprocessor()
+DEFAULT_PREPROCESSOR = Preprocessor()
 
 
 @dataclass
@@ -169,15 +172,29 @@ class SourceDocument:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SourceDocument":
+    def from_json(cls, data: dict, where: str = "document") -> "SourceDocument":
+        """Read a saved document; term counts are checked by :func:`build_index`."""
+        doc_id, path, class_name, terms, length, refs = json_fields(data, _DOCUMENT_FIELDS, where)
+        if not all(type(r) is str for r in refs):
+            raise InputError(f"{where}: 'resource_id_refs' must be a list of strings")
         return cls(
-            doc_id=int(data["doc_id"]),
-            path=data["path"],
-            class_name=data["class_name"],
-            terms=Counter(data["terms"]),
-            length=int(data["length"]),
-            resource_id_refs=set(data["resource_id_refs"]),
+            doc_id=doc_id,
+            path=path,
+            class_name=class_name,
+            terms=Counter(terms),
+            length=length,
+            resource_id_refs=set(refs),
         )
+
+
+_DOCUMENT_FIELDS = {
+    "doc_id": (int,),
+    "path": (str,),
+    "class_name": (str,),
+    "terms": (dict,),
+    "length": (int,),
+    "resource_id_refs": (list,),
+}
 
 
 def extract_code_facets(
@@ -220,7 +237,7 @@ def scan_corpus(
         raise InputError(f"corpus root not found: {root}")
     if not extensions:
         raise InputError("at least one file extension is required")
-    pre = preprocessor or _DEFAULT
+    pre = preprocessor or DEFAULT_PREPROCESSOR
     wanted = {e.lower().lstrip(".") for e in extensions}
 
     rel_paths = sorted(

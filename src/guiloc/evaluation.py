@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -12,10 +11,10 @@ from typing import Sequence
 from .errors import ConfigError, InputError
 from .index import CorpusIndex
 from .mapping import TERM_SOURCES
-from .pipeline import PipelineConfig, full_depth, localize
+from .pipeline import PipelineConfig, StageCache, full_depth, localize, scoring_key
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
-from .util import atomic_write_text
+from .util import atomic_write_text, gc_paused
 
 logger = logging.getLogger(__name__)
 
@@ -136,14 +135,19 @@ def evaluate_config(
     pairs: list[tuple[BugReport, ReproTrace]],
     index: CorpusIndex,
     config: PipelineConfig | None = None,
+    caches: Sequence[StageCache] | None = None,
 ) -> EvalResult:
-    """Run localization at full depth for every pair and aggregate metrics."""
+    """Run localization at full depth for every pair and aggregate metrics.
+
+    `caches`, one :class:`StageCache` per pair, lets a series of calls on the
+    same pairs and index reuse each report's stage results.
+    """
     config = (config or PipelineConfig()).validate()
     deep = full_depth(config, index)
     outcomes = []
     hit_totals = {k: 0 for k in HITS_KS}
-    for report, trace in pairs:
-        ranked = localize(report, trace, index, deep)
+    for i, (report, trace) in enumerate(pairs):
+        ranked = localize(report, trace, index, deep, caches[i] if caches else None)
         paths = ranked.paths()
         truth = report.ground_truth or set()
         outcomes.append(
@@ -254,8 +258,12 @@ def sweep(
 
     Rows already present in the output file are reused, so an interrupted
     sweep resumes where it stopped and a finished one is a no-op. Invalid
-    configurations are logged and skipped, not fatal. Row order follows the
-    grid regardless of --jobs scheduling.
+    configurations are logged and skipped, not fatal. Rows follow the grid
+    order. Each report's GUI contexts, terms and scorings are computed once
+    per call and shared by the configurations that need them, and the
+    cyclic garbage collector is paused while they run. `jobs` is accepted
+    and ignored: the work is pure Python, and threads ran it slower than one
+    loop.
     """
     out_path = Path(out_path)
     existing = _load_existing_rows(out_path)
@@ -282,20 +290,18 @@ def sweep(
         else:
             to_compute.append(config)
 
-    def run_one(config: PipelineConfig) -> tuple[tuple[str, ...], str]:
-        result = evaluate_config(pairs, index, config)
-        return _config_key(config), _result_row(config, result)
-
     if to_compute:
         logger.info("computing %d configurations (%d reused)", len(to_compute), reused)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for key, row in pool.map(run_one, to_compute):
-                    rows[key] = row
-        else:
-            for config in to_compute:
-                key, row = run_one(config)
-                rows[key] = row
+        # grouping configs that share a scoring lets each report's cache hold
+        # one ranking yet compute every scoring once
+        caches = [StageCache() for _ in pairs]
+        # the cached rankings outlive several configs, so without the pause
+        # they push the collector into full passes over the caller's heap;
+        # the loop makes no reference cycles
+        with gc_paused():
+            for config in sorted(to_compute, key=scoring_key):
+                result = evaluate_config(pairs, index, config, caches)
+                rows[_config_key(config)] = _result_row(config, result)
 
     ordered = [rows[_config_key(c)] for c in valid]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")

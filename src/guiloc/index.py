@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .corpus import Preprocessor, SourceDocument
 from .errors import ConfigError, InputError
-from .util import atomic_write_text, load_json_file
+from .util import atomic_write_text, gc_paused, json_fields, load_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -105,10 +105,23 @@ def build_index(
                 f"ids must be 0..{len(docs) - 1} in order"
             )
         # rVSM takes the log of every count when it first computes the norms
-        if doc.terms and min(doc.terms.values()) < 1:
+        try:
+            below_one = bool(doc.terms) and min(doc.terms.values()) < 1
+        except TypeError:
+            raise InputError(
+                f"document {doc.path!r} has a term count that is not a number"
+            ) from None
+        if below_one:
             raise InputError(f"document {doc.path!r} has a term count below 1")
+        # one (doc_id, freq) tuple per distinct count, shared by the
+        # document's postings: most counts are 1 to 3, and every tuple made
+        # is one more object for the garbage collector to visit
+        pairs: dict[int, tuple[int, int]] = {}
         for term, freq in doc.terms.items():
-            postings[term].append((doc_id, freq))
+            pair = pairs.get(freq)
+            if pair is None:
+                pair = pairs[freq] = (doc_id, freq)
+            postings[term].append(pair)
     doc_freq = {term: len(plist) for term, plist in postings.items()}
     lengths = [doc.length for doc in docs]
     min_len = min(lengths)
@@ -243,18 +256,27 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    data = load_json_file(path)
-    if not isinstance(data, dict) or data.get("format") != INDEX_FORMAT:
-        raise InputError(f"{path} is not a {INDEX_FORMAT} file")
-    if data.get("version") != INDEX_VERSION:
-        raise InputError(
-            f"unsupported index version {data.get('version')!r} in {path}; "
-            f"this build reads version {INDEX_VERSION}"
-        )
-    docs = [SourceDocument.from_json(d) for d in data["documents"]]
-    params = ScoringParams(
-        bm25_k1=float(data["params"]["bm25_k1"]),
-        bm25_b=float(data["params"]["bm25_b"]),
-    )
-    pre = Preprocessor.from_config(data["preprocess"])
-    return build_index(docs, params=params, preprocessor=pre)
+    """Read an index written by :func:`save_index` and rebuild its statistics."""
+    with gc_paused():
+        data = load_json_file(path)
+        if not isinstance(data, dict) or data.get("format") != INDEX_FORMAT:
+            raise InputError(f"{path} is not a {INDEX_FORMAT} file")
+        if data.get("version") != INDEX_VERSION:
+            raise InputError(
+                f"unsupported index version {data.get('version')!r} in {path}; "
+                f"this build reads version {INDEX_VERSION}"
+            )
+        params, preprocess, documents = json_fields(data, _INDEX_FIELDS, str(path))
+        k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
+        pre = Preprocessor.from_config(preprocess, f"{path} preprocess")
+        docs = [
+            SourceDocument.from_json(d, f"{path} document {i}") for i, d in enumerate(documents)
+        ]
+        try:
+            return build_index(docs, ScoringParams(float(k1), float(b)), pre)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
+_INDEX_FIELDS = {"params": (dict,), "preprocess": (dict,), "documents": (list,)}
+_PARAMS_FIELDS = {"bm25_k1": (int, float), "bm25_b": (int, float)}

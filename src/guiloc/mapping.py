@@ -142,11 +142,6 @@ def match_listener_files(
     return {doc.path for doc in docs if doc.resource_id_refs & ids}
 
 
-def component_term_set(comp: GuiComponent, preprocessor: Preprocessor) -> set[str]:
-    parts = " ".join([comp.resource_id, comp.text, comp.content_desc])
-    return preprocessor.term_set(parts)
-
-
 def match_component_files(
     trace: ReproTrace,
     window: int,
@@ -162,7 +157,7 @@ def match_component_files(
     pre = preprocessor or Preprocessor()
     comp_term_sets = [
         ts
-        for ts in (component_term_set(c, pre) for c in _exercised_in_window(trace, window))
+        for ts in (c.term_set(pre) for c in _exercised_in_window(trace, window))
         if ts
     ]
     if not comp_term_sets:

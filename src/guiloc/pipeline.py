@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import ConfigError
@@ -159,33 +159,75 @@ def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") ->
     return RankedList(entries=entries, query_terms_used=list(ranked.query_terms_used), flags=flags)
 
 
+@dataclass
+class StageCache:
+    """One report's stage results, reused across the configs of one sweep.
+
+    Valid for one report, its trace and one index. GUI contexts are kept per
+    :func:`context_key`. Only the latest scoring is kept, keyed on the scorer
+    and the exact query, so a caller that visits configs in
+    :func:`scoring_key` order scores each query once while holding one
+    ranking. Cached rankings are never mutated: every re-rank strategy
+    returns a new :class:`RankedList`.
+    """
+
+    report_terms: list[str] | None = None
+    contexts: dict[tuple, GuiContext] = field(default_factory=dict)
+    scored_key: tuple[str, list[str]] | None = None
+    scored: RankedList | None = None
+
+
+def context_key(config: PipelineConfig) -> tuple:
+    """What the GUI context depends on, besides the trace and the index."""
+    return (config.window, config.term_sources, config.component_threshold)
+
+
+def scoring_key(config: PipelineConfig) -> tuple:
+    """What the query and its scoring depend on, besides report and index."""
+    if config.query_strategy == "base":
+        return (config.scorer, config.query_strategy)
+    return (config.scorer, config.query_strategy, context_key(config), config.expansion_weight)
+
+
 def localize(
     report: BugReport,
     trace: ReproTrace,
     index: CorpusIndex,
     config: PipelineConfig | None = None,
+    cache: StageCache | None = None,
 ) -> RankedList:
-    """Rank the indexed corpus for one report and its reproduction trace."""
+    """Rank the indexed corpus for one report and its reproduction trace.
+
+    `cache` lets repeated calls for the same report, trace and index reuse
+    the GUI context, the report terms and the scoring; results are the same
+    with or without it.
+    """
     config = (config or PipelineConfig()).validate()
+    cache = cache if cache is not None else StageCache()
     pre = index.preprocessor
     if config.query_strategy == "base" and config.rerank_strategy == "none":
         # neither step reads the GUI context, so skip the matchers
         ctx = GuiContext(Counter(), set(), set(), set(), config.window)
     else:
-        ctx = gui_context(
-            trace,
-            config.window,
-            index.documents,
-            pre,
-            sources=config.term_sources,
-            component_threshold=config.component_threshold,
-        )
-    report_terms = pre.tokens(report.full_text())
+        ctx_key = context_key(config)
+        ctx = cache.contexts.get(ctx_key)
+        if ctx is None:
+            ctx = cache.contexts[ctx_key] = gui_context(
+                trace,
+                config.window,
+                index.documents,
+                pre,
+                sources=config.term_sources,
+                component_threshold=config.component_threshold,
+            )
+    if cache.report_terms is None:
+        cache.report_terms = pre.tokens(report.full_text())
     query, query_flags = build_query(
-        report_terms, ctx.terms, config.query_strategy, config.expansion_weight
+        cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
     )
-    ranked = rank(index, query, config.scorer)
-    ranked = apply_rerank(ranked, ctx, config.rerank_strategy)
+    if cache.scored_key != (config.scorer, query):
+        cache.scored_key, cache.scored = (config.scorer, query), rank(index, query, config.scorer)
+    ranked = apply_rerank(cache.scored, ctx, config.rerank_strategy)
     ranked.flags = sorted(set(ranked.flags) | set(query_flags))
     ranked.entries = ranked.entries[: config.top_k]
     return ranked

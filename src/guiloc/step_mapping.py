@@ -6,7 +6,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from .corpus import Preprocessor
+from .corpus import DEFAULT_PREPROCESSOR, Preprocessor
 from .errors import InputError
 from .reports import S2RStep
 from .traces import ExecutionModel, GuiComponent, ModelEdge
@@ -51,11 +51,6 @@ def step_object_terms(step: S2RStep, preprocessor: Preprocessor) -> set[str]:
     return preprocessor.term_set(parts)
 
 
-def edge_component_terms(component: GuiComponent, preprocessor: Preprocessor) -> set[str]:
-    text = " ".join([component.resource_id, component.text, component.content_desc])
-    return preprocessor.term_set(text)
-
-
 def map_steps_to_model(
     steps: list[S2RStep],
     model: ExecutionModel,
@@ -70,17 +65,16 @@ def map_steps_to_model(
     runner-up within `margin` of the best makes it ambiguous. Ties keep the
     earliest edge in model insertion order.
     """
-    pre = preprocessor or Preprocessor()
+    pre = preprocessor or DEFAULT_PREPROCESSOR
+    by_action = model.edges_by_action(pre)
     matches = []
     for step in steps:
         step_terms = step_object_terms(step, pre)
         best: ModelEdge | None = None
         best_sim = 0.0
         runner_up = 0.0
-        for edge in model.edges:
-            if edge.action != step.action:
-                continue
-            sim = _jaccard(step_terms, edge_component_terms(edge.component, pre))
+        for edge, edge_terms in by_action.get(step.action, ()):
+            sim = _jaccard(step_terms, edge_terms)
             if best is None or sim > best_sim:
                 if best is not None:
                     runner_up = max(runner_up, best_sim)
@@ -102,9 +96,7 @@ def _shortest_edge_path(
     """BFS over edges in insertion order; None when dst is unreachable."""
     if src == dst:
         return []
-    adjacency: dict[str, list[ModelEdge]] = {}
-    for edge in model.edges:
-        adjacency.setdefault(edge.src, []).append(edge)
+    adjacency = model.adjacency
     queue = deque([src])
     parent: dict[str, ModelEdge] = {}
     seen = {src}

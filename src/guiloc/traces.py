@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+from .corpus import Preprocessor
 from .errors import ConfigError, InputError, ValidationError
-from .util import atomic_write_text, load_json_file, stable_json_dumps
+from .util import NULL, atomic_write_text, json_fields, load_json_file, stable_json_dumps
 
 logger = logging.getLogger(__name__)
 
@@ -45,16 +47,49 @@ class GuiComponent:
             "action": self.action,
         }
 
+    def term_set(self, preprocessor: Preprocessor) -> set[str]:
+        """Terms of the resource id, text and content description."""
+        return preprocessor.term_set(" ".join([self.resource_id, self.text, self.content_desc]))
+
     @classmethod
-    def from_json(cls, data: dict) -> "GuiComponent":
+    def from_json(cls, data: dict, where: str = "component") -> "GuiComponent":
+        if type(data) is not dict:
+            json_fields(data, _COMPONENT_FIELDS, where)  # raises: not an object
+        get = data.get
+        resource_id, ctype, text = get("resource_id"), get("type"), get("text")
+        desc, action, exercised = get("content_desc"), get("action"), get("exercised")
+        # checked inline because traces and models hold tens of thousands of
+        # components; json_fields runs only to name the field that failed
+        if not (
+            (type(resource_id) is str or resource_id is None)
+            and (type(ctype) is str or ctype is None)
+            and (type(text) is str or text is None)
+            and (type(desc) is str or desc is None)
+            and (action is None or type(action) is str)
+            and (type(exercised) is bool or exercised is None)
+        ):
+            json_fields(data, _COMPONENT_FIELDS, where)
         return cls(
-            resource_id=data.get("resource_id", "") or "",
-            component_type=data.get("type", "") or "",
-            text=data.get("text", "") or "",
-            content_desc=data.get("content_desc", "") or "",
-            exercised=bool(data.get("exercised", False)),
-            action=data.get("action"),
+            resource_id=resource_id or "",
+            component_type=ctype or "",
+            text=text or "",
+            content_desc=desc or "",
+            exercised=bool(exercised),
+            action=action,
         )
+
+
+_TEXT = (str, NULL)
+_FLAG = (bool, NULL)
+_COMPONENT_FIELDS = {
+    "resource_id": _TEXT,
+    "type": _TEXT,
+    "text": _TEXT,
+    "content_desc": _TEXT,
+    "action": _TEXT,
+    "exercised": _FLAG,
+}
+_SCREEN_FIELDS = {"activity_name": _TEXT, "window_name": _TEXT, "components": (list, NULL)}
 
 
 @dataclass
@@ -129,17 +164,32 @@ def trace_from_dict(data: dict) -> ReproTrace:
     """Build and validate a trace from already-parsed JSON."""
     if not isinstance(data, dict) or "screens" not in data:
         raise InputError("trace JSON must be an object with a 'screens' list")
+    trace_id = str(data.get("trace_id", ""))
+    (raw_screens,) = json_fields(data, {"screens": (list, NULL)}, f"trace {trace_id!r}")
     screens = []
-    for i, s in enumerate(data.get("screens") or []):
+    for i, s in enumerate(raw_screens or []):
+        where = f"trace {trace_id!r} screen {i}"
+        if type(s) is not dict:
+            json_fields(s, _SCREEN_FIELDS, where)  # raises: not an object
+        activity_name, window_name = s.get("activity_name"), s.get("window_name")
+        components = s.get("components")
+        # inlined for speed, as in GuiComponent.from_json
+        if not (
+            (type(activity_name) is str or activity_name is None)
+            and (type(window_name) is str or window_name is None)
+            and (type(components) is list or components is None)
+        ):
+            json_fields(s, _SCREEN_FIELDS, where)
+        component_where = f"{where} component"
         screens.append(
             Screen(
                 index=i,
-                activity_name=s.get("activity_name", "") or "",
-                window_name=s.get("window_name", "") or "",
-                components=[GuiComponent.from_json(c) for c in s.get("components", [])],
+                activity_name=activity_name or "",
+                window_name=window_name or "",
+                components=[GuiComponent.from_json(c, component_where) for c in components or []],
             )
         )
-    trace = ReproTrace(trace_id=str(data.get("trace_id", "")), screens=screens)
+    trace = ReproTrace(trace_id=trace_id, screens=screens)
     _validate_trace(trace)
     return trace
 
@@ -170,12 +220,39 @@ class ModelEdge:
 
 @dataclass
 class ExecutionModel:
+    """A screen graph. Lookups over `edges` are built on first use, so the
+    edges must not change once the model is in use."""
+
     nodes: dict[str, Screen]
     edges: list[ModelEdge]
     entry_fingerprints: set[str]
+    _edge_terms: dict[Preprocessor, dict[str, list[tuple[ModelEdge, set[str]]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def adjacency(self) -> dict[str, list[ModelEdge]]:
+        """Outgoing edges per source screen, in insertion order."""
+        out: dict[str, list[ModelEdge]] = {}
+        for edge in self.edges:
+            out.setdefault(edge.src, []).append(edge)
+        return out
 
     def outgoing(self, fingerprint: str) -> list[ModelEdge]:
-        return [e for e in self.edges if e.src == fingerprint]
+        return list(self.adjacency.get(fingerprint, ()))
+
+    def edges_by_action(
+        self, preprocessor: Preprocessor
+    ) -> dict[str, list[tuple[ModelEdge, set[str]]]]:
+        """Edges per action with their component's terms, in insertion order."""
+        by_action = self._edge_terms.get(preprocessor)
+        if by_action is None:
+            by_action = self._edge_terms[preprocessor] = {}
+            for edge in self.edges:
+                by_action.setdefault(edge.action, []).append(
+                    (edge, edge.component.term_set(preprocessor))
+                )
+        return by_action
 
 
 def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:

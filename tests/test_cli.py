@@ -365,3 +365,77 @@ def test_localize_index_with_swapped_doc_ids_exits_one(workspace, caplog):
     )
     assert code == 1
     assert "ids must be" in caplog.text
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+def _first_document(value):
+    def edit(data):
+        data["documents"][0] = value
+    return edit
+
+
+def _string_term_count(data):
+    terms = data["documents"][0]["terms"]
+    terms[next(iter(terms))] = "3"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop("params"),
+        _drop("preprocess"),
+        _drop("documents"),
+        _set("params", [1.2, 0.75]),
+        _first_document(7),
+        _string_term_count,
+    ],
+    ids=[
+        "no-params",
+        "no-preprocess",
+        "no-documents",
+        "params-not-object",
+        "document-not-object",
+        "string-term-count",
+    ],
+)
+def test_localize_malformed_index_exits_one(workspace, caplog, edit):
+    path = workspace / "index.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = run(
+        [
+            "localize",
+            "--index", str(path),
+            "--report", str(workspace / "reports" / "r1.json"),
+            "--trace", str(workspace / "traces" / "r1.json"),
+        ]
+    )
+    assert code == 1
+    assert str(path) in caplog.text
+
+
+def test_localize_trace_with_non_object_screen_exits_one(workspace, caplog):
+    path = workspace / "traces" / "r1.json"
+    path.write_text(json.dumps(dict(TRACE, screens=[7] + TRACE["screens"])))
+    code = run(
+        [
+            "localize",
+            "--index", str(workspace / "index.json"),
+            "--report", str(workspace / "reports" / "r1.json"),
+            "--trace", str(path),
+        ]
+    )
+    assert code == 1
+    assert "screen 0" in caplog.text

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import random
+from collections import Counter
 
 import pytest
 
+import guiloc.evaluation as evaluation
+import guiloc.pipeline as pipeline
+from guiloc.corpus import scan_corpus
 from guiloc.errors import InputError
 from guiloc.evaluation import (
     CSV_HEADER,
+    _result_row,
     SweepGrid,
     average_precision,
     evaluate_config,
@@ -21,7 +27,7 @@ from guiloc.evaluation import (
 from guiloc.index import build_index
 from guiloc.pipeline import PipelineConfig
 
-from conftest import make_component, make_doc, make_screen, make_trace
+from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
 
 
 # enumeration-style references, no shared code with the implementation
@@ -228,3 +234,86 @@ def test_sweep_skips_invalid_configs(tmp_path, caplog):
     assert outcome.skipped == 1
     assert len(outcome.rows) == 1
     assert any("skipping invalid" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.fixture(scope="module")
+def fixture_data():
+    return (
+        build_index(scan_corpus(FIXTURES / "app")),
+        load_dataset(FIXTURES / "reports", FIXTURES / "traces"),
+    )
+
+
+def test_sweep_rows_equal_uncached_evaluation(fixture_data, tmp_path):
+    index, pairs = fixture_data
+    grid = SweepGrid(
+        scorers=["bm25", "rvsm"],
+        query_strategies=["base", "expand", "replace"],
+        rerank_strategies=["none", "filter", "boost", "filter_boost"],
+        windows=[1, 3],
+        term_sources=[("activity", "component_id"), ()],
+        expansion_weights=[1.0, 2.0],
+    )
+    outcome = sweep(grid, pairs, index, tmp_path / "sweep.csv")
+    configs = grid.configs()
+    assert len(outcome.rows) == len(configs) == 192
+    for config, row in zip(configs, outcome.rows):
+        assert row == _result_row(config, evaluate_config(pairs, index, config))
+
+
+def test_default_grid_sweep_computes_each_stage_once_per_report(
+    fixture_data, tmp_path, monkeypatch
+):
+    index, pairs = fixture_data
+    contexts, scorings = Counter(), Counter()
+    gui_context, rank = pipeline.gui_context, pipeline.rank
+
+    def counted_context(trace, *args, **kwargs):
+        contexts[trace.trace_id] += 1
+        return gui_context(trace, *args, **kwargs)
+
+    def counted_rank(*args):
+        scorings["all"] += 1
+        return rank(*args)
+
+    monkeypatch.setattr(pipeline, "gui_context", counted_context)
+    monkeypatch.setattr(pipeline, "rank", counted_rank)
+    grid = SweepGrid(
+        scorers=["bm25", "rvsm"],
+        query_strategies=["base", "expand", "replace"],
+        rerank_strategies=["none", "filter", "boost", "filter_boost"],
+        windows=[1, 3],
+    )
+    outcome = sweep(grid, pairs, index, tmp_path / "sweep.csv")
+    assert outcome.computed == 48
+    assert contexts == {trace.trace_id: 2 for _, trace in pairs}
+    assert scorings["all"] == 10 * len(pairs)
+
+
+def test_sweep_pauses_the_collector_and_makes_no_cycles(fixture_data, tmp_path, monkeypatch):
+    index, pairs = fixture_data
+    seen = []
+    evaluate = evaluation.evaluate_config
+
+    def watched(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_config", watched)
+    grid = SweepGrid(
+        scorers=["bm25", "rvsm"],
+        query_strategies=["base", "expand", "replace"],
+        rerank_strategies=["none", "filter", "boost", "filter_boost"],
+        windows=[1, 3],
+    )
+    sweep(grid, pairs, index, tmp_path / "sweep.csv")
+    assert seen == [False] * 48 and gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sweep(grid, pairs, index, tmp_path / "again.csv")
+        assert not gc.isenabled()
+        # nothing the sweep left behind needs the collector to be freed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

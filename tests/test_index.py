@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -7,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import guiloc.index
 from guiloc.corpus import scan_corpus
 from guiloc.errors import ConfigError, InputError
 from guiloc.evaluation import load_dataset
@@ -290,6 +292,45 @@ def test_term_counts_below_one_are_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InputError, match="term count below 1"):
         load_index(path)
+
+
+def test_postings_share_one_pair_per_document_and_count():
+    docs = [
+        make_doc(0, "a.java", ["save", "note", "tag", "save", "view"]),
+        make_doc(1, "b.java", ["save"]),
+    ]
+    index = build_index(docs)
+    assert index.postings["note"] == [(0, 1)] and index.postings["save"] == [(0, 2), (1, 1)]
+    pairs = {id(p) for plist in index.postings.values() for p in plist if p[0] == 0}
+    assert len(pairs) == len(set(docs[0].terms.values())) == 2
+
+
+def test_load_index_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.idx.json"
+    save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
+    seen = []
+
+    def watched_build(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build_index(*args, **kwargs)
+
+    monkeypatch.setattr(guiloc.index, "build_index", watched_build)
+    assert gc.isenabled()
+    load_index(path)
+    assert seen == [False] and gc.isenabled()
+    data = json.loads(path.read_text())
+    data["documents"][1]["terms"]["unused"] = 0
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError):
+        load_index(path)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(InputError):
+            load_index(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def _exact(scores):

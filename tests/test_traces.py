@@ -60,6 +60,21 @@ def test_malformed_json_reports_line(tmp_path):
         parse_trace(path)
 
 
+@pytest.mark.parametrize(
+    "screens",
+    [
+        [7],
+        [_screen_dict("com.app.Main", [7])],
+        [_screen_dict("com.app.Main", [_comp_dict(5)])],
+        "not a list",
+    ],
+    ids=["screen-not-object", "component-not-object", "number-resource-id", "screens-not-list"],
+)
+def test_malformed_trace_shapes_are_input_errors(screens):
+    with pytest.raises(InputError):
+        trace_from_dict(_trace_dict(screens))
+
+
 def test_screen_needs_exactly_one_exercised_before_last():
     with pytest.raises(ValidationError, match="screen 0"):
         trace_from_dict(
