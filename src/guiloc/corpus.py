@@ -18,11 +18,11 @@ from .util import json_fields
 
 logger = logging.getLogger(__name__)
 
-# lower-to-upper and acronym-to-word camel boundaries
-_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
-_ALNUM_CHUNK = re.compile(r"[A-Za-z0-9]+")
-_ALPHA_OR_DIGIT_RUN = re.compile(r"[A-Za-z]+|[0-9]+")
-_RESOURCE_REF = re.compile(r"\bR\.id\.([A-Za-z_][A-Za-z0-9_]*)")
+# one term per run: lowercase letters, a capital with its hump, capitals up to
+# the one that starts the next hump (XMLParser -> XML, Parser), or digits
+_RUN = re.compile(r"[a-z]+|[A-Z](?:[a-z]+|[A-Z]*(?![a-z]))|[0-9]+")
+# \bR\.id\. with the boundary checked after the R, so the engine skips R to R
+_RESOURCE_REF = re.compile(r"R(?<=\bR)\.id\.([A-Za-z_][A-Za-z0-9_]*)")
 _QUOTED = re.compile(r"\"([^\"\n]*)\"|'([^'\n]*)'")
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ID_LIKE = re.compile(r"^[A-Za-z0-9_]{2,}$")
@@ -105,20 +105,15 @@ class Preprocessor:
     stem: bool = False
 
     def tokens(self, text: str) -> list[str]:
-        out = []
-        for chunk in _ALNUM_CHUNK.findall(text):
-            for piece in _CAMEL.split(chunk):
-                for run in _ALPHA_OR_DIGIT_RUN.findall(piece):
-                    term = run.lower()
-                    if len(term) < self.min_term_len or term in self.stopwords:
-                        continue
-                    if self.stem:
-                        term = _stem(term)
-                        # a stem can land on a stopword ("classes" -> "class"),
-                        # so re-filter to keep tokenization idempotent
-                        if len(term) < self.min_term_len or term in self.stopwords:
-                            continue
-                    out.append(term)
+        min_len, stopwords = self.min_term_len, self.stopwords
+        out = [
+            t for t in map(str.lower, _RUN.findall(text))
+            if len(t) >= min_len and t not in stopwords
+        ]
+        if self.stem:
+            # a stem can land on a stopword ("classes" -> "class"), so
+            # re-filter to keep tokenization idempotent
+            out = [t for t in map(_stem, out) if len(t) >= min_len and t not in stopwords]
         return out
 
     def term_set(self, text: str) -> set[str]:
@@ -209,16 +204,20 @@ def extract_code_facets(
     """
     refs = {m.lower() for m in _RESOURCE_REF.findall(raw_text)}
     if known_ids:
-        for match in _QUOTED.finditer(raw_text):
-            literal = match.group(1) if match.group(1) is not None else match.group(2)
-            candidate = literal.strip().lower()
-            if _ID_LIKE.match(candidate) and candidate in known_ids:
-                refs.add(candidate)
-        for ident in _IDENTIFIER.findall(raw_text):
-            low = ident.lower()
-            if low in known_ids:
-                refs.add(low)
+        refs |= _known_id_mentions(raw_text, known_ids)
     return Path(path).stem, refs
+
+
+def _known_id_mentions(raw_text: str, known_ids: frozenset[str] | set[str]) -> set[str]:
+    found = set()
+    for match in _QUOTED.finditer(raw_text):
+        literal = match.group(1) if match.group(1) is not None else match.group(2)
+        candidate = literal.strip().lower()
+        if _ID_LIKE.match(candidate) and candidate in known_ids:
+            found.add(candidate)
+    # each distinct identifier once, however often the file repeats it
+    found.update(known_ids.intersection(map(str.lower, set(_IDENTIFIER.findall(raw_text)))))
+    return found
 
 
 def scan_corpus(
@@ -246,7 +245,7 @@ def scan_corpus(
         if p.is_file() and p.suffix.lstrip(".").lower() in wanted
     )
 
-    raws: list[tuple[str, str]] = []
+    raws: list[tuple[str, str, str, set[str]]] = []
     for rel in rel_paths:
         full = root / rel
         try:
@@ -254,28 +253,28 @@ def scan_corpus(
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", rel, exc)
             continue
-        if not Path(rel).stem:
+        class_name, refs = extract_code_facets(text, rel)
+        if not class_name:
             logger.warning("skipping file with empty basename: %s", rel)
             continue
-        raws.append((rel, text))
+        raws.append((rel, text, class_name, refs))
 
     # ids referenced anywhere in the corpus; second pass matches quoted
     # strings and identifiers against them
-    known_ids = frozenset(
-        m.lower() for _, text in raws for m in _RESOURCE_REF.findall(text)
-    )
+    known_ids = frozenset().union(*(refs for *_, refs in raws))
 
     docs: list[SourceDocument] = []
-    for doc_id, (rel, text) in enumerate(raws):
-        class_name, refs = extract_code_facets(text, rel, known_ids=known_ids)
-        terms = Counter(pre.tokens(text))
+    for doc_id, (rel, text, class_name, refs) in enumerate(raws):
+        if known_ids:
+            refs |= _known_id_mentions(text, known_ids)
+        tokens = pre.tokens(text)
         docs.append(
             SourceDocument(
                 doc_id=doc_id,
                 path=rel,
                 class_name=class_name,
-                terms=terms,
-                length=sum(terms.values()),
+                terms=Counter(tokens),
+                length=len(tokens),
                 resource_id_refs=refs,
             )
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter, defaultdict
@@ -11,9 +10,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Preprocessor, SourceDocument
+from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError, InputError
-from .util import atomic_write_text, gc_paused, json_fields, load_json_file
+from .util import atomic_write_text, compact_json_dumps, gc_paused, json_fields, load_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +137,7 @@ def build_index(
         postings=dict(postings),
         avg_length=sum(lengths) / len(docs),
         params=params or ScoringParams(),
-        preprocessor=preprocessor or Preprocessor(),
+        preprocessor=preprocessor or DEFAULT_PREPROCESSOR,
         lengths=lengths,
         paths=[doc.path for doc in docs],
         length_prior=length_prior,
@@ -251,8 +250,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "preprocess": index.preprocessor.config(),
         "documents": [doc.to_json() for doc in index.documents],
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    atomic_write_text(path, text)
+    atomic_write_text(path, compact_json_dumps(payload))
 
 
 def load_index(path: str | Path) -> CorpusIndex:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import Preprocessor, SourceDocument
+from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError
 from .traces import GuiComponent, ReproTrace, Screen, last_screens
 
@@ -80,7 +80,7 @@ def extract_gui_terms(
     sources: Sequence[str] | None = None,
 ) -> Counter:
     """Preprocessed terms from the selected sources, with multiplicity."""
-    pre = preprocessor or Preprocessor()
+    pre = preprocessor or DEFAULT_PREPROCESSOR
     chosen = _check_sources(sources if sources is not None else TERM_SOURCES)
     terms: Counter = Counter()
     for screen in last_screens(trace, window):
@@ -154,7 +154,7 @@ def match_component_files(
     The fraction is |file terms ∩ component terms| / |component terms| and the
     boundary counts as a match. Components with no terms are skipped.
     """
-    pre = preprocessor or Preprocessor()
+    pre = preprocessor or DEFAULT_PREPROCESSOR
     comp_term_sets = [
         ts
         for ts in (c.term_set(pre) for c in _exercised_in_window(trace, window))
@@ -182,7 +182,7 @@ def gui_context(
     component_threshold: float = DEFAULT_COMPONENT_THRESHOLD,
 ) -> GuiContext:
     """Run all three matchers and term extraction over the screen window."""
-    pre = preprocessor or Preprocessor()
+    pre = preprocessor or DEFAULT_PREPROCESSOR
     return GuiContext(
         terms=extract_gui_terms(trace, window, pre, sources),
         activity_files=match_activity_files(trace, window, docs),

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -182,6 +180,11 @@ class RemoteClassifier:
         self.timeout = timeout
 
     def classify(self, sentences: Sequence[Segment | str]) -> list[str]:
+        # imported here because only this classifier needs them, and loading
+        # urllib.request at import time would slow every command's start-up
+        import urllib.error
+        import urllib.request
+
         texts = [s.text if isinstance(s, Segment) else str(s) for s in sentences]
         payload = json.dumps(
             {"version": WIRE_VERSION, "model": self.model, "sentences": texts}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Preprocessor
 from .errors import ConfigError, InputError, ValidationError
-from .util import NULL, atomic_write_text, json_fields, load_json_file, stable_json_dumps
+from .util import NULL, atomic_write_text, compact_json_dumps, json_fields, load_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -297,10 +297,11 @@ def save_model(model: ExecutionModel, path: str | Path) -> None:
         ],
         "entries": sorted(model.entry_fingerprints),
     }
-    atomic_write_text(path, stable_json_dumps(payload))
+    atomic_write_text(path, compact_json_dumps(payload))
 
 
 def load_model(path: str | Path) -> ExecutionModel:
+    """Read a model written by :func:`save_model`; malformed files raise InputError."""
     data = load_json_file(path)
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise InputError(f"{path} is not a {MODEL_FORMAT} file")
@@ -309,37 +310,35 @@ def load_model(path: str | Path) -> ExecutionModel:
             f"unsupported model version {data.get('version')!r} in {path}; "
             f"this build reads version {MODEL_VERSION}"
         )
+    raw_nodes, raw_edges, entries = json_fields(data, _MODEL_FIELDS, str(path))
+    if not all(type(fp) is str for fp in entries or ()):
+        raise InputError(f"{path}: 'entries' must be a list of strings")
     nodes = {}
-    for fp, s in data["nodes"].items():
+    for fp, s in raw_nodes.items():
+        where = f"{path} node {fp!r}"
+        activity_name, window_name, components = json_fields(s, _SCREEN_FIELDS, where)
         nodes[fp] = Screen(
             index=0,
-            activity_name=s.get("activity_name", "") or "",
-            window_name=s.get("window_name", "") or "",
-            components=[GuiComponent.from_json(c) for c in s.get("components", [])],
+            activity_name=activity_name or "",
+            window_name=window_name or "",
+            components=[GuiComponent.from_json(c, f"{where} component") for c in components or ()],
         )
     edges = []
-    for e in data["edges"]:
-        src_screen = nodes.get(e["src"])
+    for i, e in enumerate(raw_edges):
+        src, action, resource_id, dst = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
+        src_screen = nodes.get(src)
         component = None
-        if src_screen is not None and e["resource_id"]:
+        if src_screen is not None and resource_id:
             for comp in src_screen.components:
-                if comp.resource_id == e["resource_id"]:
+                if comp.resource_id == resource_id:
                     component = comp
                     break
         if component is None:
             # the schema stores only the id; synthesize a bare descriptor
-            component = GuiComponent(
-                resource_id=e["resource_id"], exercised=True, action=e["action"] or None
-            )
-        edges.append(
-            ModelEdge(
-                src=e["src"],
-                action=e["action"],
-                resource_id=e["resource_id"],
-                dst=e["dst"],
-                component=component,
-            )
-        )
-    return ExecutionModel(
-        nodes=nodes, edges=edges, entry_fingerprints=set(data.get("entries", []))
-    )
+            component = GuiComponent(resource_id=resource_id, exercised=True, action=action or None)
+        edges.append(ModelEdge(src, action, resource_id, dst, component))
+    return ExecutionModel(nodes=nodes, edges=edges, entry_fingerprints=set(entries or ()))
+
+
+_MODEL_FIELDS = {"nodes": (dict,), "edges": (list,), "entries": (list, NULL)}
+_EDGE_FIELDS = {"src": (str,), "action": (str,), "resource_id": (str,), "dst": (str,)}

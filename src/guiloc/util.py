@@ -25,6 +25,12 @@ def stable_json_dumps(data: Any) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def compact_json_dumps(data: Any) -> str:
+    """Sorted keys and no whitespace, for the index and model files: without
+    ``indent``, ``json`` encodes in C rather than in pure Python."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @contextmanager
 def gc_paused():
     """Hold off the cyclic garbage collector for the body of the block.

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import guiloc
 from guiloc.cli import run
 
 REPORT = {
@@ -439,3 +443,46 @@ def test_localize_trace_with_non_object_screen_exits_one(workspace, caplog):
     )
     assert code == 1
     assert "screen 0" in caplog.text
+
+
+def _first_node(value):
+    def edit(data):
+        data["nodes"][next(iter(data["nodes"]))] = value
+    return edit
+
+
+def _edge_without_resource_id(data):
+    del data["edges"][0]["resource_id"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_drop("nodes"), _edge_without_resource_id, _first_node(7), _set("entries", [["fp"]])],
+    ids=["no-nodes", "edge-without-resource-id", "node-not-object", "entry-not-string"],
+)
+def test_lint_report_malformed_model_exits_one(workspace, caplog, edit):
+    path = workspace / "model.json"
+    trace = str(workspace / "traces" / "r1.json")
+    assert run(["build-model", "--trace", trace, "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = run(
+        [
+            "lint-report",
+            "--report", str(workspace / "reports" / "r1.json"),
+            "--model", str(path),
+        ]
+    )
+    assert code == 1
+    assert str(path) in caplog.text
+
+
+def test_cli_import_leaves_out_urllib_request():
+    src = str(Path(guiloc.__file__).resolve().parent.parent)
+    probe = "import sys, guiloc.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
 import string
+from collections import Counter
 
 import pytest
 
 from guiloc.corpus import (
     Preprocessor,
+    _stem,
     default_stopwords,
     extract_code_facets,
     load_stopwords,
@@ -14,6 +17,69 @@ from guiloc.corpus import (
     scan_corpus,
 )
 from guiloc.errors import InputError
+
+from conftest import FIXTURES
+
+# The three-pass tokenizer and the corpus scan that Preprocessor.tokens and
+# scan_corpus replaced, kept as references: alphanumeric chunks, split at
+# camelCase and acronym-to-word boundaries, then into letter and digit runs.
+_REF_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+_REF_ALNUM_CHUNK = re.compile(r"[A-Za-z0-9]+")
+_REF_ALPHA_OR_DIGIT_RUN = re.compile(r"[A-Za-z]+|[0-9]+")
+_REF_RESOURCE_REF = re.compile(r"\bR\.id\.([A-Za-z_][A-Za-z0-9_]*)")
+_REF_QUOTED = re.compile(r"\"([^\"\n]*)\"|'([^'\n]*)'")
+_REF_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_ID_LIKE = re.compile(r"^[A-Za-z0-9_]{2,}$")
+
+
+def reference_runs(text):
+    return [
+        run
+        for chunk in _REF_ALNUM_CHUNK.findall(text)
+        for piece in _REF_CAMEL.split(chunk)
+        for run in _REF_ALPHA_OR_DIGIT_RUN.findall(piece)
+    ]
+
+
+def reference_tokens(pre, runs):
+    out = []
+    for run in runs:
+        term = run.lower()
+        if len(term) < pre.min_term_len or term in pre.stopwords:
+            continue
+        if pre.stem:
+            term = _stem(term)
+            if len(term) < pre.min_term_len or term in pre.stopwords:
+                continue
+        out.append(term)
+    return out
+
+
+def reference_scan(root, pre):
+    """{path: (terms in order of first use, resource id refs)} as the old scan made them."""
+    texts = {
+        p.relative_to(root).as_posix(): p.read_text(encoding="utf-8", errors="replace")
+        for p in sorted(root.rglob("*"))
+        if p.suffix in (".java", ".kt")
+    }
+    known = {m.lower() for text in texts.values() for m in _REF_RESOURCE_REF.findall(text)}
+    return {
+        rel: (reference_tokens(pre, reference_runs(text)), reference_refs(text, known))
+        for rel, text in texts.items()
+    }
+
+
+def reference_refs(text, known):
+    refs = {m.lower() for m in _REF_RESOURCE_REF.findall(text)}
+    for match in _REF_QUOTED.finditer(text):
+        literal = match.group(1) if match.group(1) is not None else match.group(2)
+        candidate = literal.strip().lower()
+        if _REF_ID_LIKE.match(candidate) and candidate in known:
+            refs.add(candidate)
+    for ident in _REF_IDENTIFIER.findall(text):
+        if ident.lower() in known:
+            refs.add(ident.lower())
+    return refs
 
 
 def test_camel_case_identifier_is_split():
@@ -47,6 +113,51 @@ def test_terms_are_lowercase_alphanumeric():
             assert term == term.lower()
             assert term.isalnum()
             assert len(term) >= 2
+
+
+_PIECES = list("aBcDzXq09_ .,-()\"'éÜß\t") + [
+    "Buttons", "clicked", "saving", "classes", "HTTP", "XMLParser", "getURL", "i18n",
+    "R.id.", "ies", "ly", "Notes", "the", "IDs",
+]
+
+
+def test_tokens_match_the_reference_tokenizer():
+    stopwords = frozenset({"the", "id", "ab", "class", "note"})
+    plain = [Preprocessor(stopwords, min_term_len=n) for n in (1, 2, 3)]
+    stemmed = [Preprocessor(stopwords, min_term_len=n, stem=True) for n in (1, 2, 3)]
+    rng = random.Random(17)
+    # every string without stemming at each length floor, and with stemming
+    # at one floor in turn, since the stemmer itself did not change
+    for i in range(100_000):
+        text = "".join(rng.choices(_PIECES, k=rng.randint(0, 12)))
+        runs = reference_runs(text)
+        for pre in plain + [stemmed[i % 3]]:
+            assert pre.tokens(text) == reference_tokens(pre, runs), (text, pre)
+
+
+def test_facets_match_the_reference():
+    pieces = list("aZ_ .(\"'é9") + ["R.id.", "save_button", "Save_Button", "menu", "xR", " R", "'menu'"]
+    known = frozenset({"save_button", "menu", "a"})
+    rng = random.Random(21)
+    for _ in range(20_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert extract_code_facets(text, "A.java", known) == ("A", reference_refs(text, known)), text
+        assert extract_code_facets(text, "A.java") == ("A", reference_refs(text, set())), text
+
+
+@pytest.mark.parametrize("pre", [Preprocessor(), Preprocessor(stem=True)], ids=["plain", "stem"])
+def test_scan_matches_the_reference_scan(pre):
+    root = FIXTURES / "app"
+    expected = reference_scan(root, pre)
+    docs = scan_corpus(root, preprocessor=pre)
+    assert [d.path for d in docs] == sorted(expected)
+    assert any(refs for _, refs in expected.values())
+    for doc in docs:
+        tokens, refs = expected[doc.path]
+        # same terms in the same order, with the same counts
+        assert list(doc.terms.items()) == list(Counter(tokens).items()), doc.path
+        assert doc.length == len(tokens)
+        assert doc.resource_id_refs == refs, doc.path
 
 
 def test_preprocess_idempotent_on_own_output():

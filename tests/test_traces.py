@@ -197,6 +197,21 @@ def test_model_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_model_loads_indented_files_from_older_builds(tmp_path):
+    model = build_execution_model(list(_sample_traces()))
+    compact = tmp_path / "compact.model.json"
+    save_model(model, compact)
+    assert compact.read_text().count("\n") == 1
+    indented = tmp_path / "indented.model.json"
+    indented.write_text(json.dumps(json.loads(compact.read_text()), sort_keys=True, indent=2) + "\n")
+    for loaded in (load_model(compact), load_model(indented)):
+        assert [e.key() for e in loaded.edges] == [e.key() for e in model.edges]
+        assert {fp: s.to_json() for fp, s in loaded.nodes.items()} == {
+            fp: s.to_json() for fp, s in model.nodes.items()
+        }
+        assert loaded.entry_fingerprints == model.entry_fingerprints
+
+
 def test_model_json_schema_fields(tmp_path):
     t1, _ = _sample_traces()
     path = tmp_path / "model.json"
