@@ -486,3 +486,206 @@ def test_cli_import_leaves_out_urllib_request():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def _walk(trace_id, *steps):
+    """A trace through (activity, resource id, text) screens, clicking each
+    screen's one widget; the last screen has its widget unexercised."""
+    screens = []
+    for i, (activity, resource_id, text) in enumerate(steps):
+        last = i == len(steps) - 1
+        component = {"resource_id": resource_id, "type": "Button", "text": text,
+                     "exercised": not last, "action": None if last else "click"}
+        screens.append({"activity_name": activity, "components": [component]})
+    return {"trace_id": trace_id, "screens": screens}
+
+
+LINT_TRACES = [
+    _walk("t1", ("app.Main", "settings_button", "Settings"),
+          ("app.Settings", "dark_mode", "Dark mode"),
+          ("app.Display", "apply_button", "Apply"),
+          ("app.Done", "close_button", "Close")),
+    _walk("t2", ("app.Login", "login_button", "Log in"),
+          ("app.Home", "save_button", "Save"),
+          ("app.Home2", "back_button", "Back")),
+    _walk("t3", ("app.Editor", "save_button", "Save"), ("app.Saved", "ok_button", "OK")),
+]
+
+LINT_BODY = (
+    "1. Click the settings button.\n2. Tap the apply button.\n3. Click the login button.\n"
+    "4. Click the save button.\n5. Press the unknown widget on the toolbar.\n"
+    "6. The settings page.\nThe app crashes. It should stay open."
+)
+
+LINT_OUTPUT = """\
+{
+  "missing_steps": [
+    {
+      "after_step": 0,
+      "before_step": 1,
+      "infeasible": false,
+      "missing": [
+        {
+          "action": "click",
+          "dst": "43665b84de9b2eb5",
+          "resource_id": "dark_mode",
+          "src": "95bce4fb1209420a"
+        }
+      ]
+    },
+    {
+      "after_step": 1,
+      "before_step": 2,
+      "infeasible": true,
+      "missing": []
+    }
+  ],
+  "report_id": "lint1",
+  "sentences": [
+    {
+      "tag": "S2R",
+      "text": "Click the settings button."
+    },
+    {
+      "tag": "S2R",
+      "text": "Tap the apply button."
+    },
+    {
+      "tag": "S2R",
+      "text": "Click the login button."
+    },
+    {
+      "tag": "S2R",
+      "text": "Click the save button."
+    },
+    {
+      "tag": "S2R",
+      "text": "Press the unknown widget on the toolbar."
+    },
+    {
+      "tag": "S2R",
+      "text": "The settings page."
+    },
+    {
+      "tag": "OB",
+      "text": "The app crashes."
+    },
+    {
+      "tag": "EB",
+      "text": "It should stay open."
+    }
+  ],
+  "step_matches": [
+    {
+      "edge": {
+        "action": "click",
+        "dst": "95bce4fb1209420a",
+        "resource_id": "settings_button",
+        "src": "6600d4aeb4c1ad41"
+      },
+      "similarity": 1.0,
+      "status": "matched",
+      "step": 0
+    },
+    {
+      "edge": {
+        "action": "click",
+        "dst": "19fb44439c2e417d",
+        "resource_id": "apply_button",
+        "src": "43665b84de9b2eb5"
+      },
+      "similarity": 1.0,
+      "status": "matched",
+      "step": 1
+    },
+    {
+      "edge": {
+        "action": "click",
+        "dst": "d45e13dcf2646491",
+        "resource_id": "login_button",
+        "src": "62e403d3d8cdbf2c"
+      },
+      "similarity": 0.6666666666666666,
+      "status": "matched",
+      "step": 2
+    },
+    {
+      "edge": {
+        "action": "click",
+        "dst": "419d893d01ccd2e5",
+        "resource_id": "save_button",
+        "src": "d45e13dcf2646491"
+      },
+      "similarity": 1.0,
+      "status": "ambiguous",
+      "step": 3
+    },
+    {
+      "edge": null,
+      "similarity": 0.0,
+      "status": "unmatched",
+      "step": 4
+    }
+  ],
+  "steps": [
+    {
+      "action": "click",
+      "object": "settings button",
+      "object2": null,
+      "preposition": null,
+      "subject": "user"
+    },
+    {
+      "action": "click",
+      "object": "apply button",
+      "object2": null,
+      "preposition": null,
+      "subject": "user"
+    },
+    {
+      "action": "click",
+      "object": "login button",
+      "object2": null,
+      "preposition": null,
+      "subject": "user"
+    },
+    {
+      "action": "click",
+      "object": "save button",
+      "object2": null,
+      "preposition": null,
+      "subject": "user"
+    },
+    {
+      "action": "click",
+      "object": "unknown widget",
+      "object2": "toolbar",
+      "preposition": "on",
+      "subject": "user"
+    }
+  ],
+  "unparsed_steps": [
+    {
+      "reason": "cannot parse step 'The settings page.': no action verb found",
+      "sentence": "The settings page."
+    }
+  ]
+}
+"""
+
+
+def test_lint_report_with_model_output_is_pinned(tmp_path, capsys):
+    # every part of the output: matched, ambiguous and unmatched steps, an
+    # unparsed one, a gap with a missing edge and an infeasible gap
+    argv = ["build-model", "--out", str(tmp_path / "model.json")]
+    for trace in LINT_TRACES:
+        path = tmp_path / f"{trace['trace_id']}.json"
+        path.write_text(json.dumps(trace))
+        argv += ["--trace", str(path)]
+    assert run(argv) == 0
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"report_id": "lint1", "title": "Crash", "body": LINT_BODY}))
+    capsys.readouterr()
+    code = run(["lint-report", "--report", str(report), "--model", str(tmp_path / "model.json")])
+    assert code == 0
+    assert capsys.readouterr().out == LINT_OUTPUT
