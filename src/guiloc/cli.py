@@ -10,20 +10,14 @@ import argparse
 import logging
 import os
 import sys
-from pathlib import Path
+from dataclasses import asdict
 
 from .corpus import Preprocessor, load_stopwords, scan_corpus
 from .errors import ConfigError, GuilocError, InputError
 from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep
 from .index import SCORERS, ScoringParams, build_index, load_index, save_index
 from .mapping import TERM_SOURCES, gui_context
-from .pipeline import (
-    PipelineConfig,
-    QUERY_STRATEGIES,
-    RERANK_STRATEGIES,
-    localize,
-    ranking_to_json,
-)
+from .pipeline import PipelineConfig, QUERY_STRATEGIES, localize, ranking_to_json
 from .reports import (
     HeuristicClassifier,
     RemoteClassifier,
@@ -34,7 +28,7 @@ from .reports import (
 )
 from .step_mapping import detect_missing_steps, map_steps_to_model
 from .traces import build_execution_model, load_model, parse_trace, save_model
-from .util import atomic_write_text, load_json_file, stable_json_dumps
+from .util import NULL, atomic_write_text, json_fields, load_json_file, stable_json_dumps
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +37,14 @@ ENV_CLASSIFIER_MODEL = "GUILOC_CLASSIFIER_MODEL"
 ENV_CLASSIFIER_TIMEOUT = "GUILOC_CLASSIFIER_TIMEOUT"
 
 _RERANK_CLI = {"none": "none", "filter": "filter", "boost": "boost", "filter-boost": "filter_boost"}
+
+# JSON types of config-file values; PipelineConfig.validate checks the names
+_CONFIG_FILE_TYPES = {
+    "window": (int,),
+    "top_k": (int,),
+    "expansion_weight": (int, float),
+    "term_sources": (str, list, NULL),
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -63,6 +65,13 @@ def _parse_sources(value: str) -> tuple[str, ...]:
     return tuple(_split_csv(value))
 
 
+def _numbers(value: str, kind: type, flag: str) -> list:
+    try:
+        return [kind(v) for v in _split_csv(value)]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list of numbers, got {value!r}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     """Merge --config file values with explicit flags; flags win."""
     file_cfg = {}
@@ -70,6 +79,11 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         data = load_json_file(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
+        types = {key: kinds for key, kinds in _CONFIG_FILE_TYPES.items() if key in data}
+        try:
+            json_fields(data, types, f"config file {args.config}")
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
         file_cfg = data
 
     def pick(flag_value, key, default):
@@ -78,20 +92,19 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         return file_cfg.get(key, default)
 
     rerank = pick(args.rerank, "rerank_strategy", "none")
-    rerank = _RERANK_CLI.get(rerank, rerank)
+    if type(rerank) is str:  # a list from the config file is no dict key
+        rerank = _RERANK_CLI.get(rerank, rerank)
     sources = pick(args.sources, "term_sources", None)
-    if isinstance(sources, str):
-        sources = _parse_sources(sources)
-    elif isinstance(sources, list):
-        sources = tuple(sources)
+    sources = _parse_sources(sources) if isinstance(sources, str) else tuple(sources or ())
     config = PipelineConfig(
         scorer=pick(args.scorer, "scorer", "bm25"),
         query_strategy=pick(args.query, "query_strategy", "base"),
         rerank_strategy=rerank,
-        window=int(pick(args.window, "window", 3)),
+        window=pick(args.window, "window", 3),
         term_sources=sources or TERM_SOURCES,
+        # an integer weight is reported as the float it is applied as
         expansion_weight=float(pick(args.weight, "expansion_weight", 1.0)),
-        top_k=int(pick(getattr(args, "top", None), "top_k", 10)),
+        top_k=pick(getattr(args, "top", None), "top_k", 10),
     )
     return config.validate()
 
@@ -176,16 +189,7 @@ def _cmd_lint_report(args: argparse.Namespace) -> int:
     payload = {
         "report_id": report.report_id,
         "sentences": [{"text": t, "tag": tag} for t, tag in tagged],
-        "steps": [
-            {
-                "subject": s.subject,
-                "action": s.action,
-                "object": s.object,
-                "preposition": s.preposition,
-                "object2": s.object2,
-            }
-            for s in steps
-        ],
+        "steps": [asdict(s) for s in steps],
         "unparsed_steps": unparsed,
     }
 
@@ -193,41 +197,8 @@ def _cmd_lint_report(args: argparse.Namespace) -> int:
         model = load_model(args.model)
         matches = map_steps_to_model(steps, model)
         missing = detect_missing_steps(matches, model)
-        payload["step_matches"] = [
-            {
-                "step": i,
-                "status": m.status,
-                "similarity": m.similarity,
-                "edge": (
-                    {
-                        "src": m.matched_edge.src,
-                        "action": m.matched_edge.action,
-                        "resource_id": m.matched_edge.resource_id,
-                        "dst": m.matched_edge.dst,
-                    }
-                    if m.matched_edge
-                    else None
-                ),
-            }
-            for i, m in enumerate(matches)
-        ]
-        payload["missing_steps"] = [
-            {
-                "after_step": g.after_step,
-                "before_step": g.before_step,
-                "infeasible": g.infeasible,
-                "missing": [
-                    {
-                        "src": e.src,
-                        "action": e.action,
-                        "resource_id": e.resource_id,
-                        "dst": e.dst,
-                    }
-                    for e in g.missing
-                ],
-            }
-            for g in missing.gaps
-        ]
+        payload["step_matches"] = [m.to_json(i) for i, m in enumerate(matches)]
+        payload["missing_steps"] = [g.to_json() for g in missing.gaps]
 
     _emit(stable_json_dumps(payload), args.out)
     return 0
@@ -249,11 +220,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scorers=_split_csv(args.scorers),
         query_strategies=_split_csv(args.queries),
         rerank_strategies=[_RERANK_CLI.get(r, r) for r in _split_csv(args.reranks)],
-        windows=[int(w) for w in _split_csv(args.windows)],
+        windows=_numbers(args.windows, int, "--windows"),
         term_sources=[
             _parse_sources(s.replace("+", ",")) for s in args.sources_sets.split(";") if s
         ],
-        expansion_weights=[float(w) for w in _split_csv(args.weights)],
+        expansion_weights=_numbers(args.weights, float, "--weights"),
     )
     outcome = sweep(grid, pairs, index, args.out, jobs=args.jobs)
     logger.info(
@@ -363,10 +334,7 @@ def run(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
-    except GuilocError as exc:
-        logger.error("%s", exc)
-        return 1
-    except OSError as exc:
+    except (GuilocError, OSError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -19,6 +19,12 @@ class ConfigError(GuilocError):
     """Bad configuration: unknown strategy names, out-of-range parameters."""
 
 
+def check_choice(kind: str, value: object, allowed: tuple[str, ...]) -> None:
+    """Raise ConfigError unless `value` is one of the `allowed` names."""
+    if value not in allowed:
+        raise ConfigError(f"unknown {kind} {value!r}; expected one of {', '.join(allowed)}")
+
+
 class UnparseableStepError(InputError):
     """A sentence could not be parsed into a reproduction step."""
 

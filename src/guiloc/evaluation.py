@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -87,15 +87,7 @@ class EvalResult:
             "mrr": self.mrr,
             "map": self.map_score,
             "reports": self.report_count,
-            "per_report": [
-                {
-                    "report_id": o.report_id,
-                    "first_relevant_rank": o.first_relevant_rank,
-                    "reciprocal_rank": o.reciprocal_rank,
-                    "average_precision": o.average_precision,
-                }
-                for o in self.per_report
-            ],
+            "per_report": [asdict(o) for o in self.per_report],
         }
 
 
@@ -182,26 +174,24 @@ class SweepGrid:
 
     def configs(self) -> list[PipelineConfig]:
         """Grid rows in lexicographic order over field value positions."""
-        rows = []
-        for scorer, query, rerank, window, sources, weight in product(
-            self.scorers,
-            self.query_strategies,
-            self.rerank_strategies,
-            self.windows,
-            self.term_sources,
-            self.expansion_weights,
-        ):
-            rows.append(
-                PipelineConfig(
-                    scorer=scorer,
-                    query_strategy=query,
-                    rerank_strategy=rerank,
-                    window=window,
-                    term_sources=tuple(sources) if sources else TERM_SOURCES,
-                    expansion_weight=weight,
-                )
+        return [
+            PipelineConfig(
+                scorer=scorer,
+                query_strategy=query,
+                rerank_strategy=rerank,
+                window=window,
+                term_sources=tuple(sources) if sources else TERM_SOURCES,
+                expansion_weight=weight,
             )
-        return rows
+            for scorer, query, rerank, window, sources, weight in product(
+                self.scorers,
+                self.query_strategies,
+                self.rerank_strategies,
+                self.windows,
+                self.term_sources,
+                self.expansion_weights,
+            )
+        ]
 
 
 def _config_key(config: PipelineConfig) -> tuple[str, ...]:
@@ -268,16 +258,13 @@ def sweep(
     out_path = Path(out_path)
     existing = _load_existing_rows(out_path)
 
+    configs = grid.configs()
     valid: list[PipelineConfig] = []
-    skipped = 0
-    for config in grid.configs():
+    for config in configs:
         try:
-            config.validate()
+            valid.append(config.validate())
         except ConfigError as exc:
             logger.warning("skipping invalid configuration %s: %s", _config_key(config), exc)
-            skipped += 1
-            continue
-        valid.append(config)
 
     rows: dict[tuple[str, ...], str] = {}
     to_compute = []
@@ -306,5 +293,5 @@ def sweep(
     ordered = [rows[_config_key(c)] for c in valid]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")
     return SweepOutcome(
-        rows=ordered, computed=len(to_compute), reused=reused, skipped=skipped
+        rows=ordered, computed=len(to_compute), reused=reused, skipped=len(configs) - len(valid)
     )

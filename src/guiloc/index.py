@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
-from .errors import ConfigError, InputError
+from .errors import InputError, check_choice
 from .util import atomic_write_text, compact_json_dumps, gc_paused, json_fields, load_json_file
 
 logger = logging.getLogger(__name__)
@@ -234,11 +234,8 @@ _SCORER_FUNCS = {"bm25": score_bm25, "rvsm": score_rvsm}
 
 def rank(index: CorpusIndex, query: Sequence[str], scorer: str = "bm25") -> RankedList:
     """Score the corpus against a query with the named scorer."""
-    try:
-        func = _SCORER_FUNCS[scorer]
-    except KeyError:
-        raise ConfigError(f"unknown scorer {scorer!r}; expected one of {', '.join(SCORERS)}")
-    return func(index, query)
+    check_choice("scorer", scorer, SCORERS)
+    return _SCORER_FUNCS[scorer](index, query)
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:

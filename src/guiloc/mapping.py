@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError
-from .traces import GuiComponent, ReproTrace, Screen, last_screens
+from .traces import GuiComponent, ReproTrace, last_screens
 
 logger = logging.getLogger(__name__)
 
@@ -62,13 +62,8 @@ class GuiContext:
 
 
 def _check_sources(sources: Sequence[str]) -> tuple[str, ...]:
-    if not sources:
-        raise ConfigError("term_sources must be nonempty")
-    bad = [s for s in sources if s not in TERM_SOURCES]
-    if bad:
-        raise ConfigError(
-            f"unknown term sources {bad}; expected a subset of {', '.join(TERM_SOURCES)}"
-        )
+    if not sources or any(s not in TERM_SOURCES for s in sources):
+        raise ConfigError(f"term_sources must be a nonempty subset of {', '.join(TERM_SOURCES)}")
     # canonical order, duplicates dropped
     return tuple(s for s in TERM_SOURCES if s in set(sources))
 
@@ -100,32 +95,21 @@ def extract_gui_terms(
     return terms
 
 
-def _basename(dotted: str) -> str:
-    return dotted.rsplit(".", 1)[-1] if dotted else ""
-
-
-def _window_screens(trace: ReproTrace, window: int) -> list[Screen]:
-    return last_screens(trace, window)
-
-
 def match_activity_files(
     trace: ReproTrace, window: int, docs: Iterable[SourceDocument]
 ) -> set[str]:
     """Files whose class name equals an activity or window basename (case-sensitive)."""
-    names = set()
-    for screen in _window_screens(trace, window):
-        for dotted in (screen.activity_name, screen.window_name):
-            base = _basename(dotted)
-            if base:
-                names.add(base)
+    names = {
+        dotted.rsplit(".", 1)[-1]
+        for screen in last_screens(trace, window)
+        for dotted in (screen.activity_name, screen.window_name)
+    }
+    names.discard("")
     return {doc.path for doc in docs if doc.class_name in names}
 
 
 def _exercised_in_window(trace: ReproTrace, window: int) -> list[GuiComponent]:
-    comps = []
-    for screen in _window_screens(trace, window):
-        comps.extend(screen.exercised_components())
-    return comps
+    return [c for screen in last_screens(trace, window) for c in screen.exercised_components()]
 
 
 def match_listener_files(

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, check_choice
 from .index import CorpusIndex, RankEntry, RankedList, SCORERS, rank
-from .mapping import DEFAULT_COMPONENT_THRESHOLD, GuiContext, TERM_SOURCES, gui_context
+from .mapping import (
+    DEFAULT_COMPONENT_THRESHOLD,
+    GuiContext,
+    TERM_SOURCES,
+    _check_sources,
+    gui_context,
+)
 from .reports import BugReport
 from .traces import ReproTrace
 
@@ -31,26 +38,17 @@ class PipelineConfig:
     top_k: int = 10
 
     def validate(self) -> "PipelineConfig":
-        if self.scorer not in SCORERS:
-            raise ConfigError(f"unknown scorer {self.scorer!r}; expected one of {', '.join(SCORERS)}")
-        if self.query_strategy not in QUERY_STRATEGIES:
-            raise ConfigError(
-                f"unknown query strategy {self.query_strategy!r}; "
-                f"expected one of {', '.join(QUERY_STRATEGIES)}"
-            )
-        if self.rerank_strategy not in RERANK_STRATEGIES:
-            raise ConfigError(
-                f"unknown rerank strategy {self.rerank_strategy!r}; "
-                f"expected one of {', '.join(RERANK_STRATEGIES)}"
-            )
+        check_choice("scorer", self.scorer, SCORERS)
+        check_choice("query strategy", self.query_strategy, QUERY_STRATEGIES)
+        check_choice("rerank strategy", self.rerank_strategy, RERANK_STRATEGIES)
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
-        if not self.term_sources or any(s not in TERM_SOURCES for s in self.term_sources):
-            raise ConfigError(
-                f"term_sources must be a nonempty subset of {', '.join(TERM_SOURCES)}"
-            )
-        if self.expansion_weight <= 0:
+        _check_sources(self.term_sources)
+        # written so that NaN fails too
+        if not self.expansion_weight > 0:
             raise ConfigError(f"expansion_weight must be > 0, got {self.expansion_weight}")
+        if self.expansion_weight == math.inf:
+            raise ConfigError(f"expansion_weight must be finite, got {self.expansion_weight}")
         if not 0 < self.component_threshold <= 1:
             raise ConfigError(
                 f"component_threshold must be in (0, 1], got {self.component_threshold}"
@@ -60,16 +58,7 @@ class PipelineConfig:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "scorer": self.scorer,
-            "query_strategy": self.query_strategy,
-            "rerank_strategy": self.rerank_strategy,
-            "window": self.window,
-            "term_sources": list(self.term_sources),
-            "expansion_weight": self.expansion_weight,
-            "component_threshold": self.component_threshold,
-            "top_k": self.top_k,
-        }
+        return asdict(self)
 
 
 def _gui_term_list(gui_terms: Counter, repeat: int) -> list[str]:
@@ -91,10 +80,7 @@ def build_query(
     replace uses GUI terms alone but falls back to the report terms (with a
     flag) when the trace yields nothing.
     """
-    if strategy not in QUERY_STRATEGIES:
-        raise ConfigError(
-            f"unknown query strategy {strategy!r}; expected one of {', '.join(QUERY_STRATEGIES)}"
-        )
+    check_choice("query strategy", strategy, QUERY_STRATEGIES)
     report_terms = list(report_terms)
     repeat = round(expansion_weight)
     if strategy == "base":
@@ -127,16 +113,10 @@ def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") ->
     files only, unless the gui-related set is empty (input passes through
     with a fallback flag).
     """
-    if strategy not in RERANK_STRATEGIES:
-        raise ConfigError(
-            f"unknown rerank strategy {strategy!r}; expected one of {', '.join(RERANK_STRATEGIES)}"
-        )
+    check_choice("rerank strategy", strategy, RERANK_STRATEGIES)
     if strategy == "none":
-        return RankedList(
-            entries=[RankEntry(e.path, e.score, set(e.gui_flags)) for e in ranked.entries],
-            query_terms_used=list(ranked.query_terms_used),
-            flags=list(ranked.flags),
-        )
+        # entries are never mutated, so the new ranking can share them
+        return RankedList(list(ranked.entries), list(ranked.query_terms_used), list(ranked.flags))
 
     entries = ranked.entries
     flags = list(ranked.flags)

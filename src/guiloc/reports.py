@@ -171,7 +171,7 @@ class RemoteClassifier:
 
     Request: {"version": 1, "model": str, "sentences": [str]}
     Response: {"version": 1, "tags": [str]} with one tag per sentence.
-    Any transport or schema failure raises RemoteClassifierError.
+    Any URL, transport or schema failure raises RemoteClassifierError.
     """
 
     def __init__(self, url: str, model: str = "default", timeout: float = 10.0):
@@ -182,6 +182,7 @@ class RemoteClassifier:
     def classify(self, sentences: Sequence[Segment | str]) -> list[str]:
         # imported here because only this classifier needs them, and loading
         # urllib.request at import time would slow every command's start-up
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -189,13 +190,13 @@ class RemoteClassifier:
         payload = json.dumps(
             {"version": WIRE_VERSION, "model": self.model, "sentences": texts}
         ).encode("utf-8")
-        request = urllib.request.Request(
-            self.url, data=payload, headers={"Content-Type": "application/json"}
-        )
         try:
+            request = urllib.request.Request(
+                self.url, data=payload, headers={"Content-Type": "application/json"}
+            )
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 data = json.load(resp)
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
             raise RemoteClassifierError(f"classifier request failed: {exc}") from exc
         tags = data.get("tags") if isinstance(data, dict) else None
         if (
@@ -212,8 +213,9 @@ def classify_sentences(
 ) -> list[tuple[str, str]]:
     """Tag each sentence OB/EB/S2R/OTHER.
 
-    A failing remote classifier is never fatal: it logs a warning and the
-    heuristic result is used instead.
+    A remote classifier failure (RemoteClassifierError) is never fatal: it
+    logs a warning and the heuristic result is used instead. Any other
+    exception from the classifier is a bug and propagates.
     """
     segs = [s if isinstance(s, Segment) else Segment(str(s)) for s in sentences]
     if classifier is not None:
@@ -222,7 +224,7 @@ def classify_sentences(
             if len(tags) != len(segs) or any(t not in TAGS for t in tags):
                 raise RemoteClassifierError(f"classifier returned bad tags: {tags!r}")
             return [(seg.text, tag) for seg, tag in zip(segs, tags)]
-        except Exception as exc:  # a broken port must never kill report analysis
+        except RemoteClassifierError as exc:
             logger.warning("classifier failed (%s); using heuristic", exc)
     tags = HeuristicClassifier().classify(segs)
     return [(seg.text, tag) for seg, tag in zip(segs, tags)]

@@ -24,6 +24,15 @@ class StepMatch:
     similarity: float
     status: str  # matched | ambiguous | unmatched
 
+    def to_json(self, step: int) -> dict:
+        """The match of the step at position `step` of the parsed steps."""
+        return {
+            "step": step,
+            "status": self.status,
+            "similarity": self.similarity,
+            "edge": self.matched_edge.to_json() if self.matched_edge else None,
+        }
+
 
 @dataclass
 class StepGap:
@@ -31,6 +40,14 @@ class StepGap:
     before_step: int
     missing: list[ModelEdge] = field(default_factory=list)
     infeasible: bool = False
+
+    def to_json(self) -> dict:
+        return {
+            "after_step": self.after_step,
+            "before_step": self.before_step,
+            "infeasible": self.infeasible,
+            "missing": [e.to_json() for e in self.missing],
+        }
 
 
 @dataclass
@@ -148,6 +165,5 @@ def suggest_next_steps(
     """Possible interactions from a screen, sorted by (action, resource_id)."""
     if fingerprint not in model.nodes:
         raise InputError(f"unknown screen fingerprint: {fingerprint}")
-    outgoing = model.outgoing(fingerprint)
-    outgoing.sort(key=lambda e: (e.action, e.resource_id))
+    outgoing = sorted(model.adjacency.get(fingerprint, ()), key=lambda e: (e.action, e.resource_id))
     return [(e.action, e.component) for e in outgoing]

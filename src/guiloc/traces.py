@@ -217,6 +217,14 @@ class ModelEdge:
     def key(self) -> tuple[str, str, str, str]:
         return (self.src, self.action, self.resource_id, self.dst)
 
+    def to_json(self) -> dict:
+        return {
+            "src": self.src,
+            "action": self.action,
+            "resource_id": self.resource_id,
+            "dst": self.dst,
+        }
+
 
 @dataclass
 class ExecutionModel:
@@ -237,9 +245,6 @@ class ExecutionModel:
         for edge in self.edges:
             out.setdefault(edge.src, []).append(edge)
         return out
-
-    def outgoing(self, fingerprint: str) -> list[ModelEdge]:
-        return list(self.adjacency.get(fingerprint, ()))
 
     def edges_by_action(
         self, preprocessor: Preprocessor
@@ -291,10 +296,7 @@ def save_model(model: ExecutionModel, path: str | Path) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "nodes": {fp: screen.to_json() for fp, screen in model.nodes.items()},
-        "edges": [
-            {"src": e.src, "action": e.action, "resource_id": e.resource_id, "dst": e.dst}
-            for e in model.edges
-        ],
+        "edges": [e.to_json() for e in model.edges],
         "entries": sorted(model.entry_fingerprints),
     }
     atomic_write_text(path, compact_json_dumps(payload))
@@ -327,12 +329,8 @@ def load_model(path: str | Path) -> ExecutionModel:
     for i, e in enumerate(raw_edges):
         src, action, resource_id, dst = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
         src_screen = nodes.get(src)
-        component = None
-        if src_screen is not None and resource_id:
-            for comp in src_screen.components:
-                if comp.resource_id == resource_id:
-                    component = comp
-                    break
+        candidates = src_screen.components if src_screen is not None and resource_id else ()
+        component = next((c for c in candidates if c.resource_id == resource_id), None)
         if component is None:
             # the schema stores only the id; synthesize a bare descriptor
             component = GuiComponent(resource_id=resource_id, exercised=True, action=action or None)

@@ -5,19 +5,35 @@ from __future__ import annotations
 import gc
 import json
 import os
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
 from .errors import InputError
 
+# read once at import: reading the umask means setting it, which races other threads
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file in the same directory, then rename."""
+    """Write text to path via a fresh temp file in the same directory, then rename.
+
+    The file gets the mode a plain write would give it, not mkstemp's 0600.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def stable_json_dumps(data: Any) -> str:

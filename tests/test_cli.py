@@ -151,7 +151,9 @@ def test_localize_dump_context(workspace):
 
 def test_config_file_with_flag_precedence(workspace, capsys):
     cfg = workspace / "cfg.json"
-    cfg.write_text(json.dumps({"query_strategy": "expand", "rerank_strategy": "boost"}))
+    cfg.write_text(
+        json.dumps({"query_strategy": "expand", "rerank_strategy": "boost", "expansion_weight": 2})
+    )
     code = run(
         [
             "localize",
@@ -163,9 +165,12 @@ def test_config_file_with_flag_precedence(workspace, capsys):
         ]
     )
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["config"]["query_strategy"] == "base"
     assert payload["config"]["rerank_strategy"] == "boost"
+    # an integer weight is reported as the float it is applied as
+    assert '"expansion_weight": 2.0,' in out
 
 
 def test_bad_flag_value_exits_two(workspace, capsys):
@@ -193,6 +198,80 @@ def test_config_error_exits_two(workspace):
         ]
     )
     assert code == 2
+
+
+def _localize_argv(workspace, *extra):
+    return [
+        "localize",
+        "--index", str(workspace / "index.json"),
+        "--report", str(workspace / "reports" / "r1.json"),
+        "--trace", str(workspace / "traces" / "r1.json"),
+        *extra,
+    ]
+
+
+def _sweep_argv(workspace, *extra):
+    return [
+        "sweep",
+        "--index", str(workspace / "index.json"),
+        "--reports", str(workspace / "reports"),
+        "--traces", str(workspace / "traces"),
+        "--out", str(workspace / "sweep.csv"),
+        *extra,
+    ]
+
+
+def _errors(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("window", "abc"),
+        ("window", [1]),
+        ("window", True),
+        ("term_sources", 5),
+        ("expansion_weight", "nan"),
+        ("top_k", 2.7),
+    ],
+    ids=["window-string", "window-list", "window-bool", "sources-int", "weight-string", "top-float"],
+)
+def test_config_file_value_of_wrong_type_exits_two(workspace, caplog, key, value):
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(_localize_argv(workspace, "--config", str(cfg))) == 2
+    [error] = _errors(caplog)
+    assert repr(key) in error
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_weight_flag_exits_two(workspace, caplog, weight):
+    assert run(_localize_argv(workspace, "--query", "expand", "--weight", weight)) == 2
+    [error] = _errors(caplog)
+    assert error.startswith("expansion_weight must be")
+
+
+def test_sweep_windows_not_a_number_exits_two(workspace, caplog):
+    assert run(_sweep_argv(workspace, "--windows", "abc")) == 2
+    [error] = _errors(caplog)
+    assert "--windows" in error
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_sweep_skips_non_finite_weights(workspace, caplog, weight):
+    argv = _sweep_argv(
+        workspace,
+        "--scorers", "bm25",
+        "--queries", "expand",
+        "--reranks", "none",
+        "--windows", "1",
+        "--weights", f"1,{weight}",
+    )
+    assert run(argv) == 0
+    rows = (workspace / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5] for row in rows] == ["1"]
+    assert any("skipping invalid configuration" in r.getMessage() for r in caplog.records)
 
 
 def test_missing_input_exits_one(workspace):

@@ -88,6 +88,7 @@ def test_list_items_default_to_s2r_unless_marked():
 class _Responder(BaseHTTPRequestHandler):
     payload: dict = {}
     requests: list = []
+    missing_bytes = 0  # promised in Content-Length but never sent
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
@@ -95,7 +96,7 @@ class _Responder(BaseHTTPRequestHandler):
         data = json.dumps(type(self).payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(len(data) + type(self).missing_bytes))
         self.end_headers()
         self.wfile.write(data)
 
@@ -130,6 +131,24 @@ def test_remote_classifier_bad_response_falls_back(classifier_server, caplog):
         ["Tap save", "It crashed"], classifier=RemoteClassifier(url)
     )
     assert tagged == [("Tap save", "S2R"), ("It crashed", "OB")]
+    assert any("heuristic" in r.message for r in caplog.records)
+
+
+def test_remote_classifier_truncated_response_falls_back(classifier_server, caplog):
+    _Responder.payload = {"version": 1, "tags": ["S2R"]}
+    _Responder.missing_bytes = 10
+    url = f"http://127.0.0.1:{classifier_server.server_port}/classify"
+    try:
+        tagged = classify_sentences(["It crashed"], classifier=RemoteClassifier(url))
+    finally:
+        _Responder.missing_bytes = 0
+    assert tagged == [("It crashed", "OB")]
+    assert any("heuristic" in r.message for r in caplog.records)
+
+
+def test_remote_classifier_bad_url_falls_back(caplog):
+    tagged = classify_sentences(["It crashed"], classifier=RemoteClassifier("not-a-url"))
+    assert tagged == [("It crashed", "OB")]
     assert any("heuristic" in r.message for r in caplog.records)
 
 
@@ -240,3 +259,12 @@ def test_load_report_without_ground_truth(tmp_path):
         path = tmp_path / f"r{i}.json"
         path.write_text(json.dumps({"report_id": "r1", **data}))
         assert load_report(path).ground_truth is None
+
+
+def test_local_classifier_bug_propagates():
+    class Broken:
+        def classify(self, sentences):
+            return 1 / 0
+
+    with pytest.raises(ZeroDivisionError):
+        classify_sentences(["Tap save"], classifier=Broken())
