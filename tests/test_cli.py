@@ -473,6 +473,18 @@ def _string_term_count(data):
     terms[next(iter(terms))] = "3"
 
 
+def _first_document_length(value):
+    def edit(data):
+        data["documents"][0]["length"] = value
+    return edit
+
+
+def _k1(value):
+    def edit(data):
+        data["params"]["bm25_k1"] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -482,6 +494,9 @@ def _string_term_count(data):
         _set("params", [1.2, 0.75]),
         _first_document(7),
         _string_term_count,
+        _first_document_length(10**400),
+        _first_document_length(-1),
+        _k1(10**400),
     ],
     ids=[
         "no-params",
@@ -490,6 +505,9 @@ def _string_term_count(data):
         "params-not-object",
         "document-not-object",
         "string-term-count",
+        "huge-length",
+        "length-not-term-total",
+        "huge-k1",
     ],
 )
 def test_localize_malformed_index_exits_one(workspace, caplog, edit):
@@ -768,3 +786,41 @@ def test_lint_report_with_model_output_is_pinned(tmp_path, capsys):
     code = run(["lint-report", "--report", str(report), "--model", str(tmp_path / "model.json")])
     assert code == 0
     assert capsys.readouterr().out == LINT_OUTPUT
+
+
+def test_config_file_huge_integer_weight_exits_two(workspace, caplog):
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"expansion_weight": 10**400}))
+    assert run(_localize_argv(workspace, "--config", str(cfg))) == 2
+    [error] = _errors(caplog)
+    assert "'expansion_weight'" in error
+
+
+@pytest.mark.parametrize("timeout", ["abc", "-1", "0", "nan", "inf", "1e10"])
+def test_lint_report_bad_classifier_timeout_exits_two(workspace, monkeypatch, caplog, timeout):
+    monkeypatch.setenv("GUILOC_CLASSIFIER_URL", "http://127.0.0.1:9/classify")
+    monkeypatch.setenv("GUILOC_CLASSIFIER_TIMEOUT", timeout)
+    code = run(
+        [
+            "lint-report",
+            "--report", str(workspace / "reports" / "r1.json"),
+            "--classifier", "remote",
+            "--out", str(workspace / "lint.json"),
+        ]
+    )
+    assert code == 2
+    [error] = _errors(caplog)
+    assert "GUILOC_CLASSIFIER_TIMEOUT" in error
+
+
+@pytest.mark.parametrize(
+    "key, value", [("body", ["Open the app"]), ("title", {"a": 1})], ids=["body-list", "title-object"]
+)
+def test_lint_report_text_field_not_a_string_exits_one(workspace, caplog, key, value):
+    path = workspace / "reports" / "r1.json"
+    path.write_text(json.dumps(dict(REPORT, **{key: value})))
+    code = run(["lint-report", "--report", str(path), "--out", str(workspace / "lint.json")])
+    assert code == 1
+    [error] = _errors(caplog)
+    assert repr(key) in error
+    assert not (workspace / "lint.json").exists()
