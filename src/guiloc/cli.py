@@ -10,14 +10,15 @@ import argparse
 import logging
 import os
 import sys
+import threading
 from dataclasses import asdict
 
 from .corpus import Preprocessor, load_stopwords, scan_corpus
 from .errors import ConfigError, GuilocError, InputError
 from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep
 from .index import SCORERS, ScoringParams, build_index, load_index, save_index
-from .mapping import TERM_SOURCES, gui_context
-from .pipeline import PipelineConfig, QUERY_STRATEGIES, localize, ranking_to_json
+from .mapping import TERM_SOURCES
+from .pipeline import PipelineConfig, QUERY_STRATEGIES, config_context, localize, ranking_to_json
 from .reports import (
     HeuristicClassifier,
     RemoteClassifier,
@@ -96,14 +97,18 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         rerank = _RERANK_CLI.get(rerank, rerank)
     sources = pick(args.sources, "term_sources", None)
     sources = _parse_sources(sources) if isinstance(sources, str) else tuple(sources or ())
+    try:
+        # an integer weight is reported as the float it is applied as
+        weight = float(pick(args.weight, "expansion_weight", 1.0))
+    except OverflowError:  # an integer from the config file that no float holds
+        raise ConfigError(f"config file {args.config}: 'expansion_weight' is too large") from None
     config = PipelineConfig(
         scorer=pick(args.scorer, "scorer", "bm25"),
         query_strategy=pick(args.query, "query_strategy", "base"),
         rerank_strategy=rerank,
         window=pick(args.window, "window", 3),
         term_sources=sources or TERM_SOURCES,
-        # an integer weight is reported as the float it is applied as
-        expansion_weight=float(pick(args.weight, "expansion_weight", 1.0)),
+        expansion_weight=weight,
         top_k=pick(getattr(args, "top", None), "top_k", 10),
     )
     return config.validate()
@@ -129,14 +134,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     report = load_report(args.report)
     trace = parse_trace(args.trace)
     if args.dump_context:
-        ctx = gui_context(
-            trace,
-            config.window,
-            index.documents,
-            index.preprocessor,
-            sources=config.term_sources,
-            component_threshold=config.component_threshold,
-        )
+        ctx = config_context(trace, index, config)
         atomic_write_text(args.dump_context, stable_json_dumps(ctx.to_json()))
         logger.info("wrote GUI context to %s", args.dump_context)
     ranked = localize(report, trace, index, config)
@@ -164,11 +162,17 @@ def _make_classifier(kind: str):
     url = os.environ.get(ENV_CLASSIFIER_URL)
     if not url:
         raise ConfigError(f"--classifier remote needs {ENV_CLASSIFIER_URL} to be set")
-    return RemoteClassifier(
-        url,
-        model=os.environ.get(ENV_CLASSIFIER_MODEL, "default"),
-        timeout=float(os.environ.get(ENV_CLASSIFIER_TIMEOUT, "10")),
-    )
+    timeout = os.environ.get(ENV_CLASSIFIER_TIMEOUT, "10")
+    try:
+        seconds = float(timeout)
+    except ValueError:
+        seconds = 0.0  # fails the check below
+    if not 0 < seconds <= threading.TIMEOUT_MAX:  # NaN fails too; no socket waits longer
+        raise ConfigError(
+            f"{ENV_CLASSIFIER_TIMEOUT} must be a number of seconds in "
+            f"(0, {threading.TIMEOUT_MAX:.0f}], got {timeout!r}"
+        )
+    return RemoteClassifier(url, os.environ.get(ENV_CLASSIFIER_MODEL, "default"), seconds)
 
 
 def _cmd_lint_report(args: argparse.Namespace) -> int:

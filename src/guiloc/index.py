@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import InputError, check_choice
-from .util import atomic_write_text, compact_json_dumps, gc_paused, json_fields, load_json_file
+from .util import gc_paused, json_fields, load_format_file, save_format_file
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +112,8 @@ def build_index(
             ) from None
         if below_one:
             raise InputError(f"document {doc.path!r} has a term count below 1")
+        if sum(doc.terms.values()) != doc.length:
+            raise InputError(f"document {doc.path!r} has a length other than its term total")
         # one (doc_id, freq) tuple per distinct count, shared by the
         # document's postings: most counts are 1 to 3, and every tuple made
         # is one more object for the garbage collector to visit
@@ -241,27 +243,19 @@ def rank(index: CorpusIndex, query: Sequence[str], scorer: str = "bm25") -> Rank
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     """Write the index as compact versioned JSON; derived statistics are rebuilt on load."""
     payload = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
         "params": {"bm25_k1": index.params.bm25_k1, "bm25_b": index.params.bm25_b},
         "preprocess": index.preprocessor.config(),
         "documents": [doc.to_json() for doc in index.documents],
     }
-    atomic_write_text(path, compact_json_dumps(payload))
+    save_format_file(path, INDEX_FORMAT, INDEX_VERSION, payload)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index written by :func:`save_index` and rebuild its statistics."""
     with gc_paused():
-        data = load_json_file(path)
-        if not isinstance(data, dict) or data.get("format") != INDEX_FORMAT:
-            raise InputError(f"{path} is not a {INDEX_FORMAT} file")
-        if data.get("version") != INDEX_VERSION:
-            raise InputError(
-                f"unsupported index version {data.get('version')!r} in {path}; "
-                f"this build reads version {INDEX_VERSION}"
-            )
-        params, preprocess, documents = json_fields(data, _INDEX_FIELDS, str(path))
+        params, preprocess, documents = load_format_file(
+            path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
+        )
         k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
         pre = Preprocessor.from_config(preprocess, f"{path} preprocess")
         docs = [
@@ -269,7 +263,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         ]
         try:
             return build_index(docs, ScoringParams(float(k1), float(b)), pre)
-        except InputError as exc:
+        except (InputError, OverflowError) as exc:  # a parameter too large for a float
             raise InputError(f"{path}: {exc}") from exc
 
 

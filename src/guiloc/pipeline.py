@@ -162,6 +162,18 @@ def context_key(config: PipelineConfig) -> tuple:
     return (config.window, config.term_sources, config.component_threshold)
 
 
+def config_context(trace: ReproTrace, index: CorpusIndex, config: PipelineConfig) -> GuiContext:
+    """The GUI context of `trace` over the indexed documents, as `config` sets it up."""
+    return gui_context(
+        trace,
+        config.window,
+        index.documents,
+        index.preprocessor,
+        sources=config.term_sources,
+        component_threshold=config.component_threshold,
+    )
+
+
 def scoring_key(config: PipelineConfig) -> tuple:
     """What the query and its scoring depend on, besides report and index."""
     if config.query_strategy == "base":
@@ -184,7 +196,6 @@ def localize(
     """
     config = (config or PipelineConfig()).validate()
     cache = cache if cache is not None else StageCache()
-    pre = index.preprocessor
     if config.query_strategy == "base" and config.rerank_strategy == "none":
         # neither step reads the GUI context, so skip the matchers
         ctx = GuiContext(Counter(), set(), set(), set(), config.window)
@@ -192,16 +203,9 @@ def localize(
         ctx_key = context_key(config)
         ctx = cache.contexts.get(ctx_key)
         if ctx is None:
-            ctx = cache.contexts[ctx_key] = gui_context(
-                trace,
-                config.window,
-                index.documents,
-                pre,
-                sources=config.term_sources,
-                component_threshold=config.component_threshold,
-            )
+            ctx = cache.contexts[ctx_key] = config_context(trace, index, config)
     if cache.report_terms is None:
-        cache.report_terms = pre.tokens(report.full_text())
+        cache.report_terms = index.preprocessor.tokens(report.full_text())
     query, query_flags = build_query(
         cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
     )

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError, RemoteClassifierError, UnparseableStepError
-from .util import load_json_file
+from .util import NULL, json_fields, load_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,6 @@ class BugReport:
     report_id: str
     title: str
     body: str
-    sentences: list[tuple[str, str]] = field(default_factory=list)
     ground_truth: set[str] | None = None
 
     def full_text(self) -> str:
@@ -79,17 +78,17 @@ class BugReport:
 def load_report(path: str | Path) -> BugReport:
     """Read a report JSON file ({report_id, title, body, ground_truth?})."""
     data = load_json_file(path)
-    if not isinstance(data, dict) or "report_id" not in data:
-        raise InputError(f"{path}: report JSON must be an object with a report_id")
+    # an integer report id loads as its decimal string
+    report_id, title, body = json_fields(
+        data, {"report_id": (str, int), "title": (str, NULL), "body": (str, NULL)}, str(path)
+    )
     truth = data.get("ground_truth")
-    if truth is not None and (
-        not isinstance(truth, list) or not all(isinstance(p, str) for p in truth)
-    ):
+    if truth is not None and not (type(truth) is list and all(type(p) is str for p in truth)):
         raise InputError(f"{path}: ground_truth must be a list of path strings")
     return BugReport(
-        report_id=str(data["report_id"]),
-        title=data.get("title", "") or "",
-        body=data.get("body", "") or "",
+        report_id=str(report_id),
+        title=title or "",
+        body=body or "",
         ground_truth=set(truth) if truth else None,
     )
 

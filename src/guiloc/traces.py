@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Preprocessor
 from .errors import ConfigError, InputError, ValidationError
-from .util import NULL, atomic_write_text, compact_json_dumps, json_fields, load_json_file
+from .util import NULL, json_fields, load_format_file, load_json_file, save_format_file
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +109,27 @@ class Screen:
             "components": [c.to_json() for c in self.components],
         }
 
+    @classmethod
+    def from_json(cls, data: dict, index: int, where: str) -> "Screen":
+        if type(data) is not dict:
+            json_fields(data, _SCREEN_FIELDS, where)  # raises: not an object
+        activity_name, window_name = data.get("activity_name"), data.get("window_name")
+        components = data.get("components")
+        # inlined for speed, as in GuiComponent.from_json
+        if not (
+            (type(activity_name) is str or activity_name is None)
+            and (type(window_name) is str or window_name is None)
+            and (type(components) is list or components is None)
+        ):
+            json_fields(data, _SCREEN_FIELDS, where)
+        component_where = f"{where} component"
+        return cls(
+            index=index,
+            activity_name=activity_name or "",
+            window_name=window_name or "",
+            components=[GuiComponent.from_json(c, component_where) for c in components or ()],
+        )
+
 
 @dataclass
 class ReproTrace:
@@ -165,30 +186,9 @@ def trace_from_dict(data: dict) -> ReproTrace:
     if not isinstance(data, dict) or "screens" not in data:
         raise InputError("trace JSON must be an object with a 'screens' list")
     trace_id = str(data.get("trace_id", ""))
-    (raw_screens,) = json_fields(data, {"screens": (list, NULL)}, f"trace {trace_id!r}")
-    screens = []
-    for i, s in enumerate(raw_screens or []):
-        where = f"trace {trace_id!r} screen {i}"
-        if type(s) is not dict:
-            json_fields(s, _SCREEN_FIELDS, where)  # raises: not an object
-        activity_name, window_name = s.get("activity_name"), s.get("window_name")
-        components = s.get("components")
-        # inlined for speed, as in GuiComponent.from_json
-        if not (
-            (type(activity_name) is str or activity_name is None)
-            and (type(window_name) is str or window_name is None)
-            and (type(components) is list or components is None)
-        ):
-            json_fields(s, _SCREEN_FIELDS, where)
-        component_where = f"{where} component"
-        screens.append(
-            Screen(
-                index=i,
-                activity_name=activity_name or "",
-                window_name=window_name or "",
-                components=[GuiComponent.from_json(c, component_where) for c in components or []],
-            )
-        )
+    where = f"trace {trace_id!r}"
+    (raw,) = json_fields(data, {"screens": (list, NULL)}, where)
+    screens = [Screen.from_json(s, i, f"{where} screen {i}") for i, s in enumerate(raw or ())]
     trace = ReproTrace(trace_id=trace_id, screens=screens)
     _validate_trace(trace)
     return trace
@@ -293,38 +293,21 @@ def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:
 
 def save_model(model: ExecutionModel, path: str | Path) -> None:
     payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
         "nodes": {fp: screen.to_json() for fp, screen in model.nodes.items()},
         "edges": [e.to_json() for e in model.edges],
         "entries": sorted(model.entry_fingerprints),
     }
-    atomic_write_text(path, compact_json_dumps(payload))
+    save_format_file(path, MODEL_FORMAT, MODEL_VERSION, payload)
 
 
 def load_model(path: str | Path) -> ExecutionModel:
     """Read a model written by :func:`save_model`; malformed files raise InputError."""
-    data = load_json_file(path)
-    if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
-        raise InputError(f"{path} is not a {MODEL_FORMAT} file")
-    if data.get("version") != MODEL_VERSION:
-        raise InputError(
-            f"unsupported model version {data.get('version')!r} in {path}; "
-            f"this build reads version {MODEL_VERSION}"
-        )
-    raw_nodes, raw_edges, entries = json_fields(data, _MODEL_FIELDS, str(path))
+    raw_nodes, raw_edges, entries = load_format_file(
+        path, MODEL_FORMAT, MODEL_VERSION, _MODEL_FIELDS
+    )
     if not all(type(fp) is str for fp in entries or ()):
         raise InputError(f"{path}: 'entries' must be a list of strings")
-    nodes = {}
-    for fp, s in raw_nodes.items():
-        where = f"{path} node {fp!r}"
-        activity_name, window_name, components = json_fields(s, _SCREEN_FIELDS, where)
-        nodes[fp] = Screen(
-            index=0,
-            activity_name=activity_name or "",
-            window_name=window_name or "",
-            components=[GuiComponent.from_json(c, f"{where} component") for c in components or ()],
-        )
+    nodes = {fp: Screen.from_json(s, 0, f"{path} node {fp!r}") for fp, s in raw_nodes.items()}
     edges = []
     for i, e in enumerate(raw_edges):
         src, action, resource_id, dst = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")

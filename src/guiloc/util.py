@@ -41,10 +41,10 @@ def stable_json_dumps(data: Any) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def compact_json_dumps(data: Any) -> str:
-    """Sorted keys and no whitespace, for the index and model files: without
-    ``indent``, ``json`` encodes in C rather than in pure Python."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+def save_format_file(path: str | Path, fmt: str, version: int, payload: dict) -> None:
+    """Write `payload` under a format header as sorted compact JSON, which ``json`` encodes in C."""
+    data = {"format": fmt, "version": version, **payload}
+    atomic_write_text(path, json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 @contextmanager
@@ -78,6 +78,21 @@ def load_json_file(path: str | Path):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def load_format_file(path: str | Path, fmt: str, version: int, spec: dict) -> list:
+    """The `spec` fields (see :func:`json_fields`) of a `fmt` file at `version`."""
+    data = load_json_file(path)
+    if not isinstance(data, dict) or data.get("format") != fmt:
+        raise InputError(f"{path} is not a {fmt} file")
+    if data.get("version") != version:
+        raise InputError(
+            f"unsupported {fmt.removeprefix('guiloc-')} version {data.get('version')!r} in {path}; "
+            f"this build reads version {version}"
+        )
+    return json_fields(data, spec, str(path))
 
 
 NULL = type(None)

@@ -814,7 +814,9 @@ def test_lint_report_bad_classifier_timeout_exits_two(workspace, monkeypatch, ca
 
 
 @pytest.mark.parametrize(
-    "key, value", [("body", ["Open the app"]), ("title", {"a": 1})], ids=["body-list", "title-object"]
+    "key, value",
+    [("body", ["Open the app"]), ("title", {"a": 1})],
+    ids=["body-list", "title-object"],
 )
 def test_lint_report_text_field_not_a_string_exits_one(workspace, caplog, key, value):
     path = workspace / "reports" / "r1.json"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,8 @@ from guiloc.cli import run
 
 SEED = 8
 MUTANTS_PER_INPUT = 40
-SWAPS = (None, True, 0, -1, 2.5, 10**400, "x", [], {})
+HUGE = 10**400  # more digits than a float holds
+SWAPS = (None, True, 0, -1, 2.5, HUGE, "x", [], {})
 NON_OBJECTS = (None, True, 0, 2.5, "x", [])
 CONFIG = {
     "scorer": "rvsm",
@@ -64,7 +66,7 @@ def mutate(data, rng: random.Random):
 
 
 def _short(value) -> str:
-    return "10**400" if value == 10**400 and type(value) is int else json.dumps(value)
+    return "10**400" if value is HUGE else json.dumps(value)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,8 @@ def inputs(tmp_path_factory):
     index, model, config = root / "index.json", root / "model.json", root / "config.json"
     assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(index)]) == 0
     traces = sorted((FIXTURES / "traces").glob("*.json"))
-    assert run(["build-model", "--out", str(model), *(a for t in traces for a in ("--trace", str(t)))]) == 0
+    trace_flags = [flag for t in traces for flag in ("--trace", str(t))]
+    assert run(["build-model", "--out", str(model), *trace_flags]) == 0
     config.write_text(json.dumps(CONFIG))
     return {
         "root": root,
@@ -106,7 +109,7 @@ def _commands(kind: str, mutant: str, inputs) -> list[list[str]]:
     if kind == "report":
         reports = inputs["root"] / "reports"
         reports.mkdir(exist_ok=True)
-        (reports / "r01.json").write_text(open(mutant).read())
+        (reports / "r01.json").write_text(Path(mutant).read_text())
         evaluate = [
             "evaluate",
             "--index", str(inputs["index"]),
