@@ -46,6 +46,7 @@ _CONFIG_FILE_TYPES = {
     "expansion_weight": (int, float),
     "term_sources": (str, list, NULL),
 }
+_CONFIG_FILE_KEYS = ("scorer", "query_strategy", "rerank_strategy", *_CONFIG_FILE_TYPES)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,6 +81,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         data = load_json_file(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unread = sorted(set(data) - set(_CONFIG_FILE_KEYS))
+        if unread:
+            raise ConfigError(
+                f"config file {args.config}: unknown keys {', '.join(map(repr, unread))}; "
+                f"expected some of {', '.join(_CONFIG_FILE_KEYS)}"
+            )
         types = {key: kinds for key, kinds in _CONFIG_FILE_TYPES.items() if key in data}
         try:
             json_fields(data, types, f"config file {args.config}")
@@ -121,8 +128,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
         min_term_len=args.min_term_len,
         stem=args.stem,
     )
+    params = ScoringParams(bm25_k1=args.k1, bm25_b=args.b)
     docs = scan_corpus(args.corpus, tuple(_split_csv(args.ext)), pre)
-    index = build_index(docs, ScoringParams(bm25_k1=args.k1, bm25_b=args.b), pre)
+    index = build_index(docs, params, pre)
     save_index(index, args.out)
     logger.info("indexed %d files into %s", index.doc_count, args.out)
     return 0

@@ -11,7 +11,7 @@ from typing import Sequence
 from .errors import ConfigError, InputError
 from .index import CorpusIndex
 from .mapping import TERM_SOURCES
-from .pipeline import PipelineConfig, StageCache, full_depth, localize, scoring_key
+from .pipeline import PipelineConfig, StageCache, rerank_order, score_stages, scoring_key
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
 from .util import atomic_write_text, gc_paused
@@ -129,18 +129,20 @@ def evaluate_config(
     config: PipelineConfig | None = None,
     caches: Sequence[StageCache] | None = None,
 ) -> EvalResult:
-    """Run localization at full depth for every pair and aggregate metrics.
+    """Rank every pair at full depth and aggregate metrics.
 
-    `caches`, one :class:`StageCache` per pair, lets a series of calls on the
-    same pairs and index reuse each report's stage results.
+    Each ranking is the scoring's path order, filtered or boosted by
+    :func:`rerank_order` as :func:`localize` would at full depth. `caches`,
+    one :class:`StageCache` per pair, lets a series of calls on the same
+    pairs and index reuse each report's stage results.
     """
     config = (config or PipelineConfig()).validate()
-    deep = full_depth(config, index)
     outcomes = []
     hit_totals = {k: 0 for k in HITS_KS}
-    for i, (report, trace) in enumerate(pairs):
-        ranked = localize(report, trace, index, deep, caches[i] if caches else None)
-        paths = ranked.paths()
+    for (report, trace), cache in zip(pairs, caches or [StageCache() for _ in pairs], strict=True):
+        ctx, _ = score_stages(report, trace, index, config, cache)
+        order, _ = rerank_order(cache.scored_paths, ctx, config.rerank_strategy)
+        paths = list(map(cache.scored_paths.__getitem__, order))
         truth = report.ground_truth or set()
         outcomes.append(
             ReportOutcome(

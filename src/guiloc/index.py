@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
-from .errors import InputError, check_choice
+from .errors import ConfigError, InputError, check_choice
 from .util import gc_paused, json_fields, load_format_file, save_format_file
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,13 @@ SCORERS = ("bm25", "rvsm")
 class ScoringParams:
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not 0 <= self.bm25_k1 < math.inf:
+            raise ConfigError(f"bm25_k1 must be finite and >= 0, got {self.bm25_k1}")
+        if not 0 <= self.bm25_b <= 1:
+            raise ConfigError(f"bm25_b must be in [0, 1], got {self.bm25_b}")
 
 
 @dataclass
@@ -63,23 +70,30 @@ class CorpusIndex:
     length_prior: list[float]
 
     @cached_property
-    def rvsm_norms(self) -> list[float]:
-        """Each document's rVSM vector norm, computed on the first rVSM scoring.
+    def path_order(self) -> list[int]:
+        """Doc ids in path order, the order of every ranking's ties."""
+        return sorted(range(self.doc_count), key=self.paths.__getitem__)
 
-        Kept out of :func:`build_index` so that loading an index for BM25
+    @cached_property
+    def rvsm_weights(self) -> tuple[list[float], dict[int, float]]:
+        """Each document's rVSM vector norm, and 1 + ln f for each distinct term count f.
+
+        Computed on the first rVSM scoring, so that loading an index for BM25
         does not pay for it. Each norm is summed over ``doc.terms`` in stored
         order, which fixes its floating-point value.
         """
         n = self.doc_count
         idf = {term: _rvsm_idf(n, df) for term, df in self.doc_freq.items()}
+        counts = set().union(*(doc.terms.values() for doc in self.documents))
+        tf_weight = {f: 1.0 + math.log(f) for f in counts}
         norms = []
         for doc in self.documents:
             d_norm_sq = 0.0
             for term, f in doc.terms.items():
-                w = (1.0 + math.log(f)) * idf[term]
+                w = tf_weight[f] * idf[term]
                 d_norm_sq += w * w
             norms.append(math.sqrt(d_norm_sq))
-        return norms
+        return norms, tf_weight
 
 
 def build_index(
@@ -146,15 +160,12 @@ def build_index(
     )
 
 
-def _sorted_entries(scores: dict[int, float], index: CorpusIndex) -> list[RankEntry]:
-    paths = index.paths
-    entries = [
-        RankEntry(path=paths[doc_id], score=score)
-        for doc_id, score in scores.items()
-        if score > 0.0
-    ]
-    entries.sort(key=lambda e: (-e.score, e.path))
-    return entries
+def _sorted_entries(scores: list[float], index: CorpusIndex) -> list[RankEntry]:
+    """Entries for the documents scoring above zero, best first, ties by path."""
+    ids = [doc_id for doc_id in index.path_order if scores[doc_id] > 0.0]
+    # the sort is stable, also in reverse, so tied documents stay in path order
+    ids.sort(key=scores.__getitem__, reverse=True)
+    return [RankEntry(index.paths[doc_id], scores[doc_id]) for doc_id in ids]
 
 
 def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
@@ -176,7 +187,7 @@ def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
     # every score is bit-identical to evaluating that expression per posting
     len_norm = [k1 * (1.0 - b + b * length / avg) for length in index.lengths]
     k1_plus_1 = k1 + 1.0
-    scores: dict[int, float] = defaultdict(float)
+    scores = [0.0] * n
     for term, qtf in Counter(query).items():
         plist = index.postings.get(term)
         if not plist:
@@ -215,19 +226,16 @@ def score_rvsm(index: CorpusIndex, query: Sequence[str]) -> RankedList:
 
     # each document's dot product sums its terms in q_weights order, as a
     # per-document loop over q_weights would
-    dots: dict[int, float] = defaultdict(float)
+    norms, tf_weight = index.rvsm_weights
+    dots = [0.0] * n
     for term, qw in q_weights.items():
         idf = _rvsm_idf(n, index.doc_freq[term])
         for doc_id, f in index.postings[term]:
-            dots[doc_id] += qw * (1.0 + math.log(f)) * idf
-    norms = index.rvsm_norms
-    prior = index.length_prior
-    scores: dict[int, float] = {}
-    for doc_id, dot in dots.items():
-        d_norm = norms[doc_id]
-        if dot <= 0.0 or d_norm == 0.0:
-            continue
-        scores[doc_id] = prior[doc_id] * dot / (q_norm * d_norm)
+            dots[doc_id] += qw * tf_weight[f] * idf
+    scores = [
+        prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
+        for prior, dot, d_norm in zip(index.length_prior, dots, norms)
+    ]
     return RankedList(_sorted_entries(scores, index), query)
 
 
@@ -261,9 +269,9 @@ def load_index(path: str | Path) -> CorpusIndex:
         docs = [
             SourceDocument.from_json(d, f"{path} document {i}") for i, d in enumerate(documents)
         ]
-        try:
+        try:  # a parameter out of range or too large for a float, or a bad document
             return build_index(docs, ScoringParams(float(k1), float(b)), pre)
-        except (InputError, OverflowError) as exc:  # a parameter too large for a float
+        except (ConfigError, InputError, OverflowError) as exc:
             raise InputError(f"{path}: {exc}") from exc
 
 

@@ -105,38 +105,37 @@ def _annotate(entry: RankEntry, ctx: GuiContext) -> RankEntry:
     return RankEntry(path, entry.score, flags)
 
 
-def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") -> RankedList:
-    """Reorder or filter a ranking using the GUI context; scores are untouched.
+def rerank_order(
+    paths: Sequence[str], ctx: GuiContext, strategy: str
+) -> tuple[Sequence[int], list[str]]:
+    """Positions of ranked `paths` in re-ranked order, and fallback flags.
 
-    boost is a stable partition: boosted files move to the front, both
-    groups keeping their original relative order. filter keeps gui-related
-    files only, unless the gui-related set is empty (input passes through
-    with a fallback flag).
+    boost is a stable partition: boosted files move to the front, both groups
+    keeping their order. filter keeps gui-related files only, unless the
+    gui-related set is empty (all pass, with a fallback flag).
     """
     check_choice("rerank strategy", strategy, RERANK_STRATEGIES)
-    if strategy == "none":
-        # entries are never mutated, so the new ranking can share them
-        return RankedList(list(ranked.entries), list(ranked.query_terms_used), list(ranked.flags))
-
-    entries = ranked.entries
-    flags = list(ranked.flags)
-
+    order: Sequence[int] = range(len(paths))
+    flags = []
     if strategy in ("filter", "filter_boost"):
         gui_related = ctx.gui_related
-        if not gui_related:
-            flags.append("filter-fallback")
+        if gui_related:
+            order = [i for i in order if paths[i] in gui_related]
         else:
-            entries = [e for e in entries if e.path in gui_related]
-    # annotate after filtering, so dropped entries cost nothing
-    entries = [_annotate(e, ctx) for e in entries]
-
+            flags.append("filter-fallback")
     if strategy in ("boost", "filter_boost"):
         boosted = ctx.boosted
-        front = [e for e in entries if e.path in boosted]
-        back = [e for e in entries if e.path not in boosted]
-        entries = front + back
+        front = [i for i in order if paths[i] in boosted]
+        order = front + [i for i in order if paths[i] not in boosted]
+    return order, flags
 
-    return RankedList(entries=entries, query_terms_used=list(ranked.query_terms_used), flags=flags)
+
+def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") -> RankedList:
+    """Reorder or filter a ranking by :func:`rerank_order`, marking kept entries' GUI signals."""
+    order, flags = rerank_order(ranked.paths(), ctx, strategy)
+    entries = ranked.entries  # never mutated, so a ranking left as it is can share them
+    entries = list(entries) if strategy == "none" else [_annotate(entries[i], ctx) for i in order]
+    return RankedList(entries, list(ranked.query_terms_used), list(ranked.flags) + flags)
 
 
 @dataclass
@@ -147,14 +146,15 @@ class StageCache:
     :func:`context_key`. Only the latest scoring is kept, keyed on the scorer
     and the exact query, so a caller that visits configs in
     :func:`scoring_key` order scores each query once while holding one
-    ranking. Cached rankings are never mutated: every re-rank strategy
-    returns a new :class:`RankedList`.
+    ranking and its path order. Cached rankings are never mutated: every
+    re-rank strategy returns a new :class:`RankedList`.
     """
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
     scored_key: tuple[str, list[str]] | None = None
     scored: RankedList | None = None
+    scored_paths: list[str] | None = None
 
 
 def context_key(config: PipelineConfig) -> tuple:
@@ -181,21 +181,18 @@ def scoring_key(config: PipelineConfig) -> tuple:
     return (config.scorer, config.query_strategy, context_key(config), config.expansion_weight)
 
 
-def localize(
+def score_stages(
     report: BugReport,
     trace: ReproTrace,
     index: CorpusIndex,
-    config: PipelineConfig | None = None,
-    cache: StageCache | None = None,
-) -> RankedList:
-    """Rank the indexed corpus for one report and its reproduction trace.
+    config: PipelineConfig,
+    cache: StageCache,
+) -> tuple[GuiContext, list[str]]:
+    """Run the stages up to scoring for a validated `config`, through `cache`.
 
-    `cache` lets repeated calls for the same report, trace and index reuse
-    the GUI context, the report terms and the scoring; results are the same
-    with or without it.
+    Returns the GUI context and the query's fallback flags; leaves the
+    scoring in `cache.scored` and its path order in `cache.scored_paths`.
     """
-    config = (config or PipelineConfig()).validate()
-    cache = cache if cache is not None else StageCache()
     if config.query_strategy == "base" and config.rerank_strategy == "none":
         # neither step reads the GUI context, so skip the matchers
         ctx = GuiContext(Counter(), set(), set(), set(), config.window)
@@ -211,6 +208,26 @@ def localize(
     )
     if cache.scored_key != (config.scorer, query):
         cache.scored_key, cache.scored = (config.scorer, query), rank(index, query, config.scorer)
+        cache.scored_paths = cache.scored.paths()
+    return ctx, query_flags
+
+
+def localize(
+    report: BugReport,
+    trace: ReproTrace,
+    index: CorpusIndex,
+    config: PipelineConfig | None = None,
+    cache: StageCache | None = None,
+) -> RankedList:
+    """Rank the indexed corpus for one report and its reproduction trace.
+
+    `cache` lets repeated calls for the same report, trace and index reuse
+    the GUI context, the report terms and the scoring; results are the same
+    with or without it.
+    """
+    config = (config or PipelineConfig()).validate()
+    cache = cache if cache is not None else StageCache()
+    ctx, query_flags = score_stages(report, trace, index, config, cache)
     ranked = apply_rerank(cache.scored, ctx, config.rerank_strategy)
     ranked.flags = sorted(set(ranked.flags) | set(query_flags))
     ranked.entries = ranked.entries[: config.top_k]

@@ -185,7 +185,7 @@ def trace_from_dict(data: dict) -> ReproTrace:
     """Build and validate a trace from already-parsed JSON."""
     if not isinstance(data, dict) or "screens" not in data:
         raise InputError("trace JSON must be an object with a 'screens' list")
-    trace_id = str(data.get("trace_id", ""))
+    (trace_id,) = json_fields(data, {"trace_id": (str,)}, "trace") if "trace_id" in data else ("",)
     where = f"trace {trace_id!r}"
     (raw,) = json_fields(data, {"screens": (list, NULL)}, where)
     screens = [Screen.from_json(s, i, f"{where} screen {i}") for i, s in enumerate(raw or ())]

@@ -245,6 +245,30 @@ def test_config_file_value_of_wrong_type_exits_two(workspace, caplog, key, value
     assert repr(key) in error
 
 
+def test_config_file_keys_that_nothing_reads_exit_two(workspace, caplog):
+    cfg = workspace / "cfg.json"
+    cfg.write_text(json.dumps({"windw": 1, "component_threshold": 0.1, "window": 2}))
+    assert run(_localize_argv(workspace, "--config", str(cfg))) == 2
+    [error] = _errors(caplog)
+    assert "'component_threshold'" in error and "'windw'" in error and "'window'" not in error
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k1", "nan"], ["--k1", "inf"], ["--k1", "-1"],
+        ["--b", "5"], ["--b", "-0.1"], ["--b", "nan"],
+    ],
+    ids=["k1-nan", "k1-inf", "k1-negative", "b-above-one", "b-negative", "b-nan"],
+)
+def test_index_bm25_parameter_out_of_range_exits_two(workspace, caplog, flags):
+    out = workspace / "bad-index.json"
+    assert run(["index", "--corpus", str(workspace / "corpus"), "--out", str(out), *flags]) == 2
+    [error] = _errors(caplog)
+    assert error.startswith(f"bm25_{flags[0][2:]} must be")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_non_finite_weight_flag_exits_two(workspace, caplog, weight):
     assert run(_localize_argv(workspace, "--query", "expand", "--weight", weight)) == 2
@@ -485,6 +509,12 @@ def _k1(value):
     return edit
 
 
+def _b(value):
+    def edit(data):
+        data["params"]["bm25_b"] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -497,6 +527,9 @@ def _k1(value):
         _first_document_length(10**400),
         _first_document_length(-1),
         _k1(10**400),
+        _k1(-1),
+        _k1(float("nan")),  # json writes NaN, and reads it back
+        _b(1.5),
     ],
     ids=[
         "no-params",
@@ -508,6 +541,9 @@ def _k1(value):
         "huge-length",
         "length-not-term-total",
         "huge-k1",
+        "negative-k1",
+        "nan-k1",
+        "b-above-one",
     ],
 )
 def test_localize_malformed_index_exits_one(workspace, caplog, edit):

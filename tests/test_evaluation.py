@@ -14,7 +14,10 @@ from guiloc.corpus import scan_corpus
 from guiloc.errors import InputError
 from guiloc.evaluation import (
     CSV_HEADER,
+    HITS_KS,
     _result_row,
+    EvalResult,
+    ReportOutcome,
     SweepGrid,
     average_precision,
     evaluate_config,
@@ -25,7 +28,7 @@ from guiloc.evaluation import (
     sweep,
 )
 from guiloc.index import build_index
-from guiloc.pipeline import PipelineConfig
+from guiloc.pipeline import PipelineConfig, full_depth, localize
 
 from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
 
@@ -259,6 +262,47 @@ def test_sweep_rows_equal_uncached_evaluation(fixture_data, tmp_path):
     assert len(outcome.rows) == len(configs) == 192
     for config, row in zip(configs, outcome.rows):
         assert row == _result_row(config, evaluate_config(pairs, index, config))
+
+
+def test_rows_equal_metrics_of_full_depth_localize_rankings(fixture_data, tmp_path):
+    """Evaluation ranks on cached path orders; localize's re-ranked entries are the reference."""
+    index, pairs = fixture_data
+    grid = SweepGrid(
+        scorers=["bm25", "rvsm"],
+        query_strategies=["base", "expand", "replace"],
+        rerank_strategies=["none", "filter", "boost", "filter_boost"],
+        windows=[1, 2, 3],
+        expansion_weights=[1.0, 2.0],
+    )
+    configs = grid.configs()
+    assert len(configs) == 144
+    rows = sweep(grid, pairs, index, tmp_path / "sweep.csv").rows
+    for config, row in zip(configs, rows):
+        outcomes, hits = [], {k: 0 for k in HITS_KS}
+        for report, trace in pairs:
+            paths = localize(report, trace, index, full_depth(config, index)).paths()
+            truth = report.ground_truth
+            outcomes.append(
+                ReportOutcome(
+                    report.report_id,
+                    first_relevant_rank(paths, truth),
+                    reciprocal_rank(paths, truth),
+                    average_precision(paths, truth),
+                )
+            )
+            for k in HITS_KS:
+                hits[k] += hits_at_k(paths, truth, k)
+        n = len(pairs)
+        want = EvalResult(
+            config,
+            outcomes,
+            {k: hits[k] / n for k in HITS_KS},
+            sum(o.reciprocal_rank for o in outcomes) / n,
+            sum(o.average_precision for o in outcomes) / n,
+            n,
+        )
+        assert evaluate_config(pairs, index, config) == want
+        assert row == _result_row(config, want)
 
 
 def test_default_grid_sweep_computes_each_stage_once_per_report(

@@ -144,3 +144,16 @@ def test_mutated_input_exits_cleanly(inputs, caplog, kind):
                 failures.append(f"{kind} mutant {i} ({what}), {argv[0]}: exit {code}")
         caplog.clear()
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("value", [v for v in SWAPS if type(v) is not str], ids=_short)
+def test_trace_id_of_another_type_exits_one(inputs, caplog, value):
+    """The swap mutation on the trace's id, for every swapped value that is not a string."""
+    mutant = json.loads(inputs["trace"].read_text())
+    mutant["trace_id"] = value
+    path = inputs["root"] / "mutant-trace-id.json"
+    path.write_text(json.dumps(mutant))
+    for argv in _commands("trace", str(path), inputs):
+        assert run(argv) == 1, argv[0]
+        assert "'trace_id'" in caplog.text
+        caplog.clear()

@@ -372,3 +372,21 @@ def test_scores_equal_exact_references_with_duplicate_documents():
                 naive_bm25(docs, query, params.bm25_k1, params.bm25_b)
             )
             assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))
+
+
+def test_scores_equal_exact_references_with_a_huge_term_count():
+    """rVSM's 1 + ln f comes from a memo of the distinct counts, not a table up to the largest."""
+    rng = random.Random(41)
+    vocab = [f"w{i}" for i in range(30)]
+    for _ in range(10):
+        docs = [
+            make_doc(i, f"f{i:02d}.java", [rng.choice(vocab) for _ in range(rng.randint(1, 30))])
+            for i in range(rng.randint(3, 15))
+        ]
+        big = rng.randrange(len(docs))
+        docs[big] = make_doc(big, docs[big].path, {**docs[big].terms, rng.choice(vocab): 10**6})
+        index = build_index(docs)
+        for _ in range(5):
+            query = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+            assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))
+            assert _scored(score_bm25(index, query)) == _exact(naive_bm25(docs, query))

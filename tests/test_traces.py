@@ -112,6 +112,19 @@ def test_last_screen_may_have_zero_exercised():
     assert len(trace.screens) == 1
 
 
+@pytest.mark.parametrize("trace_id", [{"a": 1}, [], True, 7, None], ids=repr)
+def test_trace_id_of_another_type_is_an_input_error(trace_id):
+    data = dict(_trace_dict([_screen_dict("com.app.Main", [])]), trace_id=trace_id)
+    with pytest.raises(InputError, match="'trace_id' must be a string"):
+        trace_from_dict(data)
+
+
+def test_missing_trace_id_reads_as_empty():
+    data = _trace_dict([_screen_dict("com.app.Main", [])])
+    del data["trace_id"]
+    assert trace_from_dict(data).trace_id == ""
+
+
 def test_empty_trace_is_invalid():
     with pytest.raises(ValidationError):
         trace_from_dict(_trace_dict([]))
