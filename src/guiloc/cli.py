@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 from .corpus import Preprocessor, load_stopwords, scan_corpus
 from .errors import ConfigError, GuilocError, InputError
-from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep
+from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep, warn_unindexed_ground_truth
 from .index import SCORERS, ScoringParams, build_index, load_index, save_index
 from .mapping import TERM_SOURCES
 from .pipeline import PipelineConfig, QUERY_STRATEGIES, config_context, localize, ranking_to_json
@@ -220,6 +220,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     index = load_index(args.index)
     pairs = load_dataset(args.reports, args.traces)
+    warn_unindexed_ground_truth(pairs, index)
     result = evaluate_config(pairs, index, config)
     _emit(stable_json_dumps(result.to_json()), args.out)
     return 0
@@ -228,6 +229,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     pairs = load_dataset(args.reports, args.traces)
+    warn_unindexed_ground_truth(pairs, index)
     grid = SweepGrid(
         scorers=_split_csv(args.scorers),
         query_strategies=_split_csv(args.queries),

@@ -228,8 +228,9 @@ def scan_corpus(
     """Walk a source tree and build SourceDocuments.
 
     Files are ordered lexicographically by their path relative to root and
-    doc_ids are assigned in that order. Unreadable files are logged and
-    skipped; a missing root is fatal.
+    doc_ids are assigned in that order. Each document's term bag is in
+    sorted term order. Unreadable files are logged and skipped; a missing
+    root is fatal.
     """
     root = Path(root)
     if not root.is_dir():
@@ -268,12 +269,18 @@ def scan_corpus(
         if known_ids:
             refs |= _known_id_mentions(text, known_ids)
         tokens = pre.tokens(text)
+        counts = Counter(tokens)
+        # sorted term order, the one index files store: a norm summed over a
+        # scanned bag equals one summed over the bag read back from a file,
+        # and json's sort_keys pass over an already sorted bag is linear
+        terms = dict.fromkeys(sorted(counts))
+        terms.update(counts)
         docs.append(
             SourceDocument(
                 doc_id=doc_id,
                 path=rel,
                 class_name=class_name,
-                terms=Counter(tokens),
+                terms=Counter(terms),
                 length=len(tokens),
                 resource_id_refs=refs,
             )

@@ -123,6 +123,21 @@ def load_dataset(
     return pairs
 
 
+def warn_unindexed_ground_truth(
+    pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
+) -> None:
+    """Log one warning per report whose ground truth names files the index does not hold."""
+    indexed = set(index.paths)
+    for report, _ in pairs:
+        missing = sorted((report.ground_truth or set()) - indexed)
+        if missing:
+            logger.warning(
+                "report %s: ground-truth paths not in the index, counted as misses: %s",
+                report.report_id,
+                ", ".join(missing),
+            )
+
+
 def evaluate_config(
     pairs: list[tuple[BugReport, ReproTrace]],
     index: CorpusIndex,

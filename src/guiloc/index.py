@@ -17,7 +17,7 @@ from .util import gc_paused, json_fields, load_format_file, save_format_file
 logger = logging.getLogger(__name__)
 
 INDEX_FORMAT = "guiloc-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 SCORERS = ("bm25", "rvsm")
 
@@ -68,56 +68,41 @@ class CorpusIndex:
     lengths: list[int]
     paths: list[str]
     length_prior: list[float]
+    rvsm_norms: list[float]
+    tf_weights: dict[int, float]
 
     @cached_property
     def path_order(self) -> list[int]:
         """Doc ids in path order, the order of every ranking's ties."""
         return sorted(range(self.doc_count), key=self.paths.__getitem__)
 
-    @cached_property
-    def rvsm_weights(self) -> tuple[list[float], dict[int, float]]:
-        """Each document's rVSM vector norm, and 1 + ln f for each distinct term count f.
-
-        Computed on the first rVSM scoring, so that loading an index for BM25
-        does not pay for it. Each norm is summed over ``doc.terms`` in stored
-        order, which fixes its floating-point value.
-        """
-        n = self.doc_count
-        idf = {term: _rvsm_idf(n, df) for term, df in self.doc_freq.items()}
-        counts = set().union(*(doc.terms.values() for doc in self.documents))
-        tf_weight = {f: 1.0 + math.log(f) for f in counts}
-        norms = []
-        for doc in self.documents:
-            d_norm_sq = 0.0
-            for term, f in doc.terms.items():
-                w = tf_weight[f] * idf[term]
-                d_norm_sq += w * w
-            norms.append(math.sqrt(d_norm_sq))
-        return norms, tf_weight
-
 
 def build_index(
     documents: Sequence[SourceDocument],
     params: ScoringParams | None = None,
     preprocessor: Preprocessor | None = None,
+    rvsm_norms: list[float] | None = None,
 ) -> CorpusIndex:
     """Build the inverted index over already-scanned documents.
 
     Document ids must be 0..n-1 in list order, as :func:`scan_corpus` assigns
     them, so postings lists of (doc_id, term_frequency) come out in doc_id
-    order. Term counts must be at least 1.
+    order. Term counts must be at least 1. Each document's rVSM vector norm
+    is summed over ``doc.terms`` in stored order, which fixes its
+    floating-point value, unless `rvsm_norms` gives them, one per document.
     """
     docs = list(documents)
     if not docs:
         raise InputError("cannot index an empty corpus")
     postings: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    tf_weights: dict[int, float] = {}  # rVSM's 1 + ln f for each distinct count f
     for doc_id, doc in enumerate(docs):
         if doc.doc_id != doc_id:
             raise InputError(
                 f"document {doc.path!r} has id {doc.doc_id} at position {doc_id}; "
                 f"ids must be 0..{len(docs) - 1} in order"
             )
-        # rVSM takes the log of every count when it first computes the norms
+        # rVSM takes the log of every count
         try:
             below_one = bool(doc.terms) and min(doc.terms.values()) < 1
         except TypeError:
@@ -136,8 +121,12 @@ def build_index(
             pair = pairs.get(freq)
             if pair is None:
                 pair = pairs[freq] = (doc_id, freq)
+                if freq not in tf_weights:
+                    tf_weights[freq] = 1.0 + math.log(freq)
             postings[term].append(pair)
     doc_freq = {term: len(plist) for term, plist in postings.items()}
+    if rvsm_norms is None:
+        rvsm_norms = _rvsm_norms(docs, doc_freq, tf_weights)
     lengths = [doc.length for doc in docs]
     min_len = min(lengths)
     span = max(lengths) - min_len
@@ -157,7 +146,25 @@ def build_index(
         lengths=lengths,
         paths=[doc.path for doc in docs],
         length_prior=length_prior,
+        rvsm_norms=rvsm_norms,
+        tf_weights=tf_weights,
     )
+
+
+def _rvsm_norms(
+    docs: list[SourceDocument], doc_freq: dict[str, int], tf_weights: dict[int, float]
+) -> list[float]:
+    """Each document's rVSM vector norm, summed over its terms in stored order."""
+    n = len(docs)
+    idf = {term: _rvsm_idf(n, df) for term, df in doc_freq.items()}
+    norms = []
+    for doc in docs:
+        d_norm_sq = 0.0
+        for term, f in doc.terms.items():
+            w = tf_weights[f] * idf[term]
+            d_norm_sq += w * w
+        norms.append(math.sqrt(d_norm_sq))
+    return norms
 
 
 def _sorted_entries(scores: list[float], index: CorpusIndex) -> list[RankEntry]:
@@ -185,7 +192,8 @@ def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
     # hoisted factors keep the left-to-right grouping of
     # qtf * idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg)), so
     # every score is bit-identical to evaluating that expression per posting
-    len_norm = [k1 * (1.0 - b + b * length / avg) for length in index.lengths]
+    # an average length of 0 means a corpus without terms, which nothing matches
+    len_norm = [k1 * (1.0 - b + b * length / avg) for length in index.lengths] if avg else []
     k1_plus_1 = k1 + 1.0
     scores = [0.0] * n
     for term, qtf in Counter(query).items():
@@ -226,15 +234,15 @@ def score_rvsm(index: CorpusIndex, query: Sequence[str]) -> RankedList:
 
     # each document's dot product sums its terms in q_weights order, as a
     # per-document loop over q_weights would
-    norms, tf_weight = index.rvsm_weights
+    tf_weights = index.tf_weights
     dots = [0.0] * n
     for term, qw in q_weights.items():
         idf = _rvsm_idf(n, index.doc_freq[term])
         for doc_id, f in index.postings[term]:
-            dots[doc_id] += qw * tf_weight[f] * idf
+            dots[doc_id] += qw * tf_weights[f] * idf
     scores = [
         prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
-        for prior, dot, d_norm in zip(index.length_prior, dots, norms)
+        for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)
     ]
     return RankedList(_sorted_entries(scores, index), query)
 
@@ -249,19 +257,20 @@ def rank(index: CorpusIndex, query: Sequence[str], scorer: str = "bm25") -> Rank
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as compact versioned JSON; derived statistics are rebuilt on load."""
+    """Write the index as compact versioned JSON; a load rebuilds postings, not rVSM norms."""
     payload = {
         "params": {"bm25_k1": index.params.bm25_k1, "bm25_b": index.params.bm25_b},
         "preprocess": index.preprocessor.config(),
         "documents": [doc.to_json() for doc in index.documents],
+        "rvsm_norms": index.rvsm_norms,
     }
     save_format_file(path, INDEX_FORMAT, INDEX_VERSION, payload)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    """Read an index written by :func:`save_index` and rebuild its statistics."""
+    """Read an index written by :func:`save_index` and rebuild its postings."""
     with gc_paused():
-        params, preprocess, documents = load_format_file(
+        params, preprocess, documents, norms = load_format_file(
             path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
         )
         k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
@@ -269,11 +278,18 @@ def load_index(path: str | Path) -> CorpusIndex:
         docs = [
             SourceDocument.from_json(d, f"{path} document {i}") for i, d in enumerate(documents)
         ]
+        # json reads NaN and Infinity as floats; the comparison rejects both
+        if len(norms) != len(docs) or not all(
+            type(x) is float and 0.0 <= x < math.inf for x in norms
+        ):
+            raise InputError(f"{path}: 'rvsm_norms' must hold one finite number >= 0 per document")
         try:  # a parameter out of range or too large for a float, or a bad document
-            return build_index(docs, ScoringParams(float(k1), float(b)), pre)
+            return build_index(docs, ScoringParams(float(k1), float(b)), pre, norms)
         except (ConfigError, InputError, OverflowError) as exc:
             raise InputError(f"{path}: {exc}") from exc
 
 
-_INDEX_FIELDS = {"params": (dict,), "preprocess": (dict,), "documents": (list,)}
+_INDEX_FIELDS = {
+    "params": (dict,), "preprocess": (dict,), "documents": (list,), "rvsm_norms": (list,)
+}
 _PARAMS_FIELDS = {"bm25_k1": (int, float), "bm25_b": (int, float)}

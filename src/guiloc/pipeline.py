@@ -143,7 +143,8 @@ class StageCache:
     """One report's stage results, reused across the configs of one sweep.
 
     Valid for one report, its trace and one index. GUI contexts are kept per
-    :func:`context_key`. Only the latest scoring is kept, keyed on the scorer
+    :func:`context_key`, and each query with its fallback flags per
+    :func:`scoring_key`. Only the latest scoring is kept, keyed on the scorer
     and the exact query, so a caller that visits configs in
     :func:`scoring_key` order scores each query once while holding one
     ranking and its path order. Cached rankings are never mutated: every
@@ -152,6 +153,7 @@ class StageCache:
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
+    queries: dict[tuple, tuple[list[str], list[str]]] = field(default_factory=dict)
     scored_key: tuple[str, list[str]] | None = None
     scored: RankedList | None = None
     scored_paths: list[str] | None = None
@@ -201,11 +203,17 @@ def score_stages(
         ctx = cache.contexts.get(ctx_key)
         if ctx is None:
             ctx = cache.contexts[ctx_key] = config_context(trace, index, config)
-    if cache.report_terms is None:
-        cache.report_terms = index.preprocessor.tokens(report.full_text())
-    query, query_flags = build_query(
-        cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
-    )
+    query_key = scoring_key(config)
+    built = cache.queries.get(query_key)
+    if built is None:
+        if cache.report_terms is None:
+            cache.report_terms = index.preprocessor.tokens(report.full_text())
+        built = cache.queries[query_key] = build_query(
+            cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
+        )
+    query, query_flags = built
+    # a query from the cache is the very list scored last, which the tuple
+    # comparison matches by identity, without comparing its terms
     if cache.scored_key != (config.scorer, query):
         cache.scored_key, cache.scored = (config.scorer, query), rank(index, query, config.scorer)
         cache.scored_paths = cache.scored.paths()

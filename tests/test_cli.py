@@ -515,6 +515,16 @@ def _b(value):
     return edit
 
 
+def _first_norm(value):
+    def edit(data):
+        data["rvsm_norms"][0] = value
+    return edit
+
+
+def _one_norm_too_few(data):
+    data["rvsm_norms"].pop()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -530,6 +540,14 @@ def _b(value):
         _k1(-1),
         _k1(float("nan")),  # json writes NaN, and reads it back
         _b(1.5),
+        _drop("rvsm_norms"),
+        _set("rvsm_norms", {"0": 1.0}),
+        _one_norm_too_few,
+        _first_norm("1.0"),
+        _first_norm(-1.0),
+        _first_norm(float("nan")),
+        _first_norm(float("inf")),  # json writes Infinity, and reads it back
+        _first_norm(True),
     ],
     ids=[
         "no-params",
@@ -544,6 +562,14 @@ def _b(value):
         "negative-k1",
         "nan-k1",
         "b-above-one",
+        "no-norms",
+        "norms-not-list",
+        "one-norm-too-few",
+        "string-norm",
+        "negative-norm",
+        "nan-norm",
+        "infinite-norm",
+        "true-norm",
     ],
 )
 def test_localize_malformed_index_exits_one(workspace, caplog, edit):
@@ -561,6 +587,66 @@ def test_localize_malformed_index_exits_one(workspace, caplog, edit):
     )
     assert code == 1
     assert str(path) in caplog.text
+
+
+def test_localize_version_one_index_exits_one(workspace, caplog):
+    path = workspace / "index.json"
+    data = json.loads(path.read_text())
+    del data["rvsm_norms"]
+    data["version"] = 1
+    path.write_text(json.dumps(data))
+    code = run(
+        [
+            "localize",
+            "--index", str(path),
+            "--report", str(workspace / "reports" / "r1.json"),
+            "--trace", str(workspace / "traces" / "r1.json"),
+        ]
+    )
+    assert code == 1
+    assert f"unsupported index version 1 in {path}; this build reads version 2" in caplog.text
+
+
+@pytest.mark.parametrize("scorer", ["bm25", "rvsm"])
+def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, capsys, scorer):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "A.java").write_text("public class A {}\n")
+    (tmp_path / "r1.json").write_text(json.dumps(REPORT))
+    (tmp_path / "t1.json").write_text(json.dumps(TRACE))
+    index = tmp_path / "index.json"
+    assert run(["index", "--corpus", str(corpus), "--out", str(index)]) == 0
+    capsys.readouterr()
+    code = run(
+        [
+            "localize",
+            "--index", str(index),
+            "--report", str(tmp_path / "r1.json"),
+            "--trace", str(tmp_path / "t1.json"),
+            "--scorer", scorer,
+        ]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ranking"] == []
+    assert json.loads(index.read_text())["rvsm_norms"] == [0.0]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_ground_truth_missing_from_the_index_is_warned_once_per_report(workspace, caplog, command):
+    truth = ["ui/EditorActivity.java", "ui/Gone.java", "old/Removed.java"]
+    (workspace / "reports" / "r1.json").write_text(json.dumps(dict(REPORT, ground_truth=truth)))
+    argv = [
+        command,
+        "--index", str(workspace / "index.json"),
+        "--reports", str(workspace / "reports"),
+        "--traces", str(workspace / "traces"),
+        "--out", str(workspace / "out"),
+    ]
+    assert run(argv) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "report r1" in warnings[0] and "old/Removed.java, ui/Gone.java" in warnings[0]
+    assert "EditorActivity" not in warnings[0]
 
 
 def test_localize_trace_with_non_object_screen_exits_one(workspace, caplog):

@@ -390,3 +390,38 @@ def test_scores_equal_exact_references_with_a_huge_term_count():
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
             assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))
             assert _scored(score_bm25(index, query)) == _exact(naive_bm25(docs, query))
+
+
+def _round_trip(index, tmp_path):
+    path = tmp_path / "corpus.idx.json"
+    save_index(index, path)
+    return load_index(path)
+
+
+def test_loaded_index_scores_exactly_like_the_built_one(tmp_path):
+    """Stored rVSM norms make a saved and loaded index score == the index it was saved from."""
+    rng = random.Random(53)
+    seeded = [
+        make_doc(i, f"f{i:02d}.java", [f"w{rng.randrange(40)}" for _ in range(rng.randint(1, 40))])
+        for i in range(30)
+    ]
+    seeded[7] = make_doc(7, seeded[7].path, {**seeded[7].terms, "w3": 10**6})
+    seeded[11] = make_doc(11, seeded[11].path, [])
+    for docs in (scan_corpus(FIXTURES / "app"), seeded):
+        built = build_index(docs)
+        loaded = _round_trip(built, tmp_path)
+        assert loaded.rvsm_norms == built.rvsm_norms
+        vocab = sorted(built.postings)
+        for _ in range(20):
+            query = [rng.choice(vocab) for _ in range(rng.randint(1, 25))]
+            assert _scored(score_rvsm(loaded, query)) == _scored(score_rvsm(built, query))
+    assert build_index(seeded).rvsm_norms[11] == 0.0
+
+
+def test_loaded_index_scores_rvsm_without_term_bags(tmp_path):
+    built = build_index(scan_corpus(FIXTURES / "app"))
+    loaded = _round_trip(built, tmp_path)
+    for doc in loaded.documents:
+        doc.terms = None
+    query = [t for d in built.documents[:3] for t in d.terms.elements()]
+    assert _scored(score_rvsm(loaded, query)) == _scored(score_rvsm(built, query)) != []
