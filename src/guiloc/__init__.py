@@ -1,74 +1,19 @@
 """GUI-aware text-retrieval bug localization and bug-report analysis."""
 
-from .corpus import Preprocessor, SourceDocument, extract_code_facets, preprocess, scan_corpus
-from .errors import (
-    ConfigError,
-    GuilocError,
-    InputError,
-    RemoteClassifierError,
-    UnparseableStepError,
-    ValidationError,
-)
-from .evaluation import (
-    EvalResult,
-    SweepGrid,
-    average_precision,
-    evaluate_config,
-    hits_at_k,
-    load_dataset,
-    reciprocal_rank,
-    sweep,
-)
-from .index import (
-    CorpusIndex,
-    RankedList,
-    RankEntry,
-    ScoringParams,
-    build_index,
-    load_index,
-    rank,
-    save_index,
-    score_bm25,
-    score_rvsm,
-)
+from .corpus import scan_corpus
+from .errors import ConfigError, GuilocError, InputError
+from .evaluation import SweepGrid, load_dataset, sweep
+from .index import build_index, load_index, rank, save_index
 from .mapping import (
     GuiContext,
-    TERM_SOURCES,
     extract_gui_terms,
-    gui_context,
     match_activity_files,
     match_component_files,
     match_listener_files,
 )
 from .pipeline import PipelineConfig, apply_rerank, build_query, localize
-from .reports import (
-    BugReport,
-    HeuristicClassifier,
-    RemoteClassifier,
-    S2RStep,
-    classify_sentences,
-    load_report,
-    parse_s2r,
-    segment_sentences,
-)
-from .step_mapping import (
-    MissingStepReport,
-    StepMatch,
-    detect_missing_steps,
-    map_steps_to_model,
-    suggest_next_steps,
-)
-from .traces import (
-    ExecutionModel,
-    GuiComponent,
-    ReproTrace,
-    Screen,
-    build_execution_model,
-    last_screens,
-    load_model,
-    parse_trace,
-    save_model,
-    screen_fingerprint,
-)
+from .reports import HeuristicClassifier, classify_sentences, load_report, parse_s2r
+from .step_mapping import detect_missing_steps, map_steps_to_model
+from .traces import build_execution_model, load_model, parse_trace, save_model
 
 __version__ = "0.1.0"

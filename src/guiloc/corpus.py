@@ -137,11 +137,6 @@ class Preprocessor:
 _PREPROCESS_FIELDS = {"stopwords": (list,), "min_term_len": (int,), "stem": (bool,)}
 
 
-def preprocess(text: str, preprocessor: Preprocessor | None = None) -> list[str]:
-    """Normalize text with the default (or a given) preprocessor."""
-    return (preprocessor or DEFAULT_PREPROCESSOR).tokens(text)
-
-
 DEFAULT_PREPROCESSOR = Preprocessor()
 
 
@@ -192,23 +187,18 @@ _DOCUMENT_FIELDS = {
 }
 
 
-def extract_code_facets(
-    raw_text: str, path: str | Path, known_ids: frozenset[str] | set[str] | None = None
-) -> tuple[str, set[str]]:
+def extract_code_facets(raw_text: str, path: str | Path) -> tuple[str, set[str]]:
     """Extract (class_name, resource_id_refs) from one source file.
 
     class_name is the file basename without its extension. Resource ids are
-    collected from ``R.id.<name>`` references, lowercased. When ``known_ids``
-    is given, quoted strings and bare identifiers equal to a known id (an
-    id-like token: letters, digits, underscore, length >= 2) also count.
+    collected from ``R.id.<name>`` references, lowercased.
     """
-    refs = {m.lower() for m in _RESOURCE_REF.findall(raw_text)}
-    if known_ids:
-        refs |= _known_id_mentions(raw_text, known_ids)
-    return Path(path).stem, refs
+    return Path(path).stem, {m.lower() for m in _RESOURCE_REF.findall(raw_text)}
 
 
-def _known_id_mentions(raw_text: str, known_ids: frozenset[str] | set[str]) -> set[str]:
+def _known_id_mentions(raw_text: str, known_ids: frozenset[str]) -> set[str]:
+    """Quoted strings and bare identifiers equal to a known id (an id-like
+    token: letters, digits, underscore, length >= 2)."""
     found = set()
     for match in _QUOTED.finditer(raw_text):
         literal = match.group(1) if match.group(1) is not None else match.group(2)

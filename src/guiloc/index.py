@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError, InputError, check_choice
@@ -20,6 +20,9 @@ INDEX_FORMAT = "guiloc-index"
 INDEX_VERSION = 2
 
 SCORERS = ("bm25", "rvsm")
+
+# term -> query-term frequency, or a term list that is counted
+Query = Mapping[str, float] | Sequence[str]
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,9 @@ class RankEntry:
 
 @dataclass
 class RankedList:
-    """An ordered ranking plus the query terms and warnings that produced it."""
+    """An ordered ranking plus the warnings raised while producing it."""
 
     entries: list[RankEntry]
-    query_terms_used: list[str]
     flags: list[str] = field(default_factory=list)
 
     def paths(self) -> list[str]:
@@ -175,16 +177,16 @@ def _sorted_entries(scores: list[float], index: CorpusIndex) -> list[RankEntry]:
     return [RankEntry(index.paths[doc_id], scores[doc_id]) for doc_id in ids]
 
 
-def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
+def score_bm25(index: CorpusIndex, query: Query) -> RankedList:
     """Okapi BM25.
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); the term contribution is
     f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg_len)), multiplied by the
     query-side frequency of t. Documents scoring zero are omitted.
     """
-    query = list(query)
+    query = Counter(query)
     if not query:
-        return RankedList([], [], flags=["empty-query"])
+        return RankedList([], ["empty-query"])
     k1 = index.params.bm25_k1
     b = index.params.bm25_b
     n = index.doc_count
@@ -196,7 +198,7 @@ def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
     len_norm = [k1 * (1.0 - b + b * length / avg) for length in index.lengths] if avg else []
     k1_plus_1 = k1 + 1.0
     scores = [0.0] * n
-    for term, qtf in Counter(query).items():
+    for term, qtf in query.items():
         plist = index.postings.get(term)
         if not plist:
             continue
@@ -204,33 +206,36 @@ def score_bm25(index: CorpusIndex, query: Sequence[str]) -> RankedList:
         weight = qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         for doc_id, f in plist:
             scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
-    return RankedList(_sorted_entries(scores, index), query)
+    return RankedList(_sorted_entries(scores, index))
 
 
 def _rvsm_idf(n: int, df: int) -> float:
     return math.log(n / df) if df > 0 else 0.0
 
 
-def score_rvsm(index: CorpusIndex, query: Sequence[str]) -> RankedList:
+def score_rvsm(index: CorpusIndex, query: Query) -> RankedList:
     """Length-regularized vector-space cosine.
 
-    Term weights are (1 + ln f) * ln(N / df) on both sides. The cosine is
-    multiplied by g(d) = 1 / (1 + e^(-norm_len(d))) where norm_len is the
-    document length min-max normalized over the corpus, so longer files get
-    a mild prior. Documents scoring zero are omitted.
+    Term weights are (1 + ln f) * ln(N / df) on both sides. A query-term
+    frequency f below 1, which a fractional expansion weight gives, weighs
+    f * ln(N / df) instead: 1 + ln f turns negative below 1/e, while f meets
+    it at 1 and stays positive. The cosine is multiplied by
+    g(d) = 1 / (1 + e^(-norm_len(d))) where norm_len is the document length
+    min-max normalized over the corpus, so longer files get a mild prior.
+    Documents scoring zero are omitted.
     """
-    query = list(query)
+    query = Counter(query)
     if not query:
-        return RankedList([], [], flags=["empty-query"])
+        return RankedList([], ["empty-query"])
     n = index.doc_count
     q_weights: dict[str, float] = {}
-    for term, qtf in Counter(query).items():
+    for term, qtf in query.items():
         idf = _rvsm_idf(n, index.doc_freq.get(term, 0))
         if idf > 0.0:
-            q_weights[term] = (1.0 + math.log(qtf)) * idf
+            q_weights[term] = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
     q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
     if q_norm == 0.0:
-        return RankedList([], query, flags=["no-discriminative-terms"])
+        return RankedList([], ["no-discriminative-terms"])
 
     # each document's dot product sums its terms in q_weights order, as a
     # per-document loop over q_weights would
@@ -244,13 +249,13 @@ def score_rvsm(index: CorpusIndex, query: Sequence[str]) -> RankedList:
         prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
         for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)
     ]
-    return RankedList(_sorted_entries(scores, index), query)
+    return RankedList(_sorted_entries(scores, index))
 
 
 _SCORER_FUNCS = {"bm25": score_bm25, "rvsm": score_rvsm}
 
 
-def rank(index: CorpusIndex, query: Sequence[str], scorer: str = "bm25") -> RankedList:
+def rank(index: CorpusIndex, query: Query, scorer: str = "bm25") -> RankedList:
     """Score the corpus against a query with the named scorer."""
     check_choice("scorer", scorer, SCORERS)
     return _SCORER_FUNCS[scorer](index, query)

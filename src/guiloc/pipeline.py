@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -23,6 +22,9 @@ from .traces import ReproTrace
 logger = logging.getLogger(__name__)
 
 QUERY_STRATEGIES = ("base", "expand", "replace")
+# keeps every score finite: near the float maximum, a GUI term's count times
+# the weight overflows to infinity, and rVSM's cosine then divides it into NaN
+MAX_EXPANSION_WEIGHT = 1e6
 RERANK_STRATEGIES = ("none", "filter", "boost", "filter_boost")
 
 
@@ -45,10 +47,11 @@ class PipelineConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         _check_sources(self.term_sources)
         # written so that NaN fails too
-        if not self.expansion_weight > 0:
-            raise ConfigError(f"expansion_weight must be > 0, got {self.expansion_weight}")
-        if self.expansion_weight == math.inf:
-            raise ConfigError(f"expansion_weight must be finite, got {self.expansion_weight}")
+        if not 0 < self.expansion_weight <= MAX_EXPANSION_WEIGHT:
+            raise ConfigError(
+                f"expansion_weight must be in (0, {MAX_EXPANSION_WEIGHT:g}], "
+                f"got {self.expansion_weight}"
+            )
         if not 0 < self.component_threshold <= 1:
             raise ConfigError(
                 f"component_threshold must be in (0, 1], got {self.component_threshold}"
@@ -61,36 +64,29 @@ class PipelineConfig:
         return asdict(self)
 
 
-def _gui_term_list(gui_terms: Counter, repeat: int) -> list[str]:
-    out = []
-    for term, count in gui_terms.items():
-        out.extend([term] * (count * repeat))
-    return out
-
-
 def build_query(
     report_terms: Sequence[str],
     gui_terms: Counter,
     strategy: str = "base",
     expansion_weight: float = 1.0,
-) -> tuple[list[str], list[str]]:
-    """Compose the retrieval query; returns (terms, fallback flags).
+) -> tuple[Counter, list[str]]:
+    """Compose the retrieval query; returns (term -> query-term frequency, fallback flags).
 
-    expand appends every GUI term occurrence round(expansion_weight) times;
-    replace uses GUI terms alone but falls back to the report terms (with a
-    flag) when the trace yields nothing.
+    expand adds each GUI term's count times expansion_weight to the report
+    terms' counts; replace uses the weighted GUI terms alone but falls back
+    to the report terms (with a flag) when the trace yields nothing.
     """
     check_choice("query strategy", strategy, QUERY_STRATEGIES)
-    report_terms = list(report_terms)
-    repeat = round(expansion_weight)
+    query = Counter(report_terms)
     if strategy == "base":
-        return report_terms, []
-    gui_list = _gui_term_list(gui_terms, max(repeat, 0))
-    if strategy == "expand":
-        return report_terms + gui_list, []
-    if not gui_list:
-        return report_terms, ["replace-fallback"]
-    return gui_list, []
+        return query, []
+    if strategy == "replace":
+        if not gui_terms:
+            return query, ["replace-fallback"]
+        query = Counter()
+    for term, count in gui_terms.items():
+        query[term] += count * expansion_weight
+    return query, []
 
 
 def _annotate(entry: RankEntry, ctx: GuiContext) -> RankEntry:
@@ -135,7 +131,7 @@ def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") ->
     order, flags = rerank_order(ranked.paths(), ctx, strategy)
     entries = ranked.entries  # never mutated, so a ranking left as it is can share them
     entries = list(entries) if strategy == "none" else [_annotate(entries[i], ctx) for i in order]
-    return RankedList(entries, list(ranked.query_terms_used), list(ranked.flags) + flags)
+    return RankedList(entries, list(ranked.flags) + flags)
 
 
 @dataclass
@@ -153,8 +149,8 @@ class StageCache:
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
-    queries: dict[tuple, tuple[list[str], list[str]]] = field(default_factory=dict)
-    scored_key: tuple[str, list[str]] | None = None
+    queries: dict[tuple, tuple[Counter, list[str]]] = field(default_factory=dict)
+    scored_key: tuple[str, Counter] | None = None
     scored: RankedList | None = None
     scored_paths: list[str] | None = None
 
@@ -212,7 +208,7 @@ def score_stages(
             cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
         )
     query, query_flags = built
-    # a query from the cache is the very list scored last, which the tuple
+    # a query from the cache is the very map scored last, which the tuple
     # comparison matches by identity, without comparing its terms
     if cache.scored_key != (config.scorer, query):
         cache.scored_key, cache.scored = (config.scorer, query), rank(index, query, config.scorer)

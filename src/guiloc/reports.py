@@ -110,10 +110,6 @@ def segment_with_markers(body: str) -> list[Segment]:
     return segments
 
 
-def segment_sentences(body: str) -> list[str]:
-    return [s.text for s in segment_with_markers(body)]
-
-
 def _strip_token(token: str) -> str:
     return token.strip(".,!?;:()[]").lower()
 
@@ -290,11 +286,3 @@ def parse_s2r(sentence: str) -> S2RStep:
         preposition=rest[prep_idx].lower(),
         object2=" ".join(obj2_tokens) if obj2_tokens else None,
     )
-
-
-def render_step(step: S2RStep) -> str:
-    """Render slots back to text; slot words keep their order."""
-    parts = [step.subject, step.action, step.object]
-    if step.preposition and step.object2:
-        parts.extend([step.preposition, step.object2])
-    return " ".join(p for p in parts if p)

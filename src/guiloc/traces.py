@@ -136,10 +136,6 @@ class ReproTrace:
     trace_id: str
     screens: list[Screen]
 
-    @property
-    def buggy_screen(self) -> Screen:
-        return self.screens[-1]
-
 
 def screen_fingerprint(screen: Screen) -> str:
     """Stable digest of (activity, window, sorted nonempty component ids).

@@ -158,7 +158,6 @@ def test_criterion_3_reranking_invariants():
         paths = rng.sample(pool, rng.randint(0, 12))
         ranked = RankedList(
             entries=[RankEntry(p, float(len(paths) - i), set()) for i, p in enumerate(paths)],
-            query_terms_used=["q"],
             flags=[],
         )
         ctx = GuiContext(

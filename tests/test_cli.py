@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import guiloc
 from guiloc.cli import run
+
+from conftest import FIXTURES
 
 REPORT = {
     "report_id": "r1",
@@ -269,11 +272,27 @@ def test_index_bm25_parameter_out_of_range_exits_two(workspace, caplog, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e30", "1e308"])
 def test_non_finite_weight_flag_exits_two(workspace, caplog, weight):
     assert run(_localize_argv(workspace, "--query", "expand", "--weight", weight)) == 2
     [error] = _errors(caplog)
     assert error.startswith("expansion_weight must be")
+
+
+def test_fractional_weight_changes_the_ranking(tmp_path, capsys):
+    index = tmp_path / "index.json"
+    assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(index)]) == 0
+    argv = [
+        "localize", "--index", str(index), "--scorer", "rvsm",
+        "--report", str(FIXTURES / "reports" / "r01.json"),
+        "--trace", str(FIXTURES / "traces" / "r01.json"),
+    ]
+    capsys.readouterr()
+    rankings = []
+    for query in (["--query", "base"], ["--query", "expand", "--weight", "0.4"]):
+        assert run(argv + query) == 0
+        rankings.append([e["path"] for e in json.loads(capsys.readouterr().out)["ranking"]])
+    assert rankings[0] != rankings[1]
 
 
 def test_sweep_windows_not_a_number_exits_two(workspace, caplog):
@@ -282,7 +301,7 @@ def test_sweep_windows_not_a_number_exits_two(workspace, caplog):
     assert "--windows" in error
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e30", "1e308"])
 def test_sweep_skips_non_finite_weights(workspace, caplog, weight):
     argv = _sweep_argv(
         workspace,
@@ -705,6 +724,14 @@ def test_cli_import_leaves_out_urllib_request():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_example_imports_resolve():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [block] = re.findall(r"^from guiloc import \(([^)]*)\)", readme, re.MULTILINE)
+    names = [name.strip() for name in block.split(",") if name.strip()]
+    assert "localize" in names
+    assert [name for name in names if not hasattr(guiloc, name)] == []
 
 
 def _walk(trace_id, *steps):

@@ -9,11 +9,11 @@ import pytest
 
 from guiloc.corpus import (
     Preprocessor,
+    _known_id_mentions,
     _stem,
     default_stopwords,
     extract_code_facets,
     load_stopwords,
-    preprocess,
     scan_corpus,
 )
 from guiloc.errors import InputError
@@ -83,33 +83,34 @@ def reference_refs(text, known):
 
 
 def test_camel_case_identifier_is_split():
-    assert preprocess("getUserName") == ["get", "user", "name"]
+    assert Preprocessor().tokens("getUserName") == ["get", "user", "name"]
 
 
 def test_resource_reference_tokens():
-    assert preprocess("R.id.menu_settings") == ["id", "menu", "settings"]
+    assert Preprocessor().tokens("R.id.menu_settings") == ["id", "menu", "settings"]
 
 
 def test_stopwords_drop_regardless_of_case():
-    assert preprocess("the THE The") == []
+    assert Preprocessor().tokens("the THE The") == []
 
 
 def test_acronym_and_digit_boundaries():
-    assert preprocess("XMLParser") == ["xml", "parser"]
-    assert preprocess("word2vec") == ["word", "vec"]
-    assert preprocess("HTTPResponse2Json") == ["http", "response", "json"]
+    assert Preprocessor().tokens("XMLParser") == ["xml", "parser"]
+    assert Preprocessor().tokens("word2vec") == ["word", "vec"]
+    assert Preprocessor().tokens("HTTPResponse2Json") == ["http", "response", "json"]
 
 
 def test_min_term_length_filters_single_chars():
-    assert preprocess("a b c ab") == ["ab"]
+    assert Preprocessor().tokens("a b c ab") == ["ab"]
 
 
 def test_terms_are_lowercase_alphanumeric():
     rng = random.Random(11)
     alphabet = string.ascii_letters + string.digits + "_.$()!%-"
+    pre = Preprocessor()
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
-        for term in preprocess(text):
+        for term in pre.tokens(text):
             assert term == term.lower()
             assert term.isalnum()
             assert len(term) >= 2
@@ -141,8 +142,10 @@ def test_facets_match_the_reference():
     rng = random.Random(21)
     for _ in range(20_000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
-        assert extract_code_facets(text, "A.java", known) == ("A", reference_refs(text, known)), text
-        assert extract_code_facets(text, "A.java") == ("A", reference_refs(text, set())), text
+        class_name, refs = extract_code_facets(text, "A.java")
+        assert (class_name, refs) == ("A", reference_refs(text, set())), text
+        # the second pass of scan_corpus
+        assert refs | _known_id_mentions(text, known) == reference_refs(text, known), text
 
 
 @pytest.mark.parametrize("pre", [Preprocessor(), Preprocessor(stem=True)], ids=["plain", "stem"])
@@ -163,10 +166,11 @@ def test_scan_matches_the_reference_scan(pre):
 def test_preprocess_idempotent_on_own_output():
     rng = random.Random(12)
     alphabet = string.ascii_letters + string.digits + "_. "
+    pre = Preprocessor()
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
-        once = preprocess(text)
-        again = preprocess(" ".join(once))
+        once = pre.tokens(text)
+        again = pre.tokens(" ".join(once))
         assert again == once
 
 
@@ -187,11 +191,11 @@ def test_stemming_folds_inflections_together():
 
 
 def test_stemming_off_by_default():
-    assert preprocess("buttons") == ["buttons"]
+    assert Preprocessor().tokens("buttons") == ["buttons"]
 
 
 def test_programming_keywords_are_stopwords():
-    assert preprocess("public void static final int") == []
+    assert Preprocessor().tokens("public void static final int") == []
 
 
 def test_extract_facets_resource_reference():
@@ -209,19 +213,20 @@ def test_extract_facets_lowercases_ids():
     assert refs == {"savebutton", "save_button"}
 
 
-def test_extract_facets_known_id_in_quoted_string():
-    text = 'View v = findViewWithTag("save_button");'
-    _, refs = extract_code_facets(text, "D.java", known_ids=frozenset({"save_button"}))
-    assert refs == {"save_button"}
-    _, refs = extract_code_facets(text, "D.java")
-    assert refs == set()
+def test_extract_facets_known_id_in_quoted_string(tmp_path):
+    (tmp_path / "D.java").write_text('View v = findViewWithTag("save_button");')
+    [doc] = scan_corpus(tmp_path)
+    assert doc.resource_id_refs == set()
+    (tmp_path / "Owner.java").write_text("bind(R.id.save_button);")
+    docs = {d.path: d for d in scan_corpus(tmp_path)}
+    assert docs["D.java"].resource_id_refs == {"save_button"}
 
 
-def test_extract_facets_identifiers_not_swept_in_wholesale():
-    _, refs = extract_code_facets(
-        "btn = findViewById(R.id.save_button);", "E.java", known_ids=frozenset({"save_button"})
-    )
-    assert refs == {"save_button"}
+def test_extract_facets_identifiers_not_swept_in_wholesale(tmp_path):
+    (tmp_path / "E.java").write_text("btn = findViewById(R.id.save_button);")
+    (tmp_path / "Owner.java").write_text("bind(R.id.save_button);")
+    docs = {d.path: d for d in scan_corpus(tmp_path)}
+    assert docs["E.java"].resource_id_refs == {"save_button"}
 
 
 def test_scan_orders_lexicographically_and_assigns_ids(tmp_path):

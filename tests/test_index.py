@@ -190,6 +190,27 @@ def test_added_irrelevant_doc_keeps_relative_order_under_frozen_stats():
         assert after == before
 
 
+def test_rvsm_query_frequency_below_one_weighs_linearly():
+    docs = [make_doc(0, "a.java", ["a", "a", "b"]), make_doc(1, "b.java", ["b"]), make_doc(2, "c.java", ["c"])]
+    index = build_index(docs)
+    idf_a, idf_b = math.log(3), math.log(3 / 2)
+    a_vec = ((1 + math.log(2)) * idf_a, idf_b)  # a.java's weights for a and b
+    g_a, g_b = 1 / (1 + math.exp(-1)), 0.5  # a.java is the longest file, b.java the shortest
+    # one query term: the cosine is a.java's own weight for it over its norm
+    want = {"a.java": g_a * a_vec[0] / math.hypot(*a_vec)}
+    assert dict(_scored(score_rvsm(index, {"a": 0.25}))) == pytest.approx(want, rel=1e-12)
+    # with a second term the query weight of a shows: 0.25 * idf, not the negative (1 + ln 0.25) * idf
+    q_vec = (0.25 * idf_a, idf_b)
+    q_norm = math.hypot(*q_vec)
+    want = {
+        "a.java": g_a * (q_vec[0] * a_vec[0] + q_vec[1] * a_vec[1]) / (q_norm * math.hypot(*a_vec)),
+        "b.java": g_b * idf_b / q_norm,
+    }
+    scores = dict(_scored(score_rvsm(index, {"a": 0.25, "b": 1})))
+    assert scores == pytest.approx(want, rel=1e-12)
+    assert min(scores.values()) > 0
+
+
 def test_rank_dispatch_and_unknown_scorer():
     index = build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["other"])])
     assert rank(index, ["save"], "bm25").entries

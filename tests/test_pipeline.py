@@ -5,19 +5,27 @@ from collections import Counter
 
 import pytest
 
+from guiloc.corpus import scan_corpus
 from guiloc.errors import ConfigError
-from guiloc.index import RankEntry, RankedList, build_index
+from guiloc.evaluation import load_dataset
+from guiloc.index import SCORERS, RankEntry, RankedList, build_index, rank
 from guiloc.mapping import GuiContext
-from guiloc.pipeline import PipelineConfig, apply_rerank, build_query, localize
+from guiloc.pipeline import (
+    QUERY_STRATEGIES,
+    PipelineConfig,
+    apply_rerank,
+    build_query,
+    config_context,
+    localize,
+)
 from guiloc.reports import BugReport
 
-from conftest import make_component, make_doc, make_screen, make_trace
+from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
 
 
 def _ranked(paths):
     return RankedList(
         entries=[RankEntry(path=p, score=float(len(paths) - i)) for i, p in enumerate(paths)],
-        query_terms_used=["q"],
     )
 
 
@@ -32,36 +40,73 @@ def _ctx(*, activity=(), listener=(), component=(), terms=None):
 
 
 def test_build_query_base():
-    terms, flags = build_query(["crash", "save"], Counter({"editor": 2}), "base")
-    assert terms == ["crash", "save"]
+    query, flags = build_query(["crash", "save", "crash"], Counter({"editor": 2}), "base")
+    assert query == {"crash": 2, "save": 1}
     assert flags == []
 
 
 def test_build_query_expand_appends_with_multiplicity():
-    terms, flags = build_query(["crash"], Counter({"editor": 2, "save": 1}), "expand")
-    assert terms == ["crash", "editor", "editor", "save"]
+    query, flags = build_query(["crash", "save"], Counter({"editor": 2, "save": 1}), "expand")
+    assert query == {"crash": 1, "save": 2, "editor": 2}
+    assert list(query) == ["crash", "save", "editor"]
     assert flags == []
 
 
-def test_build_query_expand_weight_rounds():
-    terms, _ = build_query(["crash"], Counter({"editor": 1}), "expand", expansion_weight=2.0)
-    assert terms == ["crash", "editor", "editor"]
-    terms, _ = build_query(["crash"], Counter({"editor": 1}), "expand", expansion_weight=1.4)
-    assert terms == ["crash", "editor"]
+def test_build_query_expand_weight_multiplies():
+    query, _ = build_query(["crash"], Counter({"editor": 1}), "expand", expansion_weight=2.0)
+    assert query == {"crash": 1, "editor": 2}
+    query, _ = build_query(["crash"], Counter({"editor": 1}), "expand", expansion_weight=1.4)
+    assert query == {"crash": 1, "editor": 1.4}
 
 
 def test_build_query_replace_and_fallback():
-    terms, flags = build_query(["crash"], Counter({"editor": 1}), "replace")
-    assert terms == ["editor"]
+    query, flags = build_query(["crash"], Counter({"editor": 1}), "replace", expansion_weight=0.5)
+    assert query == {"editor": 0.5}
     assert flags == []
-    terms, flags = build_query(["crash"], Counter(), "replace")
-    assert terms == ["crash"]
+    query, flags = build_query(["crash"], Counter(), "replace")
+    assert query == {"crash": 1}
     assert flags == ["replace-fallback"]
 
 
 def test_build_query_unknown_strategy():
     with pytest.raises(ConfigError):
         build_query(["x"], Counter(), "merge")
+
+
+def _repeated_query(report_terms, gui_terms, strategy, repeat):
+    """The reference query form: a term list holding each GUI term count * repeat times."""
+    gui = [term for term, count in gui_terms.items() for _ in range(count * repeat)]
+    if strategy == "base" or not gui:
+        return list(report_terms)
+    return list(report_terms) + gui if strategy == "expand" else gui
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "seeded"])
+def test_integer_weights_score_like_the_repeated_term_list(corpus):
+    if corpus == "fixture":
+        index = build_index(scan_corpus(FIXTURES / "app"))
+        cases = [
+            (index.preprocessor.tokens(r.full_text()), config_context(t, index, PipelineConfig()).terms)
+            for r, t in load_dataset(FIXTURES / "reports", FIXTURES / "traces")
+        ]
+    else:
+        rng = random.Random(61)
+        vocab = [f"w{i}" for i in range(30)]
+        index = build_index(
+            [make_doc(i, f"f{i:02d}.java", rng.choices(vocab, k=rng.randint(1, 30))) for i in range(40)]
+        )
+        gui_vocab = vocab + ["absent"]
+        cases = [
+            (rng.choices(vocab, k=rng.randint(0, 10)), Counter(rng.choices(gui_vocab, k=rng.randint(0, 8))))
+            for _ in range(20)
+        ]
+    for report_terms, gui_terms in cases:
+        for strategy in QUERY_STRATEGIES:
+            for weight in (1, 2, 3):
+                query, _ = build_query(report_terms, gui_terms, strategy, float(weight))
+                reference = _repeated_query(report_terms, gui_terms, strategy, weight)
+                for scorer in SCORERS:
+                    assert rank(index, query, scorer).entries == rank(index, reference, scorer).entries
 
 
 def test_rerank_none_returns_equal_ranking():
@@ -206,7 +251,7 @@ def test_localize_is_deterministic():
     assert [(e.path, e.score, sorted(e.gui_flags)) for e in first.entries] == [
         (e.path, e.score, sorted(e.gui_flags)) for e in second.entries
     ]
-    assert first.query_terms_used == second.query_terms_used
+    assert first.flags == second.flags
 
 
 def test_config_validation():
@@ -244,6 +289,6 @@ def test_localize_base_none_skips_gui_context(monkeypatch):
         assert [(e.path, e.score, e.gui_flags) for e in got.entries] == [
             (e.path, e.score, e.gui_flags) for e in want.entries
         ]
-        assert (got.query_terms_used, got.flags) == (want.query_terms_used, want.flags)
+        assert got.flags == want.flags
     with pytest.raises(AssertionError):
         localize(report, trace, index, PipelineConfig(rerank_strategy="boost"))

@@ -15,23 +15,23 @@ from guiloc.reports import (
     classify_sentences,
     load_report,
     parse_s2r,
-    render_step,
-    segment_sentences,
     segment_with_markers,
 )
 
 
 def test_segment_strips_list_markers():
-    assert segment_sentences("Open app. 1. Tap save 2. Crash") == ["Open app.", "Tap save", "Crash"]
+    segments = segment_with_markers("Open app. 1. Tap save 2. Crash")
+    assert [s.text for s in segments] == ["Open app.", "Tap save", "Crash"]
 
 
 def test_segment_bullets_and_newlines():
     body = "Steps:\n- Open the app\n* Tap save\nThen it crashed!"
-    assert segment_sentences(body) == ["Steps:", "Open the app", "Tap save", "Then it crashed!"]
+    segments = segment_with_markers(body)
+    assert [s.text for s in segments] == ["Steps:", "Open the app", "Tap save", "Then it crashed!"]
 
 
 def test_segment_keeps_decimal_versions_whole():
-    assert segment_sentences("App Version: 1.5.8.") == ["App Version: 1.5.8."]
+    assert [s.text for s in segment_with_markers("App Version: 1.5.8.")] == ["App Version: 1.5.8."]
 
 
 def test_segment_marks_list_items():
@@ -45,7 +45,7 @@ def test_segment_marks_list_items():
 
 def test_segment_preserves_sentence_content():
     body = "The app crashes. 1. Open editor 2. Type hello! Expected a note."
-    joined = " ".join(segment_sentences(body))
+    joined = " ".join(s.text for s in segment_with_markers(body))
     stripped = lambda s: re.sub(r"[^A-Za-z!.]+", "", s)
     # everything except the markers themselves survives
     assert stripped(joined) == stripped(body.replace("1. ", "").replace("2. ", ""))
@@ -201,21 +201,6 @@ def test_unparseable_step_raises():
     with pytest.raises(UnparseableStepError) as info:
         parse_s2r("The app crashed badly")
     assert info.value.sentence == "The app crashed badly"
-
-
-def test_render_preserves_slot_words_in_order():
-    for sentence, _ in SLOT_SUITE:
-        step = parse_s2r(sentence)
-        rendered = render_step(step)
-        for word in (step.object or "").split():
-            assert word in rendered
-        pieces = [step.subject, step.action, step.object, step.preposition or "", step.object2 or ""]
-        cursor = 0
-        for piece in pieces:
-            for word in piece.split():
-                found = rendered.find(word, cursor)
-                assert found >= 0
-                cursor = found
 
 
 def test_load_report_schema(tmp_path):

@@ -50,7 +50,7 @@ def test_parse_valid_trace(tmp_path):
     trace = parse_trace(path)
     assert trace.trace_id == "t1"
     assert [s.index for s in trace.screens] == [0, 1]
-    assert trace.buggy_screen.activity_name == "com.app.Editor"
+    assert trace.screens[-1].activity_name == "com.app.Editor"
 
 
 def test_malformed_json_reports_line(tmp_path):
