@@ -147,7 +147,7 @@ class SourceDocument:
     doc_id: int
     path: str
     class_name: str
-    terms: Counter
+    terms: dict[str, int]
     length: int
     resource_id_refs: set[str] = field(default_factory=set)
 
@@ -156,7 +156,7 @@ class SourceDocument:
             "doc_id": self.doc_id,
             "path": self.path,
             "class_name": self.class_name,
-            "terms": dict(self.terms),
+            "terms": self.terms,
             "length": self.length,
             "resource_id_refs": sorted(self.resource_id_refs),
         }
@@ -171,7 +171,7 @@ class SourceDocument:
             doc_id=doc_id,
             path=path,
             class_name=class_name,
-            terms=Counter(terms),
+            terms=terms,
             length=length,
             resource_id_refs=set(refs),
         )
@@ -244,11 +244,7 @@ def scan_corpus(
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", rel, exc)
             continue
-        class_name, refs = extract_code_facets(text, rel)
-        if not class_name:
-            logger.warning("skipping file with empty basename: %s", rel)
-            continue
-        raws.append((rel, text, class_name, refs))
+        raws.append((rel, text, *extract_code_facets(text, rel)))
 
     # ids referenced anywhere in the corpus; second pass matches quoted
     # strings and identifiers against them
@@ -263,14 +259,12 @@ def scan_corpus(
         # sorted term order, the one index files store: a norm summed over a
         # scanned bag equals one summed over the bag read back from a file,
         # and json's sort_keys pass over an already sorted bag is linear
-        terms = dict.fromkeys(sorted(counts))
-        terms.update(counts)
         docs.append(
             SourceDocument(
                 doc_id=doc_id,
                 path=rel,
                 class_name=class_name,
-                terms=Counter(terms),
+                terms={term: counts[term] for term in sorted(counts)},
                 length=len(tokens),
                 resource_id_refs=refs,
             )

@@ -8,11 +8,7 @@ class GuilocError(Exception):
 
 
 class InputError(GuilocError):
-    """Bad input data: missing files, malformed JSON, empty ground truth."""
-
-
-class ValidationError(InputError):
-    """Structurally valid input that violates a domain rule."""
+    """Bad input data: missing files, malformed JSON, rule-breaking traces, unparseable steps."""
 
 
 class ConfigError(GuilocError):
@@ -23,15 +19,6 @@ def check_choice(kind: str, value: object, allowed: tuple[str, ...]) -> None:
     """Raise ConfigError unless `value` is one of the `allowed` names."""
     if value not in allowed:
         raise ConfigError(f"unknown {kind} {value!r}; expected one of {', '.join(allowed)}")
-
-
-class UnparseableStepError(InputError):
-    """A sentence could not be parsed into a reproduction step."""
-
-    def __init__(self, sentence: str, reason: str = "no action verb found"):
-        super().__init__(f"cannot parse step {sentence!r}: {reason}")
-        self.sentence = sentence
-        self.reason = reason
 
 
 class RemoteClassifierError(GuilocError):

@@ -97,7 +97,7 @@ def load_dataset(
     """Pair report and trace files by report id.
 
     Reports without ground truth are excluded (count logged); a report whose
-    trace file is missing is fatal.
+    id is not a plain file name, or whose trace file is missing, is fatal.
     """
     reports_dir = Path(reports_dir)
     traces_dir = Path(traces_dir)
@@ -112,6 +112,8 @@ def load_dataset(
         if not report.ground_truth:
             excluded += 1
             continue
+        if Path(report.report_id).name != report.report_id:
+            raise InputError(f"{path}: report_id {report.report_id!r} is not a plain file name")
         trace_path = traces_dir / f"{report.report_id}.json"
         if not trace_path.is_file():
             raise InputError(f"no trace found for report {report.report_id} at {trace_path}")

@@ -89,13 +89,18 @@ def build_index(
 
     Document ids must be 0..n-1 in list order, as :func:`scan_corpus` assigns
     them, so postings lists of (doc_id, term_frequency) come out in doc_id
-    order. Term counts must be at least 1. Each document's rVSM vector norm
-    is summed over ``doc.terms`` in stored order, which fixes its
-    floating-point value, unless `rvsm_norms` gives them, one per document.
+    order. Paths must be distinct and term counts at least 1. Each
+    document's rVSM vector norm is summed over ``doc.terms`` in stored order,
+    which fixes its floating-point value, unless `rvsm_norms` gives them, one
+    per document.
     """
     docs = list(documents)
     if not docs:
         raise InputError("cannot index an empty corpus")
+    paths = [doc.path for doc in docs]
+    if len(set(paths)) < len(paths):
+        ((duplicate, _),) = Counter(paths).most_common(1)
+        raise InputError(f"document path {duplicate!r} appears more than once")
     postings: dict[str, list[tuple[int, int]]] = defaultdict(list)
     tf_weights: dict[int, float] = {}  # rVSM's 1 + ln f for each distinct count f
     for doc_id, doc in enumerate(docs):
@@ -146,7 +151,7 @@ def build_index(
         params=params or ScoringParams(),
         preprocessor=preprocessor or DEFAULT_PREPROCESSOR,
         lengths=lengths,
-        paths=[doc.path for doc in docs],
+        paths=paths,
         length_prior=length_prior,
         rvsm_norms=rvsm_norms,
         tf_weights=tf_weights,

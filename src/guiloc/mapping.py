@@ -166,11 +166,10 @@ def gui_context(
     component_threshold: float = DEFAULT_COMPONENT_THRESHOLD,
 ) -> GuiContext:
     """Run all three matchers and term extraction over the screen window."""
-    pre = preprocessor or DEFAULT_PREPROCESSOR
     return GuiContext(
-        terms=extract_gui_terms(trace, window, pre, sources),
+        terms=extract_gui_terms(trace, window, preprocessor, sources),
         activity_files=match_activity_files(trace, window, docs),
         listener_files=match_listener_files(trace, window, docs),
-        component_files=match_component_files(trace, window, docs, pre, component_threshold),
+        component_files=match_component_files(trace, window, docs, preprocessor, component_threshold),
         window_used=window,
     )

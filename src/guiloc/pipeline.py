@@ -221,16 +221,10 @@ def localize(
     trace: ReproTrace,
     index: CorpusIndex,
     config: PipelineConfig | None = None,
-    cache: StageCache | None = None,
 ) -> RankedList:
-    """Rank the indexed corpus for one report and its reproduction trace.
-
-    `cache` lets repeated calls for the same report, trace and index reuse
-    the GUI context, the report terms and the scoring; results are the same
-    with or without it.
-    """
+    """Rank the indexed corpus for one report and its reproduction trace."""
     config = (config or PipelineConfig()).validate()
-    cache = cache if cache is not None else StageCache()
+    cache = StageCache()
     ctx, query_flags = score_stages(report, trace, index, config, cache)
     ranked = apply_rerank(cache.scored, ctx, config.rerank_strategy)
     ranked.flags = sorted(set(ranked.flags) | set(query_flags))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputError, RemoteClassifierError, UnparseableStepError
+from .errors import InputError, RemoteClassifierError
 from .util import NULL, json_fields, load_json_file
 
 logger = logging.getLogger(__name__)
@@ -142,12 +142,8 @@ class HeuristicClassifier:
     device lines carry no markers and so land in OTHER.
     """
 
-    def classify(self, sentences: Sequence[Segment | str]) -> list[str]:
-        tags = []
-        for item in sentences:
-            seg = item if isinstance(item, Segment) else Segment(str(item))
-            tags.append(self._tag_one(seg))
-        return tags
+    def classify(self, sentences: Sequence[Segment]) -> list[str]:
+        return [self._tag_one(seg) for seg in sentences]
 
     def _tag_one(self, seg: Segment) -> str:
         if _leading_action(seg.text) is not None:
@@ -174,14 +170,14 @@ class RemoteClassifier:
         self.model = model
         self.timeout = timeout
 
-    def classify(self, sentences: Sequence[Segment | str]) -> list[str]:
+    def classify(self, sentences: Sequence[Segment]) -> list[str]:
         # imported here because only this classifier needs them, and loading
         # urllib.request at import time would slow every command's start-up
         import http.client
         import urllib.error
         import urllib.request
 
-        texts = [s.text if isinstance(s, Segment) else str(s) for s in sentences]
+        texts = [s.text for s in sentences]
         payload = json.dumps(
             {"version": WIRE_VERSION, "model": self.model, "sentences": texts}
         ).encode("utf-8")
@@ -194,13 +190,9 @@ class RemoteClassifier:
         except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
             raise RemoteClassifierError(f"classifier request failed: {exc}") from exc
         tags = data.get("tags") if isinstance(data, dict) else None
-        if (
-            not isinstance(tags, list)
-            or len(tags) != len(texts)
-            or any(t not in TAGS for t in tags)
-        ):
+        if not isinstance(tags, list):
             raise RemoteClassifierError(f"bad classifier response: {data!r}")
-        return list(tags)
+        return tags
 
 
 def classify_sentences(
@@ -255,7 +247,7 @@ def parse_s2r(sentence: str) -> S2RStep:
             verb_idx = i
             break
     if verb_idx is None or action is None:
-        raise UnparseableStepError(sentence)
+        raise InputError(f"cannot parse step {sentence!r}: no action verb found")
 
     tokens = [t.strip(".,!?;:") for t in raw_tokens]
     subject_tokens = [

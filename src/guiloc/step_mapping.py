@@ -6,7 +6,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from .corpus import DEFAULT_PREPROCESSOR, Preprocessor
+from .corpus import DEFAULT_PREPROCESSOR
 from .errors import InputError
 from .reports import S2RStep
 from .traces import ExecutionModel, GuiComponent, ModelEdge
@@ -61,32 +61,25 @@ def _jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-def step_object_terms(step: S2RStep, preprocessor: Preprocessor) -> set[str]:
+def step_object_terms(step: S2RStep) -> set[str]:
     parts = step.object
     if step.object2:
         parts = f"{parts} {step.object2}"
-    return preprocessor.term_set(parts)
+    return DEFAULT_PREPROCESSOR.term_set(parts)
 
 
-def map_steps_to_model(
-    steps: list[S2RStep],
-    model: ExecutionModel,
-    preprocessor: Preprocessor | None = None,
-    threshold: float = MATCH_THRESHOLD,
-    margin: float = AMBIGUITY_MARGIN,
-) -> list[StepMatch]:
+def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[StepMatch]:
     """Match each step to the most similar same-action edge.
 
     Similarity is the Jaccard overlap of the step's object terms and the
-    edge component's terms. Below `threshold` a step is unmatched; a
-    runner-up within `margin` of the best makes it ambiguous. Ties keep the
-    earliest edge in model insertion order.
+    edge component's terms. Below MATCH_THRESHOLD a step is unmatched; a
+    runner-up within AMBIGUITY_MARGIN of the best makes it ambiguous. Ties
+    keep the earliest edge in model insertion order.
     """
-    pre = preprocessor or DEFAULT_PREPROCESSOR
-    by_action = model.edges_by_action(pre)
+    by_action = model.edges_by_action
     matches = []
     for step in steps:
-        step_terms = step_object_terms(step, pre)
+        step_terms = step_object_terms(step)
         best: ModelEdge | None = None
         best_sim = 0.0
         runner_up = 0.0
@@ -98,9 +91,9 @@ def map_steps_to_model(
                 best, best_sim = edge, sim
             else:
                 runner_up = max(runner_up, sim)
-        if best is None or best_sim < threshold:
+        if best is None or best_sim < MATCH_THRESHOLD:
             matches.append(StepMatch(step, None, best_sim, "unmatched"))
-        elif runner_up >= best_sim - margin:
+        elif runner_up >= best_sim - AMBIGUITY_MARGIN:
             matches.append(StepMatch(step, best, best_sim, "ambiguous"))
         else:
             matches.append(StepMatch(step, best, best_sim, "matched"))

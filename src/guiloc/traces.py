@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import Preprocessor
-from .errors import ConfigError, InputError, ValidationError
+from .corpus import DEFAULT_PREPROCESSOR, Preprocessor
+from .errors import ConfigError, InputError
 from .util import NULL, json_fields, load_format_file, load_json_file, save_format_file
 
 logger = logging.getLogger(__name__)
@@ -94,7 +94,6 @@ _SCREEN_FIELDS = {"activity_name": _TEXT, "window_name": _TEXT, "components": (l
 
 @dataclass
 class Screen:
-    index: int
     activity_name: str
     window_name: str = ""
     components: list[GuiComponent] = field(default_factory=list)
@@ -110,7 +109,7 @@ class Screen:
         }
 
     @classmethod
-    def from_json(cls, data: dict, index: int, where: str) -> "Screen":
+    def from_json(cls, data: dict, where: str) -> "Screen":
         if type(data) is not dict:
             json_fields(data, _SCREEN_FIELDS, where)  # raises: not an object
         activity_name, window_name = data.get("activity_name"), data.get("window_name")
@@ -124,7 +123,6 @@ class Screen:
             json_fields(data, _SCREEN_FIELDS, where)
         component_where = f"{where} component"
         return cls(
-            index=index,
             activity_name=activity_name or "",
             window_name=window_name or "",
             components=[GuiComponent.from_json(c, component_where) for c in components or ()],
@@ -150,31 +148,31 @@ def screen_fingerprint(screen: Screen) -> str:
 
 def _validate_trace(trace: ReproTrace) -> None:
     if not trace.screens:
-        raise ValidationError(f"trace {trace.trace_id!r}: no screens")
+        raise InputError(f"trace {trace.trace_id!r}: no screens")
     last = len(trace.screens) - 1
     for i, screen in enumerate(trace.screens):
         where = f"trace {trace.trace_id!r} screen {i}"
         if not screen.activity_name:
-            raise ValidationError(f"{where}: empty activity_name")
+            raise InputError(f"{where}: empty activity_name")
         exercised = screen.exercised_components()
         if len(exercised) > 1:
-            raise ValidationError(f"{where}: {len(exercised)} exercised components, at most 1 allowed")
+            raise InputError(f"{where}: {len(exercised)} exercised components, at most 1 allowed")
         for comp in screen.components:
             if comp.action is not None and not comp.exercised:
-                raise ValidationError(
+                raise InputError(
                     f"{where}: component {comp.resource_id!r} has an action but is not exercised"
                 )
             if comp.action is not None and comp.action not in ACTIONS:
-                raise ValidationError(
+                raise InputError(
                     f"{where}: unknown action {comp.action!r}; expected one of {', '.join(sorted(ACTIONS))}"
                 )
         if i < last:
             if len(exercised) != 1:
-                raise ValidationError(
+                raise InputError(
                     f"{where}: every screen before the last needs exactly one exercised component"
                 )
             if exercised[0].action is None:
-                raise ValidationError(f"{where}: exercised component has no action")
+                raise InputError(f"{where}: exercised component has no action")
 
 
 def trace_from_dict(data: dict) -> ReproTrace:
@@ -184,7 +182,7 @@ def trace_from_dict(data: dict) -> ReproTrace:
     (trace_id,) = json_fields(data, {"trace_id": (str,)}, "trace") if "trace_id" in data else ("",)
     where = f"trace {trace_id!r}"
     (raw,) = json_fields(data, {"screens": (list, NULL)}, where)
-    screens = [Screen.from_json(s, i, f"{where} screen {i}") for i, s in enumerate(raw or ())]
+    screens = [Screen.from_json(s, f"{where} screen {i}") for i, s in enumerate(raw or ())]
     trace = ReproTrace(trace_id=trace_id, screens=screens)
     _validate_trace(trace)
     return trace
@@ -230,9 +228,6 @@ class ExecutionModel:
     nodes: dict[str, Screen]
     edges: list[ModelEdge]
     entry_fingerprints: set[str]
-    _edge_terms: dict[Preprocessor, dict[str, list[tuple[ModelEdge, set[str]]]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def adjacency(self) -> dict[str, list[ModelEdge]]:
@@ -242,17 +237,14 @@ class ExecutionModel:
             out.setdefault(edge.src, []).append(edge)
         return out
 
-    def edges_by_action(
-        self, preprocessor: Preprocessor
-    ) -> dict[str, list[tuple[ModelEdge, set[str]]]]:
+    @cached_property
+    def edges_by_action(self) -> dict[str, list[tuple[ModelEdge, set[str]]]]:
         """Edges per action with their component's terms, in insertion order."""
-        by_action = self._edge_terms.get(preprocessor)
-        if by_action is None:
-            by_action = self._edge_terms[preprocessor] = {}
-            for edge in self.edges:
-                by_action.setdefault(edge.action, []).append(
-                    (edge, edge.component.term_set(preprocessor))
-                )
+        by_action: dict[str, list[tuple[ModelEdge, set[str]]]] = {}
+        for edge in self.edges:
+            by_action.setdefault(edge.action, []).append(
+                (edge, edge.component.term_set(DEFAULT_PREPROCESSOR))
+            )
         return by_action
 
 
@@ -303,7 +295,7 @@ def load_model(path: str | Path) -> ExecutionModel:
     )
     if not all(type(fp) is str for fp in entries or ()):
         raise InputError(f"{path}: 'entries' must be a list of strings")
-    nodes = {fp: Screen.from_json(s, 0, f"{path} node {fp!r}") for fp, s in raw_nodes.items()}
+    nodes = {fp: Screen.from_json(s, f"{path} node {fp!r}") for fp, s in raw_nodes.items()}
     edges = []
     for i, e in enumerate(raw_edges):
         src, action, resource_id, dst = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")

@@ -32,10 +32,8 @@ def make_component(resource_id="", *, ctype="Button", text="", desc="", exercise
     )
 
 
-def make_screen(index, activity, *, window="", components=()):
-    return Screen(
-        index=index, activity_name=activity, window_name=window, components=list(components)
-    )
+def make_screen(activity, *, window="", components=()):
+    return Screen(activity_name=activity, window_name=window, components=list(components))
 
 
 def make_trace(trace_id, screens):

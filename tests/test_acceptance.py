@@ -301,7 +301,6 @@ def _linear_model():
         exercised = i < 3
         screens.append(
             make_screen(
-                i,
                 f"com.app.Screen{name}",
                 components=[
                     make_component(

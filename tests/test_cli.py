@@ -476,6 +476,28 @@ def test_evaluate_string_ground_truth_exits_one(workspace, caplog):
     assert "ground_truth must be a list" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_report_id_that_is_not_a_file_name_exits_one(workspace, caplog, command, where):
+    """A report id names its trace file inside --traces, and nothing outside it."""
+    elsewhere = workspace / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "r1.json").write_text(json.dumps(TRACE))
+    report_id = "../elsewhere/r1" if where == "parent" else str(elsewhere / "r1")
+    report = workspace / "reports" / "r1.json"
+    report.write_text(json.dumps(dict(REPORT, report_id=report_id)))
+    argv = [
+        command,
+        "--index", str(workspace / "index.json"),
+        "--reports", str(workspace / "reports"),
+        "--traces", str(workspace / "traces"),
+        "--out", str(workspace / "out"),
+    ]
+    assert run(argv) == 1
+    (error,) = _errors(caplog)
+    assert str(report) in error and "not a plain file name" in error
+
+
 def test_localize_index_with_swapped_doc_ids_exits_one(workspace, caplog):
     path = workspace / "index.json"
     data = json.loads(path.read_text())
@@ -544,6 +566,10 @@ def _one_norm_too_few(data):
     data["rvsm_norms"].pop()
 
 
+def _duplicate_path(data):
+    data["documents"][1]["path"] = data["documents"][0]["path"]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -567,6 +593,7 @@ def _one_norm_too_few(data):
         _first_norm(float("nan")),
         _first_norm(float("inf")),  # json writes Infinity, and reads it back
         _first_norm(True),
+        _duplicate_path,
     ],
     ids=[
         "no-params",
@@ -589,6 +616,7 @@ def _one_norm_too_few(data):
         "nan-norm",
         "infinite-norm",
         "true-norm",
+        "duplicate-path",
     ],
 )
 def test_localize_malformed_index_exits_one(workspace, caplog, edit):

@@ -4,6 +4,8 @@ Each mutant of the fixture's index, model, report, trace or config file
 goes through ``cli.run``, which must return 0, 1 or 2 and raise nothing.
 A mutation drops a key or a list item, swaps a value for one of a few
 JSON values of other types, or puts a non-object where an object belongs.
+Boundary mutants, which pass every field check but break a rule across
+fields, must exit 1 with one ERROR line.
 """
 
 from __future__ import annotations
@@ -143,6 +145,47 @@ def test_mutated_input_exits_cleanly(inputs, caplog, kind):
             if code not in (0, 1, 2):
                 failures.append(f"{kind} mutant {i} ({what}), {argv[0]}: exit {code}")
         caplog.clear()
+    assert not failures, "\n".join(failures)
+
+
+BOUNDARY_MUTANTS = 10
+
+
+def _copy_a_path(index, rng: random.Random) -> str:
+    docs = index["documents"]
+    src, dst = rng.sample(range(len(docs)), 2)
+    docs[dst]["path"] = docs[src]["path"]
+    return f"copy document {src}'s path onto document {dst}"
+
+
+def _slash_in_report_id(report, rng: random.Random) -> str:
+    report_id = report["report_id"]
+    cut = rng.randrange(len(report_id) + 1)
+    report["report_id"] = f"{report_id[:cut]}/{report_id[cut:]}"
+    return f"report_id {report['report_id']!r}"
+
+
+@pytest.mark.parametrize("kind, edit", [("index", _copy_a_path), ("report", _slash_in_report_id)])
+def test_seeded_boundary_mutation_exits_one(inputs, caplog, kind, edit):
+    """Mutants that every field check passes: a path two documents share, a report id with a '/'."""
+    rng = random.Random(f"{SEED}-{kind}-boundary")
+    original = json.loads(inputs[kind].read_text())
+    mutant_path = str(inputs["root"] / f"boundary-{kind}.json")
+    failures = []
+    for i in range(BOUNDARY_MUTANTS):
+        mutant = json.loads(json.dumps(original))
+        what = edit(mutant, rng)
+        with open(mutant_path, "w") as f:
+            json.dump(mutant, f)
+        commands = _commands(kind, mutant_path, inputs)
+        if kind == "report":  # only evaluate opens a file named by the report id
+            commands = [argv for argv in commands if argv[0] == "evaluate"]
+        for argv in commands:
+            caplog.clear()
+            code = run(argv)
+            errors = [r for r in caplog.records if r.levelname == "ERROR"]
+            if code != 1 or len(errors) != 1:
+                failures.append(f"{kind} mutant {i} ({what}), {argv[0]}: {code=}, {len(errors)} errors")
     assert not failures, "\n".join(failures)
 
 

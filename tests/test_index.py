@@ -305,6 +305,12 @@ def test_doc_ids_must_run_in_list_order(tmp_path):
         load_index(path)
 
 
+def test_build_index_rejects_a_duplicated_path():
+    docs = [make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"]), make_doc(2, "a.java", [])]
+    with pytest.raises(InputError, match="'a.java' appears more than once"):
+        build_index(docs)
+
+
 def test_term_counts_below_one_are_rejected(tmp_path):
     path = tmp_path / "zero.idx.json"
     save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
@@ -368,7 +374,7 @@ def test_scores_equal_exact_references_on_fixture():
     index = build_index(docs)
     pre = index.preprocessor
     queries = [pre.tokens(r.full_text()) for r, _ in load_dataset(FIXTURES / "reports", FIXTURES / "traces")]
-    queries.append([t for d in docs[:3] for t in d.terms.elements()])
+    queries.append([t for d in docs[:3] for t in Counter(d.terms).elements()])
     for query in queries:
         assert _scored(score_bm25(index, query)) == _exact(naive_bm25(docs, query))
         assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))
@@ -381,7 +387,7 @@ def test_scores_equal_exact_references_with_duplicate_documents():
         docs = []
         for i in range(rng.randint(3, 30)):
             if docs and rng.random() < 0.3:
-                terms = list(rng.choice(docs).terms.elements())  # same bag, so tied scores
+                terms = list(Counter(rng.choice(docs).terms).elements())  # same bag, so tied scores
             else:
                 terms = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
             docs.append(make_doc(i, f"d{rng.randrange(1000):03d}_{i}.java", terms))
@@ -444,5 +450,5 @@ def test_loaded_index_scores_rvsm_without_term_bags(tmp_path):
     loaded = _round_trip(built, tmp_path)
     for doc in loaded.documents:
         doc.terms = None
-    query = [t for d in built.documents[:3] for t in d.terms.elements()]
+    query = [t for d in built.documents[:3] for t in Counter(d.terms).elements()]
     assert _scored(score_rvsm(loaded, query)) == _scored(score_rvsm(built, query)) != []

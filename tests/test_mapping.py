@@ -23,14 +23,14 @@ def _settings_trace():
     return make_trace(
         "t",
         [
-            make_screen(0, "com.app.MainActivity", components=[
+            make_screen("com.app.MainActivity", components=[
                 make_component("open_settings", text="Settings", exercised=True, action="click"),
             ]),
-            make_screen(1, "com.app.SettingsActivity", window="com.app.SettingsWindow", components=[
+            make_screen("com.app.SettingsActivity", window="com.app.SettingsWindow", components=[
                 make_component("theme_toggle", text="Dark theme", desc="toggle theme", exercised=True, action="click"),
                 make_component("font_size", text="Font size"),
             ]),
-            make_screen(2, "com.app.SettingsActivity", components=[
+            make_screen("com.app.SettingsActivity", components=[
                 make_component("theme_toggle", text="Dark theme"),
             ]),
         ],
@@ -115,10 +115,10 @@ def test_component_match_threshold_is_inclusive():
     trace = make_trace(
         "t",
         [
-            make_screen(0, "com.app.A", components=[
+            make_screen("com.app.A", components=[
                 make_component("save_button", exercised=True, action="click"),
             ]),
-            make_screen(1, "com.app.B"),
+            make_screen("com.app.B"),
         ],
     )
     half = [make_doc(0, "Half.java", ["save", "unrelated"])]
@@ -131,10 +131,10 @@ def test_component_match_skips_empty_term_components():
     trace = make_trace(
         "t",
         [
-            make_screen(0, "com.app.A", components=[
+            make_screen("com.app.A", components=[
                 make_component("", exercised=True, action="click"),
             ]),
-            make_screen(1, "com.app.B"),
+            make_screen("com.app.B"),
         ],
     )
     docs = [make_doc(0, "Any.java", ["whatever"])]
@@ -188,7 +188,7 @@ def test_component_match_equals_set_intersection_definition():
             )
             for _ in range(rng.randint(1, 4))
         ]
-        trace = make_trace("t", [make_screen(0, "com.app.A", components=comps)])
+        trace = make_trace("t", [make_screen("com.app.A", components=comps)])
         docs = [
             make_doc(i, f"f{i}.java", rng.sample(words, rng.randint(1, 5)))
             for i in range(rng.randint(1, 8))

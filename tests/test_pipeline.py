@@ -210,10 +210,10 @@ def _mini_case():
     trace = make_trace(
         "r1",
         [
-            make_screen(0, "com.app.EditorActivity", components=[
+            make_screen("com.app.EditorActivity", components=[
                 make_component("save_button", text="Save", exercised=True, action="click"),
             ]),
-            make_screen(1, "com.app.EditorActivity", components=[
+            make_screen("com.app.EditorActivity", components=[
                 make_component("save_button", text="Save"),
             ]),
         ],

@@ -5,11 +5,13 @@ import pytest
 from guiloc.errors import InputError
 from guiloc.reports import S2RStep
 from guiloc.step_mapping import (
+    AMBIGUITY_MARGIN,
+    MATCH_THRESHOLD,
     detect_missing_steps,
     map_steps_to_model,
     suggest_next_steps,
 )
-from guiloc.traces import build_execution_model, screen_fingerprint
+from guiloc.traces import ExecutionModel, ModelEdge, build_execution_model, screen_fingerprint
 
 from conftest import make_component, make_screen, make_trace
 
@@ -17,16 +19,16 @@ from conftest import make_component, make_screen, make_trace
 def _linear_model():
     # A -(click go_list)-> B -(click open_editor)-> C -(click save_button)-> D
     screens = [
-        make_screen(0, "com.app.A", components=[
+        make_screen("com.app.A", components=[
             make_component("go_list", text="Notes", exercised=True, action="click"),
         ]),
-        make_screen(1, "com.app.B", components=[
+        make_screen("com.app.B", components=[
             make_component("open_editor", text="New note", exercised=True, action="click"),
         ]),
-        make_screen(2, "com.app.C", components=[
+        make_screen("com.app.C", components=[
             make_component("save_button", text="Save", exercised=True, action="click"),
         ]),
-        make_screen(3, "com.app.D", components=[make_component("done")]),
+        make_screen("com.app.D", components=[make_component("done")]),
     ]
     trace = make_trace("t", screens)
     return build_execution_model([trace]), screens
@@ -59,13 +61,13 @@ def test_low_overlap_is_unmatched():
 
 def test_identical_components_on_two_screens_are_ambiguous():
     screens = [
-        make_screen(0, "com.app.A", components=[
+        make_screen("com.app.A", components=[
             make_component("save_button", text="Save", exercised=True, action="click"),
         ]),
-        make_screen(1, "com.app.B", components=[
+        make_screen("com.app.B", components=[
             make_component("save_button", text="Save", exercised=True, action="click"),
         ]),
-        make_screen(2, "com.app.C"),
+        make_screen("com.app.C"),
     ]
     model = build_execution_model([make_trace("t", screens)])
     matches = map_steps_to_model([_step("click", "save button")], model)
@@ -76,15 +78,59 @@ def test_identical_components_on_two_screens_are_ambiguous():
 
 def test_object2_terms_count_toward_similarity():
     screens = [
-        make_screen(0, "com.app.A", components=[
+        make_screen("com.app.A", components=[
             make_component("search_field", text="Search", exercised=True, action="type"),
         ]),
-        make_screen(1, "com.app.B"),
+        make_screen("com.app.B"),
     ]
     model = build_execution_model([make_trace("t", screens)])
     step = _step("type", "'hello'", obj2="search field", prep="in")
     matches = map_steps_to_model([step], model)
     assert matches[0].status == "matched"
+
+
+# made-up words: one term each, in no stopword list
+WORDS = [f"zq{a}{b}" for a in "abcdefgh" for b in "abcdefgh"]
+
+
+def _click_model(*texts):
+    """One click edge per text, in order; resource ids 'x1', 'x2', ... add no terms."""
+    edges = [
+        ModelEdge("s", "click", f"x{i}", f"d{i}", make_component(f"x{i}", text=t, exercised=True))
+        for i, t in enumerate(texts, 1)
+    ]
+    return ExecutionModel(nodes={}, edges=edges, entry_fingerprints=set())
+
+
+def test_similarity_at_the_match_threshold_is_matched():
+    model = _click_model(" ".join(WORDS[:60]))
+    at_threshold = _step("click", " ".join(WORDS[:30]))
+    just_below = _step("click", " ".join(WORDS[:30] + WORDS[60:61]))
+    at, below = map_steps_to_model([at_threshold, just_below], model)
+    assert at.similarity == MATCH_THRESHOLD == 30 / 60
+    assert at.status == "matched"
+    assert below.similarity == 30 / 61 < MATCH_THRESHOLD
+    assert (below.status, below.matched_edge) == ("unmatched", None)
+
+
+def test_runner_up_within_the_ambiguity_margin_makes_a_step_ambiguous():
+    step = _step("click", " ".join(WORDS[:20]))
+    inside = _click_model(" ".join(WORDS[:20]), " ".join(WORDS[:21]))
+    outside = _click_model(" ".join(WORDS[:20]), " ".join(WORDS[:22]))
+    (ambiguous,) = map_steps_to_model([step], inside)
+    (matched,) = map_steps_to_model([step], outside)
+    assert 1.0 - AMBIGUITY_MARGIN < 20 / 21 and 20 / 22 < 1.0 - AMBIGUITY_MARGIN
+    assert (ambiguous.status, ambiguous.similarity) == ("ambiguous", 1.0)
+    assert (matched.status, matched.similarity) == ("matched", 1.0)
+    assert ambiguous.matched_edge is inside.edges[0] and matched.matched_edge is outside.edges[0]
+
+
+def test_edges_by_action_is_built_once_per_model():
+    model, _ = _linear_model()
+    first = model.edges_by_action
+    map_steps_to_model([_step("click", "save button")], model)
+    assert model.edges_by_action is first
+    assert [e.resource_id for e, _ in first["click"]] == ["go_list", "open_editor", "save_button"]
 
 
 def test_missing_middle_edge_is_reported_exactly():
@@ -111,16 +157,16 @@ def test_adjacent_matches_produce_no_gap():
 def test_unreachable_gap_is_infeasible():
     # two disconnected segments: A->B and C->D
     seg1 = [
-        make_screen(0, "com.app.A", components=[
+        make_screen("com.app.A", components=[
             make_component("alpha_go", text="alpha", exercised=True, action="click"),
         ]),
-        make_screen(1, "com.app.B"),
+        make_screen("com.app.B"),
     ]
     seg2 = [
-        make_screen(0, "com.app.C", components=[
+        make_screen("com.app.C", components=[
             make_component("gamma_go", text="gamma", exercised=True, action="click"),
         ]),
-        make_screen(1, "com.app.D"),
+        make_screen("com.app.D"),
     ]
     model = build_execution_model([make_trace("t1", seg1), make_trace("t2", seg2)])
     steps = [_step("click", "alpha go"), _step("click", "gamma go")]
@@ -147,11 +193,11 @@ def test_suggest_next_steps_sorted():
             make_component(rid, exercised=(rid == exercise), action=action if rid == exercise else None)
             for rid in ("zeta", "alpha", "beta")
         ]
-        return make_screen(0, "com.app.Hub", components=comps)
+        return make_screen("com.app.Hub", components=comps)
 
-    screens = [hub_screen("zeta", "click"), make_screen(1, "com.app.Z")]
-    other = [hub_screen("alpha", "click"), make_screen(1, "com.app.A2")]
-    third = [hub_screen("beta", "back"), make_screen(1, "com.app.B2")]
+    screens = [hub_screen("zeta", "click"), make_screen("com.app.Z")]
+    other = [hub_screen("alpha", "click"), make_screen("com.app.A2")]
+    third = [hub_screen("beta", "back"), make_screen("com.app.B2")]
     model = build_execution_model(
         [make_trace("t1", screens), make_trace("t2", other), make_trace("t3", third)]
     )

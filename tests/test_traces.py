@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from guiloc.errors import ConfigError, InputError, ValidationError
+from guiloc.errors import ConfigError, InputError
 from guiloc.traces import (
     build_execution_model,
     last_screens,
@@ -49,7 +49,6 @@ def test_parse_valid_trace(tmp_path):
     path.write_text(json.dumps(data))
     trace = parse_trace(path)
     assert trace.trace_id == "t1"
-    assert [s.index for s in trace.screens] == [0, 1]
     assert trace.screens[-1].activity_name == "com.app.Editor"
 
 
@@ -76,11 +75,11 @@ def test_malformed_trace_shapes_are_input_errors(screens):
 
 
 def test_screen_needs_exactly_one_exercised_before_last():
-    with pytest.raises(ValidationError, match="screen 0"):
+    with pytest.raises(InputError, match="screen 0"):
         trace_from_dict(
             _trace_dict([_screen_dict("A", []), _screen_dict("B", [])])
         )
-    with pytest.raises(ValidationError, match="exercised"):
+    with pytest.raises(InputError, match="exercised"):
         trace_from_dict(
             _trace_dict(
                 [
@@ -92,14 +91,14 @@ def test_screen_needs_exactly_one_exercised_before_last():
 
 
 def test_action_requires_exercised_and_vocabulary():
-    with pytest.raises(ValidationError, match="not exercised"):
+    with pytest.raises(InputError, match="not exercised"):
         trace_from_dict(_trace_dict([_screen_dict("A", [_comp_dict("x", False, "click")])]))
-    with pytest.raises(ValidationError, match="unknown action"):
+    with pytest.raises(InputError, match="unknown action"):
         trace_from_dict(_trace_dict([_screen_dict("A", [_comp_dict("x", True, "shake")])]))
 
 
 def test_exercised_on_transition_screen_needs_action():
-    with pytest.raises(ValidationError, match="no action"):
+    with pytest.raises(InputError, match="no action"):
         trace_from_dict(
             _trace_dict(
                 [_screen_dict("A", [_comp_dict("x", True, None)]), _screen_dict("B", [])]
@@ -126,16 +125,16 @@ def test_missing_trace_id_reads_as_empty():
 
 
 def test_empty_trace_is_invalid():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         trace_from_dict(_trace_dict([]))
 
 
 def test_fingerprint_ignores_text_and_component_order():
-    a = make_screen(0, "com.app.Main", components=[
+    a = make_screen("com.app.Main", components=[
         make_component("save", text="Save"),
         make_component("undo", text="Undo"),
     ])
-    b = make_screen(3, "com.app.Main", components=[
+    b = make_screen("com.app.Main", components=[
         make_component("undo", text="Anything else"),
         make_component("save", text=""),
     ])
@@ -143,32 +142,32 @@ def test_fingerprint_ignores_text_and_component_order():
 
 
 def test_fingerprint_sensitive_to_activity_window_and_ids():
-    base = make_screen(0, "com.app.Main", components=[make_component("save")])
+    base = make_screen("com.app.Main", components=[make_component("save")])
     assert screen_fingerprint(base) != screen_fingerprint(
-        make_screen(0, "com.app.Other", components=[make_component("save")])
+        make_screen("com.app.Other", components=[make_component("save")])
     )
     assert screen_fingerprint(base) != screen_fingerprint(
-        make_screen(0, "com.app.Main", window="dialog", components=[make_component("save")])
+        make_screen("com.app.Main", window="dialog", components=[make_component("save")])
     )
     assert screen_fingerprint(base) != screen_fingerprint(
-        make_screen(0, "com.app.Main", components=[make_component("other")])
+        make_screen("com.app.Main", components=[make_component("other")])
     )
 
 
 def test_empty_resource_ids_do_not_affect_fingerprint():
-    a = make_screen(0, "com.app.Main", components=[make_component("save"), make_component("")])
-    b = make_screen(0, "com.app.Main", components=[make_component("save")])
+    a = make_screen("com.app.Main", components=[make_component("save"), make_component("")])
+    b = make_screen("com.app.Main", components=[make_component("save")])
     assert screen_fingerprint(a) == screen_fingerprint(b)
 
 
 def _sample_traces():
-    s_main = lambda: make_screen(0, "com.app.Main", components=[
+    s_main = lambda: make_screen("com.app.Main", components=[
         make_component("go", exercised=True, action="click")
     ])
-    s_list = lambda: make_screen(1, "com.app.List", components=[
+    s_list = lambda: make_screen("com.app.List", components=[
         make_component("item", exercised=True, action="click")
     ])
-    s_edit = lambda: make_screen(2, "com.app.Edit", components=[make_component("save")])
+    s_edit = lambda: make_screen("com.app.Edit", components=[make_component("save")])
     t1 = make_trace("t1", [s_main(), s_list(), s_edit()])
     t2 = make_trace("t2", [s_main(), s_list()])
     return t1, t2
