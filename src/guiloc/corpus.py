@@ -151,41 +151,6 @@ class SourceDocument:
     length: int
     resource_id_refs: set[str] = field(default_factory=set)
 
-    def to_json(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "path": self.path,
-            "class_name": self.class_name,
-            "terms": self.terms,
-            "length": self.length,
-            "resource_id_refs": sorted(self.resource_id_refs),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, where: str = "document") -> "SourceDocument":
-        """Read a saved document; term counts are checked by :func:`build_index`."""
-        doc_id, path, class_name, terms, length, refs = json_fields(data, _DOCUMENT_FIELDS, where)
-        if not all(type(r) is str for r in refs):
-            raise InputError(f"{where}: 'resource_id_refs' must be a list of strings")
-        return cls(
-            doc_id=doc_id,
-            path=path,
-            class_name=class_name,
-            terms=terms,
-            length=length,
-            resource_id_refs=set(refs),
-        )
-
-
-_DOCUMENT_FIELDS = {
-    "doc_id": (int,),
-    "path": (str,),
-    "class_name": (str,),
-    "terms": (dict,),
-    "length": (int,),
-    "resource_id_refs": (list,),
-}
-
 
 def extract_code_facets(raw_text: str, path: str | Path) -> tuple[str, set[str]]:
     """Extract (class_name, resource_id_refs) from one source file.
@@ -256,9 +221,8 @@ def scan_corpus(
             refs |= _known_id_mentions(text, known_ids)
         tokens = pre.tokens(text)
         counts = Counter(tokens)
-        # sorted term order, the one index files store: a norm summed over a
-        # scanned bag equals one summed over the bag read back from a file,
-        # and json's sort_keys pass over an already sorted bag is linear
+        # sorted term order, the one a loaded index rebuilds its bags in, so
+        # a scanned bag and the bag a load rebuilds iterate alike
         docs.append(
             SourceDocument(
                 doc_id=doc_id,

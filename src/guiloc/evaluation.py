@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -97,7 +99,8 @@ def load_dataset(
     """Pair report and trace files by report id.
 
     Reports without ground truth are excluded (count logged); a report whose
-    id is not a plain file name, or whose trace file is missing, is fatal.
+    id is not a plain file name or is another report's id, or whose trace
+    file is missing, is fatal.
     """
     reports_dir = Path(reports_dir)
     traces_dir = Path(traces_dir)
@@ -107,8 +110,12 @@ def load_dataset(
         raise InputError(f"traces directory not found: {traces_dir}")
     pairs = []
     excluded = 0
+    files_by_id: dict[str, Path] = {}
     for path in sorted(reports_dir.glob("*.json")):
         report = load_report(path)
+        first = files_by_id.setdefault(report.report_id, path)
+        if first != path:
+            raise InputError(f"{path}: report_id {report.report_id!r} is also the id of {first}")
         if not report.ground_truth:
             excluded += 1
             continue
@@ -241,12 +248,55 @@ class SweepOutcome:
     skipped: int
 
 
-def _load_existing_rows(path: Path) -> dict[tuple[str, ...], str]:
+def _meta_path(out_path: Path) -> Path:
+    return out_path.with_name(out_path.name + ".meta.json")
+
+
+def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex) -> str:
+    """A digest of the index and the dataset, which every sweep row is computed from.
+
+    It covers the index's parameters, preprocessing, documents, terms and
+    packed postings, and each report's id, text, ground truth and trace.
+    """
+    docs, postings = index.documents, index.postings
+    digest = hashlib.sha256()
+    dataset = [
+        [report.report_id, report.full_text(), sorted(report.ground_truth or ()),
+         [screen.to_json() for screen in trace.screens]]
+        for report, trace in pairs
+    ]
+    digest.update(json.dumps([index.params.bm25_k1, index.params.bm25_b,
+                              index.preprocessor.config(), dataset]).encode())
+    # NUL joins: no path, class name, resource id or term holds one
+    for strings in (
+        index.paths,
+        [doc.class_name for doc in docs],
+        [" ".join(sorted(doc.resource_id_refs)) for doc in docs],
+        postings.terms,
+    ):
+        digest.update("\0".join(strings).encode() + b"\1")
+    for words in (postings.offsets, postings.gaps, postings.counts):
+        digest.update(words)
+    return digest.hexdigest()
+
+
+def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
     if not path.is_file():
         return {}
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         logger.warning("existing sweep file %s has a different header; recomputing all rows", path)
+        return {}
+    try:
+        meta = json.loads(_meta_path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # missing, unreadable or not JSON
+        meta = None
+    if not isinstance(meta, dict) or meta.get("inputs") != digest:
+        logger.warning(
+            "existing sweep file %s was not computed from this index and dataset; "
+            "recomputing all rows",
+            path,
+        )
         return {}
     existing = {}
     for line in lines[1:]:
@@ -266,16 +316,18 @@ def sweep(
     """Evaluate every grid configuration and write a CSV.
 
     Rows already present in the output file are reused, so an interrupted
-    sweep resumes where it stopped and a finished one is a no-op. Invalid
-    configurations are logged and skipped, not fatal. Rows follow the grid
-    order. Each report's GUI contexts, terms and scorings are computed once
-    per call and shared by the configurations that need them, and the
-    cyclic garbage collector is paused while they run. `jobs` is accepted
-    and ignored: the work is pure Python, and threads ran it slower than one
-    loop.
+    sweep resumes where it stopped and a finished one is a no-op; the
+    digest of :func:`_inputs_digest` in ``<out>.meta.json`` must match, or
+    every row is computed again. Invalid configurations are logged and
+    skipped, not fatal. Rows follow the grid order. Each report's GUI
+    contexts, terms and scorings are computed once per call and shared by
+    the configurations that need them, and the cyclic garbage collector is
+    paused while they run. `jobs` is accepted and ignored: the work is pure
+    Python, and threads ran it slower than one loop.
     """
     out_path = Path(out_path)
-    existing = _load_existing_rows(out_path)
+    digest = _inputs_digest(pairs, index)
+    existing = _load_existing_rows(out_path, digest)
 
     configs = grid.configs()
     valid: list[PipelineConfig] = []
@@ -311,6 +363,8 @@ def sweep(
 
     ordered = [rows[_config_key(c)] for c in valid]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")
+    # written after the rows, so a run cut in between leaves a mismatch, never stale rows
+    atomic_write_text(_meta_path(out_path), json.dumps({"inputs": digest}) + "\n")
     return SweepOutcome(
         rows=ordered, computed=len(to_compute), reused=reused, skipped=len(configs) - len(valid)
     )

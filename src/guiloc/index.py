@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import base64
 import logging
 import math
+import sys
+import zlib
+from array import array
 from collections import Counter, defaultdict
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, islice
+from operator import sub
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError, InputError, check_choice
-from .util import gc_paused, json_fields, load_format_file, save_format_file
+from .util import json_fields, load_format_file, save_format_file
 
 logger = logging.getLogger(__name__)
 
 INDEX_FORMAT = "guiloc-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 SCORERS = ("bm25", "rvsm")
 
@@ -56,22 +63,152 @@ class RankedList:
         return [e.path for e in self.entries]
 
 
+class Postings(Mapping):
+    """term -> [(doc_id, freq), ...] in doc-id order, packed and decoded per term.
+
+    Term i, in sorted term order, owns entries offsets[i] to offsets[i + 1]
+    of `gaps` and `counts`. A gap is a doc id minus the one before it in the
+    term's list, the first counted from -1, so every gap is at least 1. A
+    lookup decodes its term's list once and keeps it for the scorers;
+    values() and items() decode without keeping, so a pass over every term
+    leaves no second copy of the postings behind, and == between two of
+    these compares the packed arrays.
+    """
+
+    def __init__(
+        self, terms: list[str], offsets: array, gaps: array, counts: array, doc_count: int
+    ):
+        self.terms, self.offsets, self.gaps, self.counts = terms, offsets, gaps, counts
+        self.doc_count = doc_count
+        self.distinct_counts = set(counts)
+        self._position = dict(zip(terms, range(len(terms))))
+        self._decoded: dict[str, list[tuple[int, int]]] = {}
+
+    def _decode(self, i: int) -> list[tuple[int, int]]:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        ids = islice(accumulate(self.gaps[lo:hi], initial=-1), 1, None)
+        return list(zip(ids, self.counts[lo:hi]))
+
+    def __getitem__(self, term: str) -> list[tuple[int, int]]:
+        plist = self._decoded.get(term)
+        if plist is None:
+            plist = self._decoded[term] = self._decode(self._position[term])
+        return plist
+
+    def __contains__(self, term) -> bool:
+        return term in self._position
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def values(self) -> ValuesView:
+        return _DecodedValues(self)
+
+    def items(self) -> ItemsView:
+        return _DecodedItems(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Postings):
+            return (self.terms, self.offsets, self.gaps, self.counts) == (
+                other.terms, other.offsets, other.gaps, other.counts
+            )
+        return super().__eq__(other)
+
+    def body(self) -> bytes:
+        """The gaps, then the counts, as little-endian 32-bit words."""
+        words = self.gaps + self.counts
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tobytes()
+
+    @cached_property
+    def term_bags(self) -> list[dict[str, int]]:
+        """Each document's term -> count in sorted term order, rebuilt from the packed arrays."""
+        bags: list[dict[str, int]] = [{} for _ in range(self.doc_count)]
+        gaps, counts, offsets = self.gaps, self.counts, self.offsets
+        for term, lo, hi in zip(self.terms, offsets, offsets[1:]):
+            doc_id = -1
+            for gap, freq in zip(gaps[lo:hi], counts[lo:hi]):
+                doc_id += gap
+                bags[doc_id][term] = freq
+        return bags
+
+
+class _DecodedValues(ValuesView):
+    def __iter__(self):
+        return map(self._mapping._decode, range(len(self._mapping)))
+
+
+class _DecodedItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.terms, self._mapping.values())
+
+
+class _StoredDocument(SourceDocument):
+    """A document of a loaded index; its term bag is rebuilt from the postings on first read."""
+
+    def __init__(self, doc_id: int, path: str, class_name: str, length: int,
+                 resource_id_refs: set[str], postings: Postings):
+        self.doc_id, self.path, self.class_name, self.length = doc_id, path, class_name, length
+        self.resource_id_refs = resource_id_refs
+        self._postings = postings
+
+    @property
+    def terms(self) -> dict[str, int]:
+        return self._postings.term_bags[self.doc_id]
+
+
 @dataclass
 class CorpusIndex:
-    """Postings plus per-document lists indexed by doc_id, which runs 0..n-1."""
+    """Postings plus per-document lists indexed by doc_id, which runs 0..n-1.
+
+    The fields after `preprocessor` are derived from the ones before it.
+    """
 
     documents: list[SourceDocument]
-    doc_count: int
-    doc_freq: dict[str, int]
-    postings: dict[str, list[tuple[int, int]]]
-    avg_length: float
+    postings: Postings
+    lengths: list[int]
+    rvsm_norms: list[float]
     params: ScoringParams
     preprocessor: Preprocessor
-    lengths: list[int]
-    paths: list[str]
-    length_prior: list[float]
-    rvsm_norms: list[float]
-    tf_weights: dict[int, float]
+    doc_count: int = field(init=False)
+    doc_freq: dict[str, int] = field(init=False)
+    avg_length: float = field(init=False)
+    paths: list[str] = field(init=False)
+    length_prior: list[float] = field(init=False)
+    tf_weights: dict[int, float] = field(init=False)
+    files_by_class: dict[str, list[str]] = field(init=False)
+    files_by_resource_id: dict[str, list[str]] = field(init=False)
+
+    def __post_init__(self):
+        docs, postings, lengths = self.documents, self.postings, self.lengths
+        if not docs:
+            raise InputError("cannot index an empty corpus")
+        self.paths = [doc.path for doc in docs]
+        if len(set(self.paths)) < len(self.paths):
+            ((duplicate, _),) = Counter(self.paths).most_common(1)
+            raise InputError(f"document path {duplicate!r} appears more than once")
+        self.doc_count = len(docs)
+        self.doc_freq = dict(zip(postings.terms, map(sub, postings.offsets[1:], postings.offsets)))
+        # rVSM's 1 + ln f for each distinct count f
+        self.tf_weights = {f: 1.0 + math.log(f) for f in postings.distinct_counts}
+        self.avg_length = sum(lengths) / len(docs)
+        min_len = min(lengths)
+        span = max(lengths) - min_len
+        # rVSM's g(d) = 1 / (1 + e^(-norm_len)), norm_len min-max normalized
+        self.length_prior = [
+            1.0 / (1.0 + math.exp(-((length - min_len) / span if span else 0.0)))
+            for length in lengths
+        ]
+        self.files_by_class = defaultdict(list)
+        self.files_by_resource_id = defaultdict(list)
+        for doc in docs:
+            self.files_by_class[doc.class_name].append(doc.path)
+            for ref in doc.resource_id_refs:
+                self.files_by_resource_id[ref].append(doc.path)
 
     @cached_property
     def path_order(self) -> list[int]:
@@ -83,26 +220,17 @@ def build_index(
     documents: Sequence[SourceDocument],
     params: ScoringParams | None = None,
     preprocessor: Preprocessor | None = None,
-    rvsm_norms: list[float] | None = None,
 ) -> CorpusIndex:
     """Build the inverted index over already-scanned documents.
 
     Document ids must be 0..n-1 in list order, as :func:`scan_corpus` assigns
-    them, so postings lists of (doc_id, term_frequency) come out in doc_id
-    order. Paths must be distinct and term counts at least 1. Each
-    document's rVSM vector norm is summed over ``doc.terms`` in stored order,
-    which fixes its floating-point value, unless `rvsm_norms` gives them, one
-    per document.
+    them. Paths must be distinct and term counts whole numbers from 1 to
+    2**32 - 1. Each document's rVSM vector norm is summed over ``doc.terms``
+    in stored order, which fixes its floating-point value.
     """
     docs = list(documents)
-    if not docs:
-        raise InputError("cannot index an empty corpus")
-    paths = [doc.path for doc in docs]
-    if len(set(paths)) < len(paths):
-        ((duplicate, _),) = Counter(paths).most_common(1)
-        raise InputError(f"document path {duplicate!r} appears more than once")
-    postings: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    tf_weights: dict[int, float] = {}  # rVSM's 1 + ln f for each distinct count f
+    ids_of: dict[str, list[int]] = defaultdict(list)
+    counts_of: dict[str, list[int]] = defaultdict(list)
     for doc_id, doc in enumerate(docs):
         if doc.doc_id != doc_id:
             raise InputError(
@@ -120,52 +248,34 @@ def build_index(
             raise InputError(f"document {doc.path!r} has a term count below 1")
         if sum(doc.terms.values()) != doc.length:
             raise InputError(f"document {doc.path!r} has a length other than its term total")
-        # one (doc_id, freq) tuple per distinct count, shared by the
-        # document's postings: most counts are 1 to 3, and every tuple made
-        # is one more object for the garbage collector to visit
-        pairs: dict[int, tuple[int, int]] = {}
         for term, freq in doc.terms.items():
-            pair = pairs.get(freq)
-            if pair is None:
-                pair = pairs[freq] = (doc_id, freq)
-                if freq not in tf_weights:
-                    tf_weights[freq] = 1.0 + math.log(freq)
-            postings[term].append(pair)
-    doc_freq = {term: len(plist) for term, plist in postings.items()}
-    if rvsm_norms is None:
-        rvsm_norms = _rvsm_norms(docs, doc_freq, tf_weights)
+            ids_of[term].append(doc_id)
+            counts_of[term].append(freq)
+    terms = sorted(ids_of)
+    offsets, gaps, counts = array("I", [0]), array("I"), array("I")
+    try:
+        for term in terms:
+            ids = ids_of[term]
+            gaps.append(ids[0] + 1)
+            gaps.extend(map(sub, islice(ids, 1, None), ids))
+            counts.extend(counts_of[term])
+            offsets.append(len(gaps))
+    except (TypeError, OverflowError):
+        raise InputError("term counts must be whole numbers below 2**32") from None
+    postings = Postings(terms, offsets, gaps, counts, len(docs))
     lengths = [doc.length for doc in docs]
-    min_len = min(lengths)
-    span = max(lengths) - min_len
-    # rVSM's g(d) = 1 / (1 + e^(-norm_len)), norm_len min-max normalized
-    length_prior = [
-        1.0 / (1.0 + math.exp(-((length - min_len) / span if span else 0.0)))
-        for length in lengths
-    ]
-    return CorpusIndex(
-        documents=docs,
-        doc_count=len(docs),
-        doc_freq=doc_freq,
-        postings=dict(postings),
-        avg_length=sum(lengths) / len(docs),
-        params=params or ScoringParams(),
-        preprocessor=preprocessor or DEFAULT_PREPROCESSOR,
-        lengths=lengths,
-        paths=paths,
-        length_prior=length_prior,
-        rvsm_norms=rvsm_norms,
-        tf_weights=tf_weights,
-    )
+    index = CorpusIndex(docs, postings, lengths, [], params or ScoringParams(),
+                        preprocessor or DEFAULT_PREPROCESSOR)
+    index.rvsm_norms = _rvsm_norms(index)
+    return index
 
 
-def _rvsm_norms(
-    docs: list[SourceDocument], doc_freq: dict[str, int], tf_weights: dict[int, float]
-) -> list[float]:
+def _rvsm_norms(index: CorpusIndex) -> list[float]:
     """Each document's rVSM vector norm, summed over its terms in stored order."""
-    n = len(docs)
-    idf = {term: _rvsm_idf(n, df) for term, df in doc_freq.items()}
+    n, tf_weights = index.doc_count, index.tf_weights
+    idf = {term: _rvsm_idf(n, df) for term, df in index.doc_freq.items()}
     norms = []
-    for doc in docs:
+    for doc in index.documents:
         d_norm_sq = 0.0
         for term, f in doc.terms.items():
             w = tf_weights[f] * idf[term]
@@ -267,39 +377,124 @@ def rank(index: CorpusIndex, query: Query, scorer: str = "bm25") -> RankedList:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as compact versioned JSON; a load rebuilds postings, not rVSM norms."""
+    """Write the index as compact versioned JSON with its postings packed into one string."""
     payload = {
         "params": {"bm25_k1": index.params.bm25_k1, "bm25_b": index.params.bm25_b},
         "preprocess": index.preprocessor.config(),
-        "documents": [doc.to_json() for doc in index.documents],
-        "rvsm_norms": index.rvsm_norms,
+        "documents": [
+            [doc.path, doc.class_name, sorted(doc.resource_id_refs), norm]
+            for doc, norm in zip(index.documents, index.rvsm_norms)
+        ],
+        "terms": index.postings.terms,
+        "offsets": index.postings.offsets.tolist(),
+        "postings": base64.b64encode(zlib.compress(index.postings.body(), 1)).decode("ascii"),
     }
     save_format_file(path, INDEX_FORMAT, INDEX_VERSION, payload)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    """Read an index written by :func:`save_index` and rebuild its postings."""
-    with gc_paused():
-        params, preprocess, documents, norms = load_format_file(
-            path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
+    """Read an index written by :func:`save_index`; a term's postings decode on first lookup."""
+    params, preprocess, rows, terms, offsets, packed = load_format_file(
+        path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
+    )
+    k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
+    pre = Preprocessor.from_config(preprocess, f"{path} preprocess")
+    try:  # a parameter out of range or too large for a float, or bad postings or documents
+        postings = _unpack_postings(terms, offsets, packed, len(rows))
+        lengths = _doc_lengths(postings)
+        docs, norms = _stored_documents(rows, lengths, postings)
+        return CorpusIndex(docs, postings, lengths, norms, ScoringParams(float(k1), float(b)), pre)
+    except (ConfigError, InputError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _unpack_postings(terms: list, offsets: list, packed: str, doc_count: int) -> Postings:
+    """Check the term dictionary and decode the body, with whole-array passes only."""
+    if set(map(type, terms)) - {str}:
+        raise InputError("'terms' must be a list of strings")
+    if not all(map(str.__lt__, terms, islice(terms, 1, None))):
+        raise InputError("'terms' must be sorted and distinct")
+    if set(map(type, offsets)) - {int}:
+        raise InputError("'offsets' must be a list of integers")
+    try:
+        offsets = array("I", offsets)
+    except OverflowError:
+        raise InputError("'offsets' must lie in [0, 2**32)") from None
+    if (
+        len(offsets) != len(terms) + 1
+        or offsets[0] != 0
+        or not all(map(int.__lt__, offsets, islice(offsets, 1, None)))
+    ):
+        raise InputError(
+            "'offsets' must start at 0, strictly increase and hold one more entry than 'terms'"
         )
-        k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
-        pre = Preprocessor.from_config(preprocess, f"{path} preprocess")
-        docs = [
-            SourceDocument.from_json(d, f"{path} document {i}") for i, d in enumerate(documents)
-        ]
+    total = offsets[-1]
+    stream = zlib.decompressobj()
+    try:
+        # at most one byte more than the offsets need, so a longer body is not inflated whole
+        body = stream.decompress(base64.b64decode(packed, validate=True), 8 * total + 1)
+    except (ValueError, zlib.error) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"'postings' is not base64 of a zlib stream: {exc}") from None
+    if len(body) != 8 * total:
+        raise InputError(f"'postings' must hold the {8 * total} bytes that 'offsets' needs")
+    if not stream.eof or stream.unused_data:
+        raise InputError("'postings' holds a truncated zlib stream or data after its end")
+    words = array("I")
+    words.frombytes(body)
+    if sys.byteorder == "big":
+        words.byteswap()
+    postings = Postings(terms, offsets, words[:total], words[total:], doc_count)
+    if 0 in postings.gaps:
+        raise InputError("doc ids must be strictly increasing within each term")
+    if 0 in postings.distinct_counts:
+        raise InputError("the postings hold a term count below 1")
+    return postings
+
+
+def _doc_lengths(postings: Postings) -> list[int]:
+    """Each document's term total, summed from the packed postings in one pass.
+
+    A term's running gap sum is a doc id + 1, so a sum past the document
+    count is an id out of range.
+    """
+    lengths = [0] * (postings.doc_count + 1)
+    gaps, counts, offsets = postings.gaps, postings.counts, postings.offsets
+    try:
+        for lo, hi in zip(offsets, offsets[1:]):
+            for id_plus_1, freq in zip(accumulate(gaps[lo:hi]), counts[lo:hi]):
+                lengths[id_plus_1] += freq
+    except IndexError:
+        raise InputError(f"a doc id is not below the document count {postings.doc_count}") from None
+    del lengths[0]
+    return lengths
+
+
+def _stored_documents(
+    rows: list, lengths: list[int], postings: Postings
+) -> tuple[list[SourceDocument], list[float]]:
+    """The documents and rVSM norms of [path, class_name, resource_id_refs, rvsm_norm] rows."""
+    docs: list[SourceDocument] = []
+    norms = []
+    for doc_id, row in enumerate(rows):
+        if type(row) is not list or len(row) != 4:
+            raise InputError(
+                f"document {doc_id} must be a [path, class_name, resource_id_refs, rvsm_norm] list"
+            )
+        path, class_name, refs, norm = row
+        if type(path) is not str or type(class_name) is not str:
+            raise InputError(f"document {doc_id}: path and class name must be strings")
+        if type(refs) is not list or not all(type(r) is str for r in refs):
+            raise InputError(f"document {doc_id}: resource_id_refs must be a list of strings")
         # json reads NaN and Infinity as floats; the comparison rejects both
-        if len(norms) != len(docs) or not all(
-            type(x) is float and 0.0 <= x < math.inf for x in norms
-        ):
-            raise InputError(f"{path}: 'rvsm_norms' must hold one finite number >= 0 per document")
-        try:  # a parameter out of range or too large for a float, or a bad document
-            return build_index(docs, ScoringParams(float(k1), float(b)), pre, norms)
-        except (ConfigError, InputError, OverflowError) as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        if type(norm) is not float or not 0.0 <= norm < math.inf:
+            raise InputError(f"document {doc_id}: rvsm_norm must be a finite number >= 0")
+        docs.append(_StoredDocument(doc_id, path, class_name, lengths[doc_id], set(refs), postings))
+        norms.append(norm)
+    return docs, norms
 
 
 _INDEX_FIELDS = {
-    "params": (dict,), "preprocess": (dict,), "documents": (list,), "rvsm_norms": (list,)
+    "params": (dict,), "preprocess": (dict,), "documents": (list,),
+    "terms": (list,), "offsets": (list,), "postings": (str,),
 }
 _PARAMS_FIELDS = {"bm25_k1": (int, float), "bm25_b": (int, float)}

@@ -9,12 +9,15 @@ three together form the gui-related set.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError
+from .index import CorpusIndex
 from .traces import GuiComponent, ReproTrace, last_screens
 
 logger = logging.getLogger(__name__)
@@ -95,16 +98,21 @@ def extract_gui_terms(
     return terms
 
 
-def match_activity_files(
-    trace: ReproTrace, window: int, docs: Iterable[SourceDocument]
-) -> set[str]:
-    """Files whose class name equals an activity or window basename (case-sensitive)."""
+def _window_class_names(trace: ReproTrace, window: int) -> set[str]:
     names = {
         dotted.rsplit(".", 1)[-1]
         for screen in last_screens(trace, window)
         for dotted in (screen.activity_name, screen.window_name)
     }
     names.discard("")
+    return names
+
+
+def match_activity_files(
+    trace: ReproTrace, window: int, docs: Iterable[SourceDocument]
+) -> set[str]:
+    """Files whose class name equals an activity or window basename (case-sensitive)."""
+    names = _window_class_names(trace, window)
     return {doc.path for doc in docs if doc.class_name in names}
 
 
@@ -112,18 +120,42 @@ def _exercised_in_window(trace: ReproTrace, window: int) -> list[GuiComponent]:
     return [c for screen in last_screens(trace, window) for c in screen.exercised_components()]
 
 
+def _exercised_ids(trace: ReproTrace, window: int) -> set[str]:
+    return {c.resource_id.lower() for c in _exercised_in_window(trace, window) if c.resource_id}
+
+
 def match_listener_files(
     trace: ReproTrace, window: int, docs: Iterable[SourceDocument]
 ) -> set[str]:
     """Files whose resource references intersect the exercised component ids."""
-    ids = {
-        c.resource_id.lower()
-        for c in _exercised_in_window(trace, window)
-        if c.resource_id
-    }
+    ids = _exercised_ids(trace, window)
     if not ids:
         return set()
     return {doc.path for doc in docs if doc.resource_id_refs & ids}
+
+
+def _component_term_sets(
+    trace: ReproTrace, window: int, preprocessor: Preprocessor
+) -> list[set[str]]:
+    """The term set of each exercised component that has terms."""
+    term_sets = (c.term_set(preprocessor) for c in _exercised_in_window(trace, window))
+    return [ts for ts in term_sets if ts]
+
+
+def _component_matches(
+    term_sets: list[set[str]], threshold: float, holders: Callable[[str], Iterable[int]]
+) -> set[int]:
+    """Doc ids holding at least `threshold` of some term set's terms.
+
+    The fraction is |file terms ∩ component terms| / |component terms| and the
+    boundary counts as a match. `holders(term)` gives the ids of the
+    documents that hold `term`.
+    """
+    matched = set()
+    for terms in term_sets:
+        shared = Counter(chain.from_iterable(map(holders, terms)))
+        matched.update(d for d, k in shared.items() if k / len(terms) >= threshold)
+    return matched
 
 
 def match_component_files(
@@ -135,41 +167,42 @@ def match_component_files(
 ) -> set[str]:
     """Files containing at least `threshold` of some exercised component's terms.
 
-    The fraction is |file terms ∩ component terms| / |component terms| and the
-    boundary counts as a match. Components with no terms are skipped.
+    Components with no terms are skipped.
     """
-    pre = preprocessor or DEFAULT_PREPROCESSOR
-    comp_term_sets = [
-        ts
-        for ts in (c.term_set(pre) for c in _exercised_in_window(trace, window))
-        if ts
-    ]
-    if not comp_term_sets:
+    term_sets = _component_term_sets(trace, window, preprocessor or DEFAULT_PREPROCESSOR)
+    if not term_sets:
         return set()
-    matched = set()
-    for doc in docs:
-        # a keys view & a set walks the set's few terms; no per-file set is built
-        file_terms = doc.terms.keys()
-        for ts in comp_term_sets:
-            if len(file_terms & ts) / len(ts) >= threshold:
-                matched.add(doc.path)
-                break
-    return matched
+    wanted = set().union(*term_sets)
+    docs = list(docs)
+    holders = defaultdict(list)
+    for doc_id, doc in enumerate(docs):
+        # a keys view & a set walks the set's few terms
+        for term in doc.terms.keys() & wanted:
+            holders[term].append(doc_id)
+    ids = _component_matches(term_sets, threshold, lambda t: holders.get(t, ()))
+    return {docs[d].path for d in ids}
 
 
 def gui_context(
     trace: ReproTrace,
     window: int,
-    docs: Sequence[SourceDocument],
-    preprocessor: Preprocessor | None = None,
+    index: CorpusIndex,
     sources: Sequence[str] | None = None,
     component_threshold: float = DEFAULT_COMPONENT_THRESHOLD,
 ) -> GuiContext:
-    """Run all three matchers and term extraction over the screen window."""
+    """Term extraction and all three matchers over the screen window, read from the index."""
+    postings, paths = index.postings, index.paths
+    by_class, by_id = index.files_by_class, index.files_by_resource_id
+    components = _component_matches(
+        _component_term_sets(trace, window, index.preprocessor),
+        component_threshold,
+        lambda t: map(itemgetter(0), postings.get(t, ())),
+    )
+    names, ids = _window_class_names(trace, window), _exercised_ids(trace, window)
     return GuiContext(
-        terms=extract_gui_terms(trace, window, preprocessor, sources),
-        activity_files=match_activity_files(trace, window, docs),
-        listener_files=match_listener_files(trace, window, docs),
-        component_files=match_component_files(trace, window, docs, preprocessor, component_threshold),
+        terms=extract_gui_terms(trace, window, index.preprocessor, sources),
+        activity_files={p for name in names for p in by_class.get(name, ())},
+        listener_files={p for rid in ids for p in by_id.get(rid, ())},
+        component_files={paths[d] for d in components},
         window_used=window,
     )

@@ -161,12 +161,11 @@ def context_key(config: PipelineConfig) -> tuple:
 
 
 def config_context(trace: ReproTrace, index: CorpusIndex, config: PipelineConfig) -> GuiContext:
-    """The GUI context of `trace` over the indexed documents, as `config` sets it up."""
+    """The GUI context of `trace` over the index, as `config` sets it up."""
     return gui_context(
         trace,
         config.window,
-        index.documents,
-        index.preprocessor,
+        index,
         sources=config.term_sources,
         component_threshold=config.component_threshold,
     )

@@ -51,10 +51,10 @@ def save_format_file(path: str | Path, fmt: str, version: int, payload: dict) ->
 def gc_paused():
     """Hold off the cyclic garbage collector for the body of the block.
 
-    For loaders that build tens of thousands of acyclic containers: each
-    collection the allocations would set off mid-load walks the whole heap
-    and frees nothing, and whether a full one lands in a given load depends
-    on what ran before it. The collector is re-enabled only if it was on.
+    For loops that keep tens of thousands of acyclic containers alive: each
+    collection the allocations would set off walks the whole heap and frees
+    nothing, and whether a full one lands in a given run depends on what ran
+    before it. The collector is re-enabled only if it was on.
     """
     was_enabled = gc.isenabled()
     gc.disable()

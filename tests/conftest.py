@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import base64
+import sys
+import zlib
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -38,3 +42,21 @@ def make_screen(activity, *, window="", components=()):
 
 def make_trace(trace_id, screens):
     return ReproTrace(trace_id=trace_id, screens=list(screens))
+
+
+def unpack_postings(data):
+    """The gaps and counts packed in an index file's JSON, for tests that edit them."""
+    words = array("I")
+    words.frombytes(zlib.decompress(base64.b64decode(data["postings"])))
+    if sys.byteorder == "big":
+        words.byteswap()
+    total = data["offsets"][-1]
+    return words[:total], words[total:]
+
+
+def repack_postings(data, gaps, counts, extra=b""):
+    """Pack `gaps` and `counts` back into `data`, with `extra` bytes appended to the body."""
+    words = gaps + counts
+    if sys.byteorder == "big":
+        words.byteswap()
+    data["postings"] = base64.b64encode(zlib.compress(words.tobytes() + extra)).decode("ascii")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import base64
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import guiloc
 from guiloc.cli import run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, repack_postings, unpack_postings
 
 REPORT = {
     "report_id": "r1",
@@ -498,21 +500,29 @@ def test_report_id_that_is_not_a_file_name_exits_one(workspace, caplog, command,
     assert str(report) in error and "not a plain file name" in error
 
 
+def _edit_postings(edit):
+    def edit_data(data):
+        gaps, counts = unpack_postings(data)
+        edit(data, gaps, counts)
+        repack_postings(data, gaps, counts)
+    return edit_data
+
+
+def _repeated_doc_id(data, gaps, counts):
+    # the second gap of the first term held by two documents
+    starts = data["offsets"]
+    (start,) = [lo for lo, hi in zip(starts, starts[1:]) if hi - lo > 1][:1]
+    gaps[start + 1] = 0
+
+
 def test_localize_index_with_swapped_doc_ids_exits_one(workspace, caplog):
+    """A term's doc ids must strictly increase; a zero gap repeats one."""
     path = workspace / "index.json"
     data = json.loads(path.read_text())
-    data["documents"][0]["doc_id"], data["documents"][1]["doc_id"] = 1, 0
+    _edit_postings(_repeated_doc_id)(data)
     path.write_text(json.dumps(data))
-    code = run(
-        [
-            "localize",
-            "--index", str(path),
-            "--report", str(workspace / "reports" / "r1.json"),
-            "--trace", str(workspace / "traces" / "r1.json"),
-        ]
-    )
-    assert code == 1
-    assert "ids must be" in caplog.text
+    assert run(_localize_argv(workspace)) == 1
+    assert "ids must be strictly increasing" in caplog.text
 
 
 def _drop(key):
@@ -534,13 +544,13 @@ def _first_document(value):
 
 
 def _string_term_count(data):
-    terms = data["documents"][0]["terms"]
-    terms[next(iter(terms))] = "3"
+    # the offset that ends the first term's postings
+    data["offsets"][1] = str(data["offsets"][1])
 
 
-def _first_document_length(value):
+def _last_offset(value):
     def edit(data):
-        data["documents"][0]["length"] = value
+        data["offsets"][-1] = value(data["offsets"][-1])
     return edit
 
 
@@ -558,100 +568,130 @@ def _b(value):
 
 def _first_norm(value):
     def edit(data):
-        data["rvsm_norms"][0] = value
+        data["documents"][0][3] = value
     return edit
 
 
+def _no_norms(data):
+    for row in data["documents"]:
+        row.pop()
+
+
 def _one_norm_too_few(data):
-    data["rvsm_norms"].pop()
+    data["documents"][-1].pop()
 
 
 def _duplicate_path(data):
-    data["documents"][1]["path"] = data["documents"][0]["path"]
+    data["documents"][1][0] = data["documents"][0][0]
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _drop("params"),
-        _drop("preprocess"),
-        _drop("documents"),
-        _set("params", [1.2, 0.75]),
-        _first_document(7),
-        _string_term_count,
-        _first_document_length(10**400),
-        _first_document_length(-1),
-        _k1(10**400),
-        _k1(-1),
-        _k1(float("nan")),  # json writes NaN, and reads it back
-        _b(1.5),
-        _drop("rvsm_norms"),
-        _set("rvsm_norms", {"0": 1.0}),
-        _one_norm_too_few,
-        _first_norm("1.0"),
-        _first_norm(-1.0),
-        _first_norm(float("nan")),
-        _first_norm(float("inf")),  # json writes Infinity, and reads it back
-        _first_norm(True),
-        _duplicate_path,
-    ],
-    ids=[
-        "no-params",
-        "no-preprocess",
-        "no-documents",
-        "params-not-object",
-        "document-not-object",
-        "string-term-count",
-        "huge-length",
-        "length-not-term-total",
-        "huge-k1",
-        "negative-k1",
-        "nan-k1",
-        "b-above-one",
-        "no-norms",
-        "norms-not-list",
-        "one-norm-too-few",
-        "string-norm",
-        "negative-norm",
-        "nan-norm",
-        "infinite-norm",
-        "true-norm",
-        "duplicate-path",
-    ],
-)
+def _offsets(edit):
+    def edit_data(data):
+        edit(data["offsets"])
+    return edit_data
+
+
+def _terms(edit):
+    def edit_data(data):
+        edit(data["terms"])
+    return edit_data
+
+
+def _swap_first_two(items):
+    items[0], items[1] = items[1], items[0]
+
+
+def _stream(edit):
+    def edit_data(data):
+        data["postings"] = base64.b64encode(edit(base64.b64decode(data["postings"]))).decode()
+    return edit_data
+
+
+def _flip_checksum(stream):
+    return stream[:-1] + bytes([stream[-1] ^ 1])
+
+
+def _id_past_the_last_document(data, gaps, counts):
+    gaps[0] = len(data["documents"]) + 1  # the first term's first id is n
+
+
+def _zero_count(data, gaps, counts):
+    counts[0] = 0
+
+
+def _body_with_extra_bytes(data):
+    gaps, counts = unpack_postings(data)
+    repack_postings(data, gaps, counts, extra=bytes(8))
+
+
+MALFORMED_INDEXES = {
+    "no-params": _drop("params"),
+    "no-preprocess": _drop("preprocess"),
+    "no-documents": _drop("documents"),
+    "params-not-object": _set("params", [1.2, 0.75]),
+    "document-not-object": _first_document(7),
+    "string-term-count": _string_term_count,
+    "huge-length": _last_offset(lambda last: 10**400),
+    "length-not-term-total": _last_offset(lambda last: last + 1),
+    "huge-k1": _k1(10**400),
+    "negative-k1": _k1(-1),
+    "nan-k1": _k1(float("nan")),  # json writes NaN, and reads it back
+    "b-above-one": _b(1.5),
+    "no-norms": _no_norms,
+    "norms-not-list": _first_norm({"0": 1.0}),
+    "one-norm-too-few": _one_norm_too_few,
+    "string-norm": _first_norm("1.0"),
+    "negative-norm": _first_norm(-1.0),
+    "nan-norm": _first_norm(float("nan")),
+    "infinite-norm": _first_norm(float("inf")),  # json writes Infinity, and reads it back
+    "true-norm": _first_norm(True),
+    "duplicate-path": _duplicate_path,
+    "postings-not-base64": _set("postings", "not base64!"),
+    "postings-not-zlib": _stream(lambda stream: stream[2:]),
+    "postings-truncated": _stream(lambda stream: stream[:-10]),
+    "postings-bad-checksum": _stream(_flip_checksum),
+    "postings-data-after-stream": _stream(lambda stream: stream + b"x"),
+    "body-longer-than-offsets": _body_with_extra_bytes,
+    "offsets-not-from-zero": _offsets(lambda offsets: offsets.__setitem__(0, 1)),
+    "offsets-not-increasing": _offsets(lambda offsets: offsets.__setitem__(1, 0)),
+    "offsets-one-short": _offsets(lambda offsets: offsets.pop(1)),
+    "terms-unsorted": _terms(_swap_first_two),
+    "terms-duplicated": _terms(lambda terms: terms.__setitem__(1, terms[0])),
+    "term-not-string": _terms(lambda terms: terms.__setitem__(0, 7)),
+    "repeated-doc-id": _edit_postings(_repeated_doc_id),
+    "doc-id-past-the-last": _edit_postings(_id_past_the_last_document),
+    "zero-count": _edit_postings(_zero_count),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_INDEXES.values(), ids=MALFORMED_INDEXES)
 def test_localize_malformed_index_exits_one(workspace, caplog, edit):
     path = workspace / "index.json"
     data = json.loads(path.read_text())
     edit(data)
     path.write_text(json.dumps(data))
-    code = run(
-        [
-            "localize",
-            "--index", str(path),
-            "--report", str(workspace / "reports" / "r1.json"),
-            "--trace", str(workspace / "traces" / "r1.json"),
-        ]
-    )
+    code = run(_localize_argv(workspace))
     assert code == 1
-    assert str(path) in caplog.text
+    (error,) = _errors(caplog)
+    assert str(path) in error
+
+
+def _old_index_exits_one(workspace, caplog, version):
+    path = workspace / "index.json"
+    data = json.loads(path.read_text())
+    data["version"] = version
+    path.write_text(json.dumps(data))
+    assert run(_localize_argv(workspace)) == 1
+    (error,) = _errors(caplog)
+    assert f"unsupported index version {version} in {path}; this build reads version 3" in error
 
 
 def test_localize_version_one_index_exits_one(workspace, caplog):
-    path = workspace / "index.json"
-    data = json.loads(path.read_text())
-    del data["rvsm_norms"]
-    data["version"] = 1
-    path.write_text(json.dumps(data))
-    code = run(
-        [
-            "localize",
-            "--index", str(path),
-            "--report", str(workspace / "reports" / "r1.json"),
-            "--trace", str(workspace / "traces" / "r1.json"),
-        ]
-    )
-    assert code == 1
-    assert f"unsupported index version 1 in {path}; this build reads version 2" in caplog.text
+    _old_index_exits_one(workspace, caplog, 1)
+
+
+def test_localize_version_two_index_exits_one(workspace, caplog):
+    _old_index_exits_one(workspace, caplog, 2)
 
 
 @pytest.mark.parametrize("scorer", ["bm25", "rvsm"])
@@ -675,7 +715,8 @@ def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, ca
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["ranking"] == []
-    assert json.loads(index.read_text())["rvsm_norms"] == [0.0]
+    data = json.loads(index.read_text())
+    assert data["documents"][0][3] == 0.0 and data["terms"] == [] and data["offsets"] == [0]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -1003,3 +1044,89 @@ def test_lint_report_text_field_not_a_string_exits_one(workspace, caplog, key, v
     [error] = _errors(caplog)
     assert repr(key) in error
     assert not (workspace / "lint.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_two_reports_with_one_id_exit_one(tmp_path, caplog, command):
+    reports = tmp_path / "reports"
+    shutil.copytree(FIXTURES / "reports", reports)
+    shutil.copy(reports / "r01.json", reports / "r01-copy.json")
+    index = tmp_path / "index.json"
+    assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(index)]) == 0
+    argv = [
+        command,
+        "--index", str(index),
+        "--reports", str(reports),
+        "--traces", str(FIXTURES / "traces"),
+        "--out", str(tmp_path / "out"),
+    ]
+    assert run(argv) == 1
+    (error,) = _errors(caplog)
+    assert str(reports / "r01.json") in error and str(reports / "r01-copy.json") in error
+    assert not (tmp_path / "out").exists()
+
+
+def _sweep_fixture(tmp_path, out, *index_flags):
+    index = tmp_path / "index.json"
+    assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(index), *index_flags]) == 0
+    argv = [
+        "sweep",
+        "--index", str(index),
+        "--reports", str(tmp_path / "reports"),
+        "--traces", str(tmp_path / "traces"),
+        "--out", str(out),
+    ]
+    assert run(argv) == 0
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _write(path_of, text):
+    def edit(tmp_path, out):
+        path_of(tmp_path, out).write_text(text)
+    return edit
+
+
+# name -> (change made between two sweeps into one file, whether it changes the rows)
+SWEEP_INPUT_CHANGES = {
+    "index-parameter": (lambda tmp_path, out: ("--b", "0.3"), True),
+    "ground-truth": (lambda tmp_path, out: _edit_json(
+        tmp_path / "reports" / "r03.json", lambda r: r.update(ground_truth=["ui/MainActivity.java"])
+    ), True),
+    "report-text": (lambda tmp_path, out: _edit_json(
+        tmp_path / "reports" / "r05.json", lambda r: r.update(title="Settings screen is blank")
+    ), True),
+    "trace": (lambda tmp_path, out: _edit_json(
+        tmp_path / "traces" / "r02.json", lambda t: t["screens"].pop(0)
+    ), True),
+    "no-meta-file": (lambda tmp_path, out: Path(f"{out}.meta.json").unlink(), False),
+    "meta-file-not-json": (_write(lambda tmp_path, out: Path(f"{out}.meta.json"), "{"), False),
+}
+
+
+@pytest.mark.parametrize("change, new_rows", SWEEP_INPUT_CHANGES.values(), ids=SWEEP_INPUT_CHANGES)
+def test_sweep_recomputes_every_row_when_its_inputs_change(tmp_path, caplog, change, new_rows):
+    """A resumed sweep reuses rows only if the index and dataset they came from are unchanged."""
+    shutil.copytree(FIXTURES / "reports", tmp_path / "reports")
+    shutil.copytree(FIXTURES / "traces", tmp_path / "traces")
+    out = tmp_path / "sweep.csv"
+    _sweep_fixture(tmp_path, out)
+    before = out.read_bytes()
+    index_flags = change(tmp_path, out) or ()
+    caplog.clear()
+    caplog.set_level("INFO")
+    _sweep_fixture(tmp_path, out, *index_flags)
+    assert "(48 computed, 0 reused, 0 skipped)" in caplog.text
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "not computed from this index and dataset" in warnings[0]
+    fresh = tmp_path / "fresh.csv"
+    _sweep_fixture(tmp_path, fresh, *index_flags)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert (out.read_bytes() != before) == new_rows
+    caplog.clear()
+    _sweep_fixture(tmp_path, out, *index_flags)
+    assert "(0 computed, 48 reused, 0 skipped)" in caplog.text

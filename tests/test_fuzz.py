@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, repack_postings, unpack_postings
 from guiloc.cli import run
 
 SEED = 8
@@ -154,8 +154,25 @@ BOUNDARY_MUTANTS = 10
 def _copy_a_path(index, rng: random.Random) -> str:
     docs = index["documents"]
     src, dst = rng.sample(range(len(docs)), 2)
-    docs[dst]["path"] = docs[src]["path"]
+    docs[dst][0] = docs[src][0]  # each document is a [path, class_name, refs, norm] row
     return f"copy document {src}'s path onto document {dst}"
+
+
+def _break_a_posting(index, rng: random.Random) -> str:
+    gaps, counts = unpack_postings(index)
+    offsets = index["offsets"]
+    term = rng.randrange(len(index["terms"]))
+    lo, hi = offsets[term], offsets[term + 1]
+    rule = rng.choice(("repeat an id", "zero count", "id past the end"))
+    if rule == "repeat an id" and hi - lo > 1:
+        gaps[rng.randrange(lo + 1, hi)] = 0
+    elif rule == "id past the end":
+        gaps[hi - 1] += len(index["documents"]) - sum(gaps[lo:hi]) + 1
+    else:
+        rule = "zero count"
+        counts[rng.randrange(lo, hi)] = 0
+    repack_postings(index, gaps, counts)
+    return f"{rule} in the postings of {index['terms'][term]!r}"
 
 
 def _slash_in_report_id(report, rng: random.Random) -> str:
@@ -165,9 +182,13 @@ def _slash_in_report_id(report, rng: random.Random) -> str:
     return f"report_id {report['report_id']!r}"
 
 
-@pytest.mark.parametrize("kind, edit", [("index", _copy_a_path), ("report", _slash_in_report_id)])
+@pytest.mark.parametrize(
+    "kind, edit",
+    [("index", _copy_a_path), ("index", _break_a_posting), ("report", _slash_in_report_id)],
+)
 def test_seeded_boundary_mutation_exits_one(inputs, caplog, kind, edit):
-    """Mutants that every field check passes: a path two documents share, a report id with a '/'."""
+    """Mutants that every field check passes: a path two documents share, a posting that
+    breaks a rule of the packed body, a report id with a '/'."""
     rng = random.Random(f"{SEED}-{kind}-boundary")
     original = json.loads(inputs[kind].read_text())
     mutant_path = str(inputs["root"] / f"boundary-{kind}.json")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import json
 import math
 import random
@@ -8,11 +7,11 @@ from collections import Counter
 
 import pytest
 
-import guiloc.index
 from guiloc.corpus import scan_corpus
 from guiloc.errors import ConfigError, InputError
 from guiloc.evaluation import load_dataset
 from guiloc.index import (
+    SCORERS,
     ScoringParams,
     build_index,
     load_index,
@@ -22,7 +21,9 @@ from guiloc.index import (
     score_rvsm,
 )
 
-from conftest import FIXTURES, make_doc
+from guiloc.pipeline import PipelineConfig, localize
+
+from conftest import FIXTURES, make_doc, repack_postings, unpack_postings
 
 
 # independent dense references; no postings, no shared helpers. Each score
@@ -291,15 +292,18 @@ def test_index_loads_indented_files_from_older_builds(tmp_path):
 
 
 def test_doc_ids_must_run_in_list_order(tmp_path):
-    docs = [make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]
+    docs = [make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["save", "note"])]
     with pytest.raises(InputError, match="ids must be"):
         build_index(list(reversed(docs)))
     with pytest.raises(InputError, match="ids must be"):
         build_index([make_doc(1, "a.java", ["save"])])
-    path = tmp_path / "swapped.idx.json"
+    path = tmp_path / "repeated.idx.json"
     save_index(build_index(docs), path)
     data = json.loads(path.read_text())
-    data["documents"][0]["doc_id"], data["documents"][1]["doc_id"] = 1, 0
+    gaps, counts = unpack_postings(data)
+    save = data["terms"].index("save")
+    gaps[data["offsets"][save] + 1] = 0  # save's second doc id repeats its first
+    repack_postings(data, gaps, counts)
     path.write_text(json.dumps(data))
     with pytest.raises(InputError, match="ids must be"):
         load_index(path)
@@ -315,49 +319,37 @@ def test_term_counts_below_one_are_rejected(tmp_path):
     path = tmp_path / "zero.idx.json"
     save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
     data = json.loads(path.read_text())
-    data["documents"][1]["terms"]["unused"] = 0
+    gaps, counts = unpack_postings(data)
+    counts[1] = 0
+    repack_postings(data, gaps, counts)
     path.write_text(json.dumps(data))
     with pytest.raises(InputError, match="term count below 1"):
         load_index(path)
+    with pytest.raises(InputError, match="term count below 1"):
+        build_index([make_doc(0, "a.java", {"save": 0})])
 
 
-def test_postings_share_one_pair_per_document_and_count():
+def test_postings_decode_doc_id_and_count_pairs():
     docs = [
         make_doc(0, "a.java", ["save", "note", "tag", "save", "view"]),
         make_doc(1, "b.java", ["save"]),
     ]
-    index = build_index(docs)
-    assert index.postings["note"] == [(0, 1)] and index.postings["save"] == [(0, 2), (1, 1)]
-    pairs = {id(p) for plist in index.postings.values() for p in plist if p[0] == 0}
-    assert len(pairs) == len(set(docs[0].terms.values())) == 2
+    postings = build_index(docs).postings
+    assert postings["note"] == [(0, 1)] and postings["save"] == [(0, 2), (1, 1)]
+    assert postings.get("absent") is None and "absent" not in postings
+    assert dict(postings.items()) == {
+        "note": [(0, 1)], "save": [(0, 2), (1, 1)], "tag": [(0, 1)], "view": [(0, 1)]
+    }
 
 
-def test_load_index_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch):
-    path = tmp_path / "corpus.idx.json"
-    save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
-    seen = []
-
-    def watched_build(*args, **kwargs):
-        seen.append(gc.isenabled())
-        return build_index(*args, **kwargs)
-
-    monkeypatch.setattr(guiloc.index, "build_index", watched_build)
-    assert gc.isenabled()
-    load_index(path)
-    assert seen == [False] and gc.isenabled()
-    data = json.loads(path.read_text())
-    data["documents"][1]["terms"]["unused"] = 0
-    path.write_text(json.dumps(data))
-    with pytest.raises(InputError):
-        load_index(path)
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        with pytest.raises(InputError):
-            load_index(path)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
+def test_a_pass_over_every_posting_keeps_no_decoded_copy():
+    docs = scan_corpus(FIXTURES / "app")
+    built, rebuilt = build_index(docs).postings, build_index(docs).postings
+    assert sum(len(plist) for plist in built.values()) == sum(len(d.terms) for d in docs)
+    assert built == rebuilt and dict(built.items()) == rebuilt
+    assert built._decoded == {} and rebuilt._decoded == {}
+    assert built["note"] is built["note"]  # a lookup decodes once and keeps the list
+    assert list(built._decoded) == ["note"]
 
 
 def _exact(scores):
@@ -448,7 +440,51 @@ def test_loaded_index_scores_exactly_like_the_built_one(tmp_path):
 def test_loaded_index_scores_rvsm_without_term_bags(tmp_path):
     built = build_index(scan_corpus(FIXTURES / "app"))
     loaded = _round_trip(built, tmp_path)
-    for doc in loaded.documents:
-        doc.terms = None
     query = [t for d in built.documents[:3] for t in Counter(d.terms).elements()]
     assert _scored(score_rvsm(loaded, query)) == _scored(score_rvsm(built, query)) != []
+    assert "term_bags" not in vars(loaded.postings)
+
+
+def _seeded_corpus(rng):
+    """Documents over a small vocabulary, with one file without terms and a term every file holds."""
+    docs = []
+    for i in range(40):
+        terms = [f"w{rng.randrange(60)}" for _ in range(rng.randint(1, 30))] + ["every"]
+        docs.append(make_doc(i, f"d{i:02d}.java", terms, refs={f"id{rng.randrange(5)}"}))
+    docs[9] = make_doc(9, docs[9].path, ["every"] * 1000)
+    return docs
+
+
+def test_round_trip_restores_postings_term_bags_and_scores(tmp_path):
+    rng = random.Random(61)
+    seeded = _seeded_corpus(rng)
+    seeded.append(make_doc(40, "empty.java", []))
+    for docs in (scan_corpus(FIXTURES / "app"), seeded):
+        built = build_index(docs)
+        loaded = _round_trip(built, tmp_path)
+        assert loaded.postings == built.postings
+        assert loaded.lengths == built.lengths and loaded.rvsm_norms == built.rvsm_norms
+        assert [d.terms for d in loaded.documents] == [d.terms for d in built.documents]
+        assert [(d.path, d.class_name, d.resource_id_refs) for d in loaded.documents] == [
+            (d.path, d.class_name, d.resource_id_refs) for d in built.documents
+        ]
+        vocab = sorted(built.postings)
+        for _ in range(20):
+            query = [rng.choice(vocab + ["absent"]) for _ in range(rng.randint(1, 25))]
+            for scorer in (score_bm25, score_rvsm):
+                assert _scored(scorer(loaded, query)) == _scored(scorer(built, query))
+    assert built.doc_freq["every"] == 40
+    assert loaded.documents[-1].terms == {} and loaded.lengths[-1] == 0
+
+
+def test_localize_on_a_loaded_index_builds_no_term_bags(tmp_path):
+    loaded = _round_trip(build_index(scan_corpus(FIXTURES / "app")), tmp_path)
+    pairs = load_dataset(FIXTURES / "reports", FIXTURES / "traces")
+    for scorer in SCORERS:
+        for rerank in ("none", "filter_boost"):
+            config = PipelineConfig(scorer=scorer, query_strategy="expand", rerank_strategy=rerank)
+            for report, trace in pairs:
+                assert localize(report, trace, loaded, config).entries
+    assert "term_bags" not in vars(loaded.postings)
+    assert loaded.documents[0].terms  # a library caller's first read rebuilds them
+    assert "term_bags" in vars(loaded.postings)

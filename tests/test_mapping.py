@@ -7,6 +7,7 @@ import pytest
 
 from guiloc.corpus import Preprocessor
 from guiloc.errors import ConfigError
+from guiloc.index import build_index
 from guiloc.mapping import (
     GuiContext,
     extract_gui_terms,
@@ -143,7 +144,7 @@ def test_component_match_skips_empty_term_components():
 
 def test_gui_context_sets_and_window():
     trace = _settings_trace()
-    ctx = gui_context(trace, 3, _docs())
+    ctx = gui_context(trace, 3, build_index(_docs()))
     assert ctx.window_used == 3
     assert ctx.boosted == ctx.activity_files | ctx.listener_files
     assert ctx.gui_related == ctx.boosted | ctx.component_files
@@ -209,4 +210,45 @@ def test_component_match_equals_set_intersection_definition():
             if any(len(set(d.terms) & ts) / len(ts) >= threshold for ts in comp_sets)
         }
         assert match_component_files(trace, 1, docs, pre, threshold) == want
+        assert gui_context(trace, 1, build_index(docs), component_threshold=threshold).component_files == want
 
+
+
+def test_gui_context_on_an_index_matches_the_document_matchers():
+    """The index-level lists and postings give the sets the matchers give over documents."""
+    rng = random.Random(11)
+    words = ["save", "note", "theme", "dark", "font", "size", "sync", "tag"]
+    classes = ["MainActivity", "SettingsActivity", "NoteStore", "ThemeManager"]
+    for _ in range(100):
+        screens = [
+            make_screen(
+                f"com.app.{rng.choice(classes)}",
+                window=rng.choice(["", f"com.app.{rng.choice(classes)}"]),
+                components=[
+                    make_component(
+                        "_".join(rng.sample(words, rng.randint(0, 2))),
+                        text=" ".join(rng.sample(words, rng.randint(0, 2))),
+                        exercised=True,
+                        action="click",
+                    )
+                ],
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        trace = make_trace("t", screens)
+        docs = [
+            make_doc(
+                i,
+                f"p{i}/{rng.choice(classes)}.java",
+                rng.sample(words, rng.randint(0, 5)),
+                refs={"_".join(rng.sample(words, 2)) for _ in range(rng.randint(0, 3))},
+            )
+            for i in range(rng.randint(1, 8))
+        ]
+        index = build_index(docs)
+        for window in (1, 2, 4):
+            ctx = gui_context(trace, window, index)
+            assert ctx.activity_files == match_activity_files(trace, window, docs)
+            assert ctx.listener_files == match_listener_files(trace, window, docs)
+            assert ctx.component_files == match_component_files(trace, window, docs)
+            assert ctx.terms == extract_gui_terms(trace, window)
