@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -13,7 +14,7 @@ from typing import Sequence
 from .errors import ConfigError, InputError
 from .index import CorpusIndex
 from .mapping import TERM_SOURCES
-from .pipeline import PipelineConfig, StageCache, rerank_order, score_stages, scoring_key
+from .pipeline import PipelineConfig, StageCache, rerank_groups, score_stages, scoring_key
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
 from .util import atomic_write_text, gc_paused
@@ -28,41 +29,59 @@ CSV_HEADER = (
 )
 
 
-def first_relevant_rank(ranking: Sequence[str], truth: set[str]) -> int | None:
-    """1-based rank of the first relevant path, or None on a miss."""
-    for i, path in enumerate(ranking, 1):
-        if path in truth:
-            return i
-    return None
+def hits_at_k(ranks: Sequence[int], k: int) -> int:
+    """1 if a relevant file ranks in the top k, else 0.
 
-
-def hits_at_k(ranking: Sequence[str], truth: set[str], k: int) -> int:
-    if not truth:
-        raise InputError("ground truth must be nonempty")
+    Here and below, `ranks` holds the relevant files' 1-based ranks in
+    ascending order; a relevant file missing from the ranking has none.
+    """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    r = first_relevant_rank(ranking, truth)
-    return 1 if r is not None and r <= k else 0
+    return 1 if ranks and ranks[0] <= k else 0
 
 
-def reciprocal_rank(ranking: Sequence[str], truth: set[str]) -> float:
-    if not truth:
+def reciprocal_rank(ranks: Sequence[int]) -> float:
+    return 1.0 / ranks[0] if ranks else 0.0
+
+
+def average_precision(ranks: Sequence[int], relevant: int) -> float:
+    """Mean of precision-at-hit over all `relevant` files; unranked ones add 0."""
+    if relevant < 1:
         raise InputError("ground truth must be nonempty")
-    r = first_relevant_rank(ranking, truth)
-    return 1.0 / r if r is not None else 0.0
-
-
-def average_precision(ranking: Sequence[str], truth: set[str]) -> float:
-    """Mean of precision-at-hit over all relevant files; unranked ones add 0."""
-    if not truth:
-        raise InputError("ground truth must be nonempty")
-    hits = 0
     total = 0.0
-    for i, path in enumerate(ranking, 1):
-        if path in truth:
-            hits += 1
-            total += hits / i
-    return total / len(truth)
+    for hits, r in enumerate(ranks, 1):
+        total += hits / r
+    return total / relevant
+
+
+def reranked_ranks(
+    truth: set[str], positions: dict[str, int], groups: list[set[str] | None]
+) -> list[int]:
+    """The ascending 1-based ranks of `truth`'s files once a ranking is re-ranked by `groups`.
+
+    `positions` maps each ranked path to its 0-based position before
+    re-ranking, and `groups` are :func:`rerank_groups`' nested groups. A file
+    whose first group is g follows the files of group g - 1, then the ones
+    that g adds before it, which bisecting the groups' sorted positions counts.
+    """
+    group_positions = [
+        None if members is None else sorted(positions[p] for p in members if p in positions)
+        for members in groups
+    ]
+    ranks = []
+    for path in truth:
+        p = positions.get(path)
+        if p is None:
+            continue
+        ahead = before = 0  # files in the previous group, and those of them above p
+        for members, sorted_positions in zip(groups, group_positions):
+            above = p if members is None else bisect_left(sorted_positions, p)
+            if members is None or path in members:
+                ranks.append(ahead + above - before + 1)
+                break
+            ahead, before = len(sorted_positions), above
+    ranks.sort()
+    return ranks
 
 
 @dataclass
@@ -155,29 +174,30 @@ def evaluate_config(
 ) -> EvalResult:
     """Rank every pair at full depth and aggregate metrics.
 
-    Each ranking is the scoring's path order, filtered or boosted by
-    :func:`rerank_order` as :func:`localize` would at full depth. `caches`,
-    one :class:`StageCache` per pair, lets a series of calls on the same
-    pairs and index reuse each report's stage results.
+    The ground-truth files' ranks are those that :func:`localize` would give
+    them at full depth, worked out from their positions in the scoring by
+    :func:`reranked_ranks`. `caches`, one :class:`StageCache` per pair, lets a
+    series of calls on the same pairs and index reuse each report's stage
+    results.
     """
     config = (config or PipelineConfig()).validate()
     outcomes = []
     hit_totals = {k: 0 for k in HITS_KS}
     for (report, trace), cache in zip(pairs, caches or [StageCache() for _ in pairs], strict=True):
         ctx, _ = score_stages(report, trace, index, config, cache)
-        order, _ = rerank_order(cache.scored_paths, ctx, config.rerank_strategy)
-        paths = list(map(cache.scored_paths.__getitem__, order))
+        groups, _ = rerank_groups(ctx, config.rerank_strategy)
         truth = report.ground_truth or set()
+        ranks = reranked_ranks(truth, cache.scored.positions, groups)
         outcomes.append(
             ReportOutcome(
                 report_id=report.report_id,
-                first_relevant_rank=first_relevant_rank(paths, truth),
-                reciprocal_rank=reciprocal_rank(paths, truth),
-                average_precision=average_precision(paths, truth),
+                first_relevant_rank=ranks[0] if ranks else None,
+                reciprocal_rank=reciprocal_rank(ranks),
+                average_precision=average_precision(ranks, len(truth)),
             )
         )
         for k in HITS_KS:
-            hit_totals[k] += hits_at_k(paths, truth, k)
+            hit_totals[k] += hits_at_k(ranks, k)
     n = len(pairs)
     return EvalResult(
         config=config,
@@ -281,9 +301,14 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
 
 
 def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
-    if not path.is_file():
+    if not path.exists():
         return {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    if not path.is_file():
+        raise InputError(f"sweep output {path} exists and is not a regular file")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read existing sweep file {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         logger.warning("existing sweep file %s has a different header; recomputing all rows", path)
         return {}

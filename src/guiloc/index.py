@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from operator import sub
 from pathlib import Path
 from typing import Sequence
@@ -61,6 +61,35 @@ class RankedList:
 
     def paths(self) -> list[str]:
         return [e.path for e in self.entries]
+
+
+class ScoredList(RankedList):
+    """A scorer's ranking: each doc id's score, with entries made on first read.
+
+    The entries are the files scoring above zero, best first, ties in path order.
+    """
+
+    def __init__(self, index: CorpusIndex, scores: list[float], flags: list[str] | None = None):
+        self.index, self.scores, self.flags = index, scores, flags or []
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The doc ids of the entries, in their order."""
+        scores = self.scores
+        ids = [doc_id for doc_id in self.index.path_order if scores[doc_id] > 0.0]
+        # the sort is stable, also in reverse, so tied documents stay in path order
+        ids.sort(key=scores.__getitem__, reverse=True)
+        return ids
+
+    @cached_property
+    def entries(self) -> list[RankEntry]:
+        paths, scores = self.index.paths, self.scores
+        return [RankEntry(paths[doc_id], scores[doc_id]) for doc_id in self.order]
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each entry's path -> its 0-based position."""
+        return dict(zip(map(self.index.paths.__getitem__, self.order), count()))
 
 
 class Postings(Mapping):
@@ -215,6 +244,21 @@ class CorpusIndex:
         """Doc ids in path order, the order of every ranking's ties."""
         return sorted(range(self.doc_count), key=self.paths.__getitem__)
 
+    @cached_property
+    def doc_ids(self) -> dict[str, int]:
+        """path -> doc id."""
+        return dict(zip(self.paths, count()))
+
+    @cached_property
+    def bm25_length_norms(self) -> list[float]:
+        """BM25's k1 * (1 - b + b * len / avg_len) per doc id.
+
+        Empty for a corpus without terms, whose average length is 0 and which
+        no query matches.
+        """
+        k1, b, avg = self.params.bm25_k1, self.params.bm25_b, self.avg_length
+        return [k1 * (1.0 - b + b * length / avg) for length in self.lengths] if avg else []
+
 
 def build_index(
     documents: Sequence[SourceDocument],
@@ -284,15 +328,7 @@ def _rvsm_norms(index: CorpusIndex) -> list[float]:
     return norms
 
 
-def _sorted_entries(scores: list[float], index: CorpusIndex) -> list[RankEntry]:
-    """Entries for the documents scoring above zero, best first, ties by path."""
-    ids = [doc_id for doc_id in index.path_order if scores[doc_id] > 0.0]
-    # the sort is stable, also in reverse, so tied documents stay in path order
-    ids.sort(key=scores.__getitem__, reverse=True)
-    return [RankEntry(index.paths[doc_id], scores[doc_id]) for doc_id in ids]
-
-
-def score_bm25(index: CorpusIndex, query: Query) -> RankedList:
+def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
     """Okapi BM25.
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); the term contribution is
@@ -300,19 +336,15 @@ def score_bm25(index: CorpusIndex, query: Query) -> RankedList:
     query-side frequency of t. Documents scoring zero are omitted.
     """
     query = Counter(query)
-    if not query:
-        return RankedList([], ["empty-query"])
-    k1 = index.params.bm25_k1
-    b = index.params.bm25_b
     n = index.doc_count
-    avg = index.avg_length
+    scores = [0.0] * n
+    if not query:
+        return ScoredList(index, scores, ["empty-query"])
     # hoisted factors keep the left-to-right grouping of
     # qtf * idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg)), so
     # every score is bit-identical to evaluating that expression per posting
-    # an average length of 0 means a corpus without terms, which nothing matches
-    len_norm = [k1 * (1.0 - b + b * length / avg) for length in index.lengths] if avg else []
-    k1_plus_1 = k1 + 1.0
-    scores = [0.0] * n
+    len_norm = index.bm25_length_norms
+    k1_plus_1 = index.params.bm25_k1 + 1.0
     for term, qtf in query.items():
         plist = index.postings.get(term)
         if not plist:
@@ -321,14 +353,14 @@ def score_bm25(index: CorpusIndex, query: Query) -> RankedList:
         weight = qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         for doc_id, f in plist:
             scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
-    return RankedList(_sorted_entries(scores, index))
+    return ScoredList(index, scores)
 
 
 def _rvsm_idf(n: int, df: int) -> float:
     return math.log(n / df) if df > 0 else 0.0
 
 
-def score_rvsm(index: CorpusIndex, query: Query) -> RankedList:
+def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     """Length-regularized vector-space cosine.
 
     Term weights are (1 + ln f) * ln(N / df) on both sides. A query-term
@@ -340,9 +372,10 @@ def score_rvsm(index: CorpusIndex, query: Query) -> RankedList:
     Documents scoring zero are omitted.
     """
     query = Counter(query)
-    if not query:
-        return RankedList([], ["empty-query"])
     n = index.doc_count
+    dots = [0.0] * n
+    if not query:
+        return ScoredList(index, dots, ["empty-query"])
     q_weights: dict[str, float] = {}
     for term, qtf in query.items():
         idf = _rvsm_idf(n, index.doc_freq.get(term, 0))
@@ -350,12 +383,11 @@ def score_rvsm(index: CorpusIndex, query: Query) -> RankedList:
             q_weights[term] = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
     q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
     if q_norm == 0.0:
-        return RankedList([], ["no-discriminative-terms"])
+        return ScoredList(index, dots, ["no-discriminative-terms"])
 
     # each document's dot product sums its terms in q_weights order, as a
     # per-document loop over q_weights would
     tf_weights = index.tf_weights
-    dots = [0.0] * n
     for term, qw in q_weights.items():
         idf = _rvsm_idf(n, index.doc_freq[term])
         for doc_id, f in index.postings[term]:
@@ -364,13 +396,13 @@ def score_rvsm(index: CorpusIndex, query: Query) -> RankedList:
         prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
         for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)
     ]
-    return RankedList(_sorted_entries(scores, index))
+    return ScoredList(index, scores)
 
 
 _SCORER_FUNCS = {"bm25": score_bm25, "rvsm": score_rvsm}
 
 
-def rank(index: CorpusIndex, query: Query, scorer: str = "bm25") -> RankedList:
+def rank(index: CorpusIndex, query: Query, scorer: str = "bm25") -> ScoredList:
     """Score the corpus against a query with the named scorer."""
     check_choice("scorer", scorer, SCORERS)
     return _SCORER_FUNCS[scorer](index, query)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import Sequence
 
 from .errors import ConfigError, check_choice
-from .index import CorpusIndex, RankEntry, RankedList, SCORERS, rank
+from .index import CorpusIndex, RankEntry, RankedList, SCORERS, ScoredList, rank
 from .mapping import (
     DEFAULT_COMPONENT_THRESHOLD,
     GuiContext,
@@ -26,6 +28,7 @@ QUERY_STRATEGIES = ("base", "expand", "replace")
 # the weight overflows to infinity, and rVSM's cosine then divides it into NaN
 MAX_EXPANSION_WEIGHT = 1e6
 RERANK_STRATEGIES = ("none", "filter", "boost", "filter_boost")
+_GUI_SIGNALS = ("activity", "listener", "component")  # GuiContext's *_files sets
 
 
 @dataclass(frozen=True)
@@ -89,49 +92,71 @@ def build_query(
     return query, []
 
 
-def _annotate(entry: RankEntry, ctx: GuiContext) -> RankEntry:
-    path = entry.path
-    flags = set()
-    if path in ctx.activity_files:
-        flags.add("activity")
-    if path in ctx.listener_files:
-        flags.add("listener")
-    if path in ctx.component_files:
-        flags.add("component")
-    return RankEntry(path, entry.score, flags)
+def _gui_flags(path: str, ctx: GuiContext) -> set[str]:
+    return {signal for signal in _GUI_SIGNALS if path in getattr(ctx, f"{signal}_files")}
 
 
-def rerank_order(
-    paths: Sequence[str], ctx: GuiContext, strategy: str
-) -> tuple[Sequence[int], list[str]]:
-    """Positions of ranked `paths` in re-ranked order, and fallback flags.
+def rerank_groups(ctx: GuiContext, strategy: str) -> tuple[list[set[str] | None], list[str]]:
+    """The re-rank rule as nested groups of paths, and its fallback flags.
 
-    boost is a stable partition: boosted files move to the front, both groups
-    keeping their order. filter keeps gui-related files only, unless the
-    gui-related set is empty (all pass, with a fallback flag).
+    Each group holds the ones before it, and None holds every file. A
+    re-ranked list is the first group's files in score order, then the files
+    that each later group adds, in score order; a file in no group is
+    dropped. boost puts the boosted files first. filter keeps the gui-related
+    files only, unless that set is empty (all pass, with a fallback flag).
     """
     check_choice("rerank strategy", strategy, RERANK_STRATEGIES)
-    order: Sequence[int] = range(len(paths))
+    groups: list[set[str] | None] = [None]
     flags = []
     if strategy in ("filter", "filter_boost"):
-        gui_related = ctx.gui_related
-        if gui_related:
-            order = [i for i in order if paths[i] in gui_related]
+        if ctx.gui_related:
+            groups = [ctx.gui_related]
         else:
             flags.append("filter-fallback")
     if strategy in ("boost", "filter_boost"):
-        boosted = ctx.boosted
-        front = [i for i in order if paths[i] in boosted]
-        order = front + [i for i in order if paths[i] not in boosted]
-    return order, flags
+        groups.insert(0, ctx.boosted)  # a subset of the gui-related files
+    return groups, flags
 
 
 def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") -> RankedList:
-    """Reorder or filter a ranking by :func:`rerank_order`, marking kept entries' GUI signals."""
-    order, flags = rerank_order(ranked.paths(), ctx, strategy)
+    """Reorder or filter a ranking by :func:`rerank_groups`, marking kept entries' GUI signals.
+
+    A stable partition: each group's entries keep their order in `ranked`.
+    """
+    groups, flags = rerank_groups(ctx, strategy)
     entries = ranked.entries  # never mutated, so a ranking left as it is can share them
-    entries = list(entries) if strategy == "none" else [_annotate(entries[i], ctx) for i in order]
-    return RankedList(entries, list(ranked.flags) + flags)
+    if strategy != "none":
+        kept: list[list[RankEntry]] = [[] for _ in groups]
+        for entry in entries:
+            for group, members in zip(kept, groups):
+                if members is None or entry.path in members:
+                    group.append(RankEntry(entry.path, entry.score, _gui_flags(entry.path, ctx)))
+                    break
+        entries = chain.from_iterable(kept)
+    return RankedList(list(entries), list(ranked.flags) + flags)
+
+
+def _top_ids(ranked: ScoredList, groups: list[set[str] | None], k: int) -> list[int]:
+    """Doc ids of the first k entries of `ranked` re-ranked by `groups`.
+
+    Each group's best files, by score and then path, come from a bounded heap
+    over its files that scored above zero, so no full ranking is sorted.
+    """
+    index, scores = ranked.index, ranked.scores
+    top: list[int] = []
+    earlier: set[str] = set()
+    for members in groups:
+        # candidates in path order, as the heap keeps the first of tied files
+        if members is None:
+            ids = index.path_order
+        else:
+            ids = map(index.doc_ids.__getitem__, sorted(members))
+        candidates = [d for d in ids if scores[d] > 0.0 and index.paths[d] not in earlier]
+        top += heapq.nlargest(k - len(top), candidates, key=scores.__getitem__)
+        if len(top) == k:
+            break
+        earlier = members
+    return top
 
 
 @dataclass
@@ -143,16 +168,14 @@ class StageCache:
     :func:`scoring_key`. Only the latest scoring is kept, keyed on the scorer
     and the exact query, so a caller that visits configs in
     :func:`scoring_key` order scores each query once while holding one
-    ranking and its path order. Cached rankings are never mutated: every
-    re-rank strategy returns a new :class:`RankedList`.
+    scoring. Cached scorings are never mutated: re-ranking only reads them.
     """
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
     queries: dict[tuple, tuple[Counter, list[str]]] = field(default_factory=dict)
     scored_key: tuple[str, Counter] | None = None
-    scored: RankedList | None = None
-    scored_paths: list[str] | None = None
+    scored: ScoredList | None = None
 
 
 def context_key(config: PipelineConfig) -> tuple:
@@ -188,7 +211,7 @@ def score_stages(
     """Run the stages up to scoring for a validated `config`, through `cache`.
 
     Returns the GUI context and the query's fallback flags; leaves the
-    scoring in `cache.scored` and its path order in `cache.scored_paths`.
+    scoring in `cache.scored`.
     """
     if config.query_strategy == "base" and config.rerank_strategy == "none":
         # neither step reads the GUI context, so skip the matchers
@@ -211,7 +234,6 @@ def score_stages(
     # comparison matches by identity, without comparing its terms
     if cache.scored_key != (config.scorer, query):
         cache.scored_key, cache.scored = (config.scorer, query), rank(index, query, config.scorer)
-        cache.scored_paths = cache.scored.paths()
     return ctx, query_flags
 
 
@@ -221,14 +243,22 @@ def localize(
     index: CorpusIndex,
     config: PipelineConfig | None = None,
 ) -> RankedList:
-    """Rank the indexed corpus for one report and its reproduction trace."""
+    """Rank the indexed corpus for one report and its reproduction trace.
+
+    Only the top k files of the re-ranked list get entries.
+    """
     config = (config or PipelineConfig()).validate()
     cache = StageCache()
     ctx, query_flags = score_stages(report, trace, index, config, cache)
-    ranked = apply_rerank(cache.scored, ctx, config.rerank_strategy)
-    ranked.flags = sorted(set(ranked.flags) | set(query_flags))
-    ranked.entries = ranked.entries[: config.top_k]
-    return ranked
+    groups, rerank_flags = rerank_groups(ctx, config.rerank_strategy)
+    scored = cache.scored
+    paths, scores = index.paths, scored.scores
+    annotate = config.rerank_strategy != "none"
+    entries = [
+        RankEntry(paths[d], scores[d], _gui_flags(paths[d], ctx) if annotate else set())
+        for d in _top_ids(scored, groups, config.top_k)
+    ]
+    return RankedList(entries, sorted(set(scored.flags) | set(rerank_flags) | set(query_flags)))
 
 
 def full_depth(config: PipelineConfig, index: CorpusIndex) -> PipelineConfig:

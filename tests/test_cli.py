@@ -1130,3 +1130,46 @@ def test_sweep_recomputes_every_row_when_its_inputs_change(tmp_path, caplog, cha
     caplog.clear()
     _sweep_fixture(tmp_path, out, *index_flags)
     assert "(0 computed, 48 reused, 0 skipped)" in caplog.text
+
+
+def test_lint_report_that_is_not_utf8_exits_one(tmp_path, caplog):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["lint-report", "--report", str(path)]) == 1
+    (error,) = _errors(caplog)
+    assert f"cannot read {path}" in error
+
+
+def _sweep_into(workspace, out):
+    return run(
+        [
+            "sweep",
+            "--index", str(workspace / "index.json"),
+            "--reports", str(workspace / "reports"),
+            "--traces", str(workspace / "traces"),
+            "--out", str(out),
+        ]
+    )
+
+
+def test_sweep_over_an_existing_file_that_is_not_utf8_exits_one(workspace, caplog):
+    out = workspace / "s.csv"
+    out.write_bytes(b"x\xff\n")
+    assert _sweep_into(workspace, out) == 1
+    (error,) = _errors(caplog)
+    assert f"cannot read existing sweep file {out}" in error
+    assert out.read_bytes() == b"x\xff\n"
+
+
+def test_sweep_into_a_directory_exits_one_before_computing(workspace, caplog, monkeypatch):
+    import guiloc.evaluation as evaluation
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a configuration ran")
+
+    monkeypatch.setattr(evaluation, "evaluate_config", unused)
+    out = workspace / "s.csv"
+    out.mkdir()
+    assert _sweep_into(workspace, out) == 1
+    (error,) = _errors(caplog)
+    assert error == f"sweep output {out} exists and is not a regular file"

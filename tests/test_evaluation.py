@@ -21,14 +21,16 @@ from guiloc.evaluation import (
     SweepGrid,
     average_precision,
     evaluate_config,
-    first_relevant_rank,
     hits_at_k,
     load_dataset,
     reciprocal_rank,
+    reranked_ranks,
     sweep,
 )
-from guiloc.index import build_index
+from guiloc.index import RankEntry, RankedList, build_index
+from guiloc.mapping import GuiContext
 from guiloc.pipeline import PipelineConfig, full_depth, localize
+from guiloc.reports import BugReport
 
 from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
 
@@ -56,28 +58,38 @@ def oracle_ap(ranking, truth):
     return sum(precisions) / len(truth)
 
 
+def ranks_of(ranking, truth):
+    """The relevant files' 1-based ranks, by walking the ranking."""
+    return [i for i, p in enumerate(ranking, 1) if p in truth]
+
+
 def test_average_precision_worked_example():
-    assert average_precision(["d1", "d2", "d3"], {"d1", "d3"}) == pytest.approx((1 + 2 / 3) / 2)
+    # ["d1", "d2", "d3"] with {"d1", "d3"} relevant
+    assert average_precision([1, 3], 2) == pytest.approx((1 + 2 / 3) / 2)
 
 
 def test_miss_conventions():
-    assert reciprocal_rank(["d1"], {"d2"}) == 0.0
-    assert hits_at_k(["d1"], {"d2"}, 5) == 0
-    assert average_precision(["d1"], {"d2"}) == 0.0
-    assert first_relevant_rank(["d1"], {"d2"}) is None
+    # ["d1"] with {"d2"} relevant
+    assert reciprocal_rank([]) == 0.0
+    assert hits_at_k([], 5) == 0
+    assert average_precision([], 1) == 0.0
+    assert reranked_ranks({"d2"}, {"d1": 0}, [None]) == []
 
 
 def test_unranked_relevant_contributes_zero():
-    # one of two relevant files never appears in the ranking
-    assert average_precision(["d1", "d2"], {"d1", "d9"}) == pytest.approx(0.5)
+    # ["d1", "d2"] with {"d1", "d9"} relevant: d9 never appears in the ranking
+    assert average_precision([1], 2) == pytest.approx(0.5)
 
 
 def test_empty_truth_is_fatal():
-    for func in (lambda: hits_at_k(["d1"], set(), 1),
-                 lambda: reciprocal_rank(["d1"], set()),
-                 lambda: average_precision(["d1"], set())):
-        with pytest.raises(InputError):
-            func()
+    with pytest.raises(InputError):
+        average_precision([], 0)
+    with pytest.raises(InputError):
+        hits_at_k([1], 0)
+    report = BugReport(report_id="r0", title="crash", body="crash on save", ground_truth=set())
+    index = build_index([make_doc(0, "A.java", ["crash"])])
+    with pytest.raises(InputError, match="ground truth must be nonempty"):
+        evaluate_config([(report, make_trace("r0", [make_screen("A")]))], index)
 
 
 def test_metrics_match_oracle_on_random_instances():
@@ -86,10 +98,41 @@ def test_metrics_match_oracle_on_random_instances():
     for _ in range(200):
         ranking = rng.sample(pool, rng.randint(0, 20))
         truth = set(rng.sample(pool, rng.randint(1, 6)))
+        ranks = ranks_of(ranking, truth)
         for k in (1, 3, 5, 10):
-            assert hits_at_k(ranking, truth, k) == oracle_hits(ranking, truth, k)
-        assert reciprocal_rank(ranking, truth) == pytest.approx(oracle_rr(ranking, truth))
-        assert average_precision(ranking, truth) == pytest.approx(oracle_ap(ranking, truth))
+            assert hits_at_k(ranks, k) == oracle_hits(ranking, truth, k)
+        assert reciprocal_rank(ranks) == pytest.approx(oracle_rr(ranking, truth))
+        assert average_precision(ranks, len(truth)) == pytest.approx(oracle_ap(ranking, truth))
+
+
+def test_reranked_ranks_match_the_walk_of_the_reranked_list():
+    """Ranks from score-order positions equal the ranks in apply_rerank's list.
+
+    Ground truth includes files that the scoring left out and files that no
+    ranking holds; contexts include empty ones (the filter fallback) and
+    gui-related files of which none scored.
+    """
+    rng = random.Random(83)
+    pool = [f"f{i:02d}" for i in range(30)]
+    strategies = ("none", "filter", "boost", "filter_boost")
+    for _ in range(300):
+        ranking = rng.sample(pool, rng.randint(0, 20))
+        unranked = [f for f in pool if f not in ranking] + ["missing.java"]
+        ranked = RankedList([RankEntry(p, float(len(ranking) - i)) for i, p in enumerate(ranking)])
+        source = ranking if rng.random() < 0.8 else unranked
+        ctx = GuiContext(
+            Counter(),
+            {f for f in source if rng.random() < 0.15},
+            {f for f in source if rng.random() < 0.15},
+            {f for f in source if rng.random() < 0.3},
+            3,
+        )
+        truth = set(rng.sample(ranking + unranked, rng.randint(1, 5)))
+        positions = dict(zip(ranking, range(len(ranking))))
+        for strategy in strategies:
+            walked = ranks_of(pipeline.apply_rerank(ranked, ctx, strategy).paths(), truth)
+            groups, _ = pipeline.rerank_groups(ctx, strategy)
+            assert reranked_ranks(truth, positions, groups) == walked, strategy
 
 
 def _dataset_files(tmp_path, *, with_truthless=False):
@@ -285,13 +328,13 @@ def test_rows_equal_metrics_of_full_depth_localize_rankings(fixture_data, tmp_pa
             outcomes.append(
                 ReportOutcome(
                     report.report_id,
-                    first_relevant_rank(paths, truth),
-                    reciprocal_rank(paths, truth),
-                    average_precision(paths, truth),
+                    next((i for i, p in enumerate(paths, 1) if p in truth), None),
+                    oracle_rr(paths, truth),
+                    oracle_ap(paths, truth),
                 )
             )
             for k in HITS_KS:
-                hits[k] += hits_at_k(paths, truth, k)
+                hits[k] += oracle_hits(paths, truth, k)
         n = len(pairs)
         want = EvalResult(
             config,

@@ -292,3 +292,49 @@ def test_localize_base_none_skips_gui_context(monkeypatch):
         assert got.flags == want.flags
     with pytest.raises(AssertionError):
         localize(report, trace, index, PipelineConfig(rerank_strategy="boost"))
+
+
+def test_localize_top_k_equals_the_truncated_reranked_ranking(monkeypatch):
+    """localize's heap top k == apply_rerank over rank()'s full list, cut to k.
+
+    Paths run against doc-id order, one term bag is shared by several files
+    so their scores tie, and some files match no query term.
+    """
+    import guiloc.pipeline as pipeline
+
+    rng = random.Random(97)
+    vocab = ["save", "note", "sync", "crash", "editor", "list"]
+    shared = rng.choices(vocab, k=4)
+    n = 30
+    paths = [f"p{i:02d}.java" for i in rng.sample(range(n), n)]
+    bags = [
+        shared if i % 4 == 0 else ["unrelated"] if i % 7 == 3 else rng.choices(vocab, k=rng.randint(1, 6))
+        for i in range(n)
+    ]
+    index = build_index([make_doc(i, path, bag) for i, (path, bag) in enumerate(zip(paths, bags))])
+    report = BugReport(report_id="r1", title="note crash", body="save the note, sync the list; editor")
+    trace = make_trace("r1", [make_screen("com.app.Main")])
+    scored = [p for p, bag in zip(paths, bags) if bag != ["unrelated"]]
+    unscored = [p for p, bag in zip(paths, bags) if bag == ["unrelated"]]
+    contexts = [
+        _ctx(),  # the filter fallback
+        _ctx(activity=scored[:8], listener=scored[8:14]),  # more boosted files than k
+        _ctx(component=unscored),  # gui-related files of which none scored
+        _ctx(activity=unscored[:1], component=scored[::3]),
+    ] + [
+        _ctx(activity=rng.sample(paths, 3), listener=rng.sample(paths, 2), component=rng.sample(paths, 9))
+        for _ in range(4)
+    ]
+    query, query_flags = build_query(index.preprocessor.tokens(report.full_text()), Counter(), "base")
+    for ctx in contexts:
+        monkeypatch.setattr(pipeline, "gui_context", lambda *args, **kwargs: ctx)
+        for scorer in SCORERS:
+            for strategy in ("none", "filter", "boost", "filter_boost"):
+                full = apply_rerank(rank(index, query, scorer), ctx, strategy)
+                for k in (1, 3, 10, n):
+                    config = PipelineConfig(scorer=scorer, rerank_strategy=strategy, top_k=k)
+                    got = localize(report, trace, index, config)
+                    assert [(e.path, e.score, e.gui_flags) for e in got.entries] == [
+                        (e.path, e.score, e.gui_flags) for e in full.entries[:k]
+                    ], (scorer, strategy, k)
+                    assert got.flags == sorted(set(full.flags) | set(query_flags))
