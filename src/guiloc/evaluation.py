@@ -17,7 +17,7 @@ from .mapping import TERM_SOURCES
 from .pipeline import PipelineConfig, StageCache, rerank_groups, score_stages, scoring_key
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
-from .util import atomic_write_text, gc_paused
+from .util import atomic_write_text
 
 logger = logging.getLogger(__name__)
 
@@ -301,6 +301,8 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
 
 
 def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
+    if not path.parent.is_dir():
+        raise InputError(f"sweep output {path}: {path.parent} is not a directory")
     if not path.exists():
         return {}
     if not path.is_file():
@@ -346,9 +348,8 @@ def sweep(
     every row is computed again. Invalid configurations are logged and
     skipped, not fatal. Rows follow the grid order. Each report's GUI
     contexts, terms and scorings are computed once per call and shared by
-    the configurations that need them, and the cyclic garbage collector is
-    paused while they run. `jobs` is accepted and ignored: the work is pure
-    Python, and threads ran it slower than one loop.
+    the configurations that need them. `jobs` is accepted and ignored: the
+    work is pure Python, and threads ran it slower than one loop.
     """
     out_path = Path(out_path)
     digest = _inputs_digest(pairs, index)
@@ -378,13 +379,9 @@ def sweep(
         # grouping configs that share a scoring lets each report's cache hold
         # one ranking yet compute every scoring once
         caches = [StageCache() for _ in pairs]
-        # the cached rankings outlive several configs, so without the pause
-        # they push the collector into full passes over the caller's heap;
-        # the loop makes no reference cycles
-        with gc_paused():
-            for config in sorted(to_compute, key=scoring_key):
-                result = evaluate_config(pairs, index, config, caches)
-                rows[_config_key(config)] = _result_row(config, result)
+        for config in sorted(to_compute, key=scoring_key):
+            result = evaluate_config(pairs, index, config, caches)
+            rows[_config_key(config)] = _result_row(config, result)
 
     ordered = [rows[_config_key(c)] for c in valid]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")

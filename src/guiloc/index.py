@@ -9,7 +9,7 @@ import sys
 import zlib
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, islice
@@ -97,11 +97,11 @@ class Postings(Mapping):
 
     Term i, in sorted term order, owns entries offsets[i] to offsets[i + 1]
     of `gaps` and `counts`. A gap is a doc id minus the one before it in the
-    term's list, the first counted from -1, so every gap is at least 1. A
-    lookup decodes its term's list once and keeps it for the scorers;
-    values() and items() decode without keeping, so a pass over every term
-    leaves no second copy of the postings behind, and == between two of
-    these compares the packed arrays.
+    term's list, the first counted from -1, so every gap is at least 1. The
+    scorers read :meth:`columns`, which decodes a term once and keeps it; a
+    lookup builds a fresh pair list and keeps nothing, so a pass over every
+    term leaves no decoded copy behind, and == between two of these compares
+    the packed arrays.
     """
 
     def __init__(
@@ -111,18 +111,23 @@ class Postings(Mapping):
         self.doc_count = doc_count
         self.distinct_counts = set(counts)
         self._position = dict(zip(terms, range(len(terms))))
-        self._decoded: dict[str, list[tuple[int, int]]] = {}
+        self._columns: dict[str, tuple[list[int], array]] = {}
 
-    def _decode(self, i: int) -> list[tuple[int, int]]:
+    def _decode(self, term: str) -> tuple[Iterator[int], array]:
+        i = self._position[term]
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        ids = islice(accumulate(self.gaps[lo:hi], initial=-1), 1, None)
-        return list(zip(ids, self.counts[lo:hi]))
+        return islice(accumulate(self.gaps[lo:hi], initial=-1), 1, None), self.counts[lo:hi]
+
+    def columns(self, term: str) -> tuple[list[int], array]:
+        """The term's doc ids and their counts, decoded on first use and kept."""
+        cols = self._columns.get(term)
+        if cols is None:
+            ids, counts = self._decode(term)
+            cols = self._columns[term] = (list(ids), counts)
+        return cols
 
     def __getitem__(self, term: str) -> list[tuple[int, int]]:
-        plist = self._decoded.get(term)
-        if plist is None:
-            plist = self._decoded[term] = self._decode(self._position[term])
-        return plist
+        return list(zip(*self._decode(term)))
 
     def __contains__(self, term) -> bool:
         return term in self._position
@@ -132,12 +137,6 @@ class Postings(Mapping):
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def values(self) -> ValuesView:
-        return _DecodedValues(self)
-
-    def items(self) -> ItemsView:
-        return _DecodedItems(self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Postings):
@@ -164,16 +163,6 @@ class Postings(Mapping):
                 doc_id += gap
                 bags[doc_id][term] = freq
         return bags
-
-
-class _DecodedValues(ValuesView):
-    def __iter__(self):
-        return map(self._mapping._decode, range(len(self._mapping)))
-
-
-class _DecodedItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping.terms, self._mapping.values())
 
 
 class _StoredDocument(SourceDocument):
@@ -346,12 +335,11 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
     len_norm = index.bm25_length_norms
     k1_plus_1 = index.params.bm25_k1 + 1.0
     for term, qtf in query.items():
-        plist = index.postings.get(term)
-        if not plist:
+        df = index.doc_freq.get(term)
+        if not df:
             continue
-        df = index.doc_freq[term]
         weight = qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for doc_id, f in plist:
+        for doc_id, f in zip(*index.postings.columns(term)):
             scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
     return ScoredList(index, scores)
 
@@ -390,7 +378,7 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     tf_weights = index.tf_weights
     for term, qw in q_weights.items():
         idf = _rvsm_idf(n, index.doc_freq[term])
-        for doc_id, f in index.postings[term]:
+        for doc_id, f in zip(*index.postings.columns(term)):
             dots[doc_id] += qw * tf_weights[f] * idf
     scores = [
         prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
@@ -425,7 +413,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    """Read an index written by :func:`save_index`; a term's postings decode on first lookup."""
+    """Read an index written by :func:`save_index`; a term's postings decode on first use."""
     params, preprocess, rows, terms, offsets, packed = load_format_file(
         path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
     )

@@ -12,7 +12,6 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
@@ -196,7 +195,7 @@ def gui_context(
     components = _component_matches(
         _component_term_sets(trace, window, index.preprocessor),
         component_threshold,
-        lambda t: map(itemgetter(0), postings.get(t, ())),
+        lambda t: postings.columns(t)[0] if t in postings else (),
     )
     names, ids = _window_class_names(trace, window), _exercised_ids(trace, window)
     return GuiContext(

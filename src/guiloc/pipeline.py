@@ -164,18 +164,18 @@ class StageCache:
     """One report's stage results, reused across the configs of one sweep.
 
     Valid for one report, its trace and one index. GUI contexts are kept per
-    :func:`context_key`, and each query with its fallback flags per
-    :func:`scoring_key`. Only the latest scoring is kept, keyed on the scorer
-    and the exact query, so a caller that visits configs in
-    :func:`scoring_key` order scores each query once while holding one
-    scoring. Cached scorings are never mutated: re-ranking only reads them.
+    :func:`context_key`. Only the latest scoring is kept, with its query's
+    fallback flags, keyed on :func:`scoring_key`, so a caller that visits
+    configs in :func:`scoring_key` order scores each query once while
+    holding one scoring. Cached scorings are never mutated: re-ranking only
+    reads them.
     """
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
-    queries: dict[tuple, tuple[Counter, list[str]]] = field(default_factory=dict)
-    scored_key: tuple[str, Counter] | None = None
+    scored_key: tuple | None = None
     scored: ScoredList | None = None
+    query_flags: list[str] = field(default_factory=list)
 
 
 def context_key(config: PipelineConfig) -> tuple:
@@ -221,20 +221,15 @@ def score_stages(
         ctx = cache.contexts.get(ctx_key)
         if ctx is None:
             ctx = cache.contexts[ctx_key] = config_context(trace, index, config)
-    query_key = scoring_key(config)
-    built = cache.queries.get(query_key)
-    if built is None:
+    key = scoring_key(config)
+    if cache.scored_key != key:
         if cache.report_terms is None:
             cache.report_terms = index.preprocessor.tokens(report.full_text())
-        built = cache.queries[query_key] = build_query(
+        query, cache.query_flags = build_query(
             cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
         )
-    query, query_flags = built
-    # a query from the cache is the very map scored last, which the tuple
-    # comparison matches by identity, without comparing its terms
-    if cache.scored_key != (config.scorer, query):
-        cache.scored_key, cache.scored = (config.scorer, query), rank(index, query, config.scorer)
-    return ctx, query_flags
+        cache.scored_key, cache.scored = key, rank(index, query, config.scorer)
+    return ctx, cache.query_flags
 
 
 def localize(

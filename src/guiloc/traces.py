@@ -289,18 +289,32 @@ def save_model(model: ExecutionModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ExecutionModel:
-    """Read a model written by :func:`save_model`; malformed files raise InputError."""
+    """Read a model written by :func:`save_model`; malformed files raise InputError.
+
+    Every edge's ends and every entry must be nodes, and no two edges may
+    share (src, action, resource_id, dst), as :func:`build_execution_model`
+    writes them.
+    """
     raw_nodes, raw_edges, entries = load_format_file(
         path, MODEL_FORMAT, MODEL_VERSION, _MODEL_FIELDS
     )
     if not all(type(fp) is str for fp in entries or ()):
         raise InputError(f"{path}: 'entries' must be a list of strings")
     nodes = {fp: Screen.from_json(s, f"{path} node {fp!r}") for fp, s in raw_nodes.items()}
+    unknown = next((fp for fp in entries or () if fp not in nodes), None)
+    if unknown is not None:
+        raise InputError(f"{path}: entry {unknown!r} is not in 'nodes'")
     edges = []
+    keys = set()
     for i, e in enumerate(raw_edges):
         src, action, resource_id, dst = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
-        src_screen = nodes.get(src)
-        candidates = src_screen.components if src_screen is not None and resource_id else ()
+        for end, fp in (("src", src), ("dst", dst)):
+            if fp not in nodes:
+                raise InputError(f"{path} edge {i}: {end} {fp!r} is not in 'nodes'")
+        if (src, action, resource_id, dst) in keys:
+            raise InputError(f"{path} edge {i}: repeats an earlier edge")
+        keys.add((src, action, resource_id, dst))
+        candidates = nodes[src].components if resource_id else ()
         component = next((c for c in candidates if c.resource_id == resource_id), None)
         if component is None:
             # the schema stores only the id; synthesize a bare descriptor

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -21,19 +19,23 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to path via a fresh temp file in the same directory, then rename.
 
     The file gets the mode a plain write would give it, not mkstemp's 0600.
+    An OSError becomes an InputError that names `path`.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.chmod(tmp, 0o666 & ~_UMASK)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+                f.flush()
+                os.fsync(f.fileno())
+            os.chmod(tmp, 0o666 & ~_UMASK)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # its file name would be the temp file's
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def stable_json_dumps(data: Any) -> str:
@@ -45,24 +47,6 @@ def save_format_file(path: str | Path, fmt: str, version: int, payload: dict) ->
     """Write `payload` under a format header as sorted compact JSON, which ``json`` encodes in C."""
     data = {"format": fmt, "version": version, **payload}
     atomic_write_text(path, json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-@contextmanager
-def gc_paused():
-    """Hold off the cyclic garbage collector for the body of the block.
-
-    For loops that keep tens of thousands of acyclic containers alive: each
-    collection the allocations would set off walks the whole heap and frees
-    nothing, and whether a full one lands in a given run depends on what ran
-    before it. The collector is re-enabled only if it was on.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def load_json_file(path: str | Path):

@@ -1173,3 +1173,25 @@ def test_sweep_into_a_directory_exits_one_before_computing(workspace, caplog, mo
     assert _sweep_into(workspace, out) == 1
     (error,) = _errors(caplog)
     assert error == f"sweep output {out} exists and is not a regular file"
+
+
+def test_sweep_into_a_missing_directory_exits_one_before_computing(workspace, caplog, monkeypatch):
+    import guiloc.evaluation as evaluation
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a configuration ran")
+
+    monkeypatch.setattr(evaluation, "evaluate_config", unused)
+    out = workspace / "nodir" / "s.csv"
+    assert _sweep_into(workspace, out) == 1
+    (error,) = _errors(caplog)
+    assert error == f"sweep output {out}: {out.parent} is not a directory"
+    assert not out.parent.exists()
+
+
+def test_localize_into_a_missing_directory_names_the_output(workspace, caplog):
+    out = workspace / "nodir" / "l.json"
+    assert run(_localize_argv(workspace, "--out", str(out))) == 1
+    (error,) = _errors(caplog)
+    assert error == f"cannot write {out}: No such file or directory"
+    assert not out.parent.exists()

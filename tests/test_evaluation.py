@@ -377,7 +377,7 @@ def test_default_grid_sweep_computes_each_stage_once_per_report(
     assert scorings["all"] == 10 * len(pairs)
 
 
-def test_sweep_pauses_the_collector_and_makes_no_cycles(fixture_data, tmp_path, monkeypatch):
+def test_sweep_leaves_the_collector_on_and_makes_no_cycles(fixture_data, tmp_path, monkeypatch):
     index, pairs = fixture_data
     seen = []
     evaluate = evaluation.evaluate_config
@@ -394,7 +394,7 @@ def test_sweep_pauses_the_collector_and_makes_no_cycles(fixture_data, tmp_path, 
         windows=[1, 3],
     )
     sweep(grid, pairs, index, tmp_path / "sweep.csv")
-    assert seen == [False] * 48 and gc.isenabled()
+    assert seen == [True] * 48 and gc.isenabled()
     gc.collect()
     gc.disable()
     try:

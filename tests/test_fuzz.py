@@ -182,13 +182,33 @@ def _slash_in_report_id(report, rng: random.Random) -> str:
     return f"report_id {report['report_id']!r}"
 
 
+def _break_the_graph(model, rng: random.Random) -> str:
+    edges = model["edges"]
+    i = rng.randrange(len(edges))
+    rule = rng.choice(("src", "dst", "entry", "repeat"))
+    if rule == "entry":
+        model["entries"].append(rng.choice(edges)["src"][::-1])
+        return "an entry that is not a node"
+    if rule == "repeat":
+        edges.insert(rng.randrange(i + 1, len(edges) + 1), dict(edges[i]))
+        return f"edge {i} listed twice"
+    edges[i][rule] = edges[i][rule][::-1]
+    return f"edge {i}'s {rule} not a node"
+
+
 @pytest.mark.parametrize(
     "kind, edit",
-    [("index", _copy_a_path), ("index", _break_a_posting), ("report", _slash_in_report_id)],
+    [
+        ("index", _copy_a_path),
+        ("index", _break_a_posting),
+        ("report", _slash_in_report_id),
+        ("model", _break_the_graph),
+    ],
 )
 def test_seeded_boundary_mutation_exits_one(inputs, caplog, kind, edit):
     """Mutants that every field check passes: a path two documents share, a posting that
-    breaks a rule of the packed body, a report id with a '/'."""
+    breaks a rule of the packed body, a report id with a '/', a model edge or entry
+    that names no node or an edge listed twice."""
     rng = random.Random(f"{SEED}-{kind}-boundary")
     original = json.loads(inputs[kind].read_text())
     mutant_path = str(inputs["root"] / f"boundary-{kind}.json")

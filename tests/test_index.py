@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -347,9 +348,34 @@ def test_a_pass_over_every_posting_keeps_no_decoded_copy():
     built, rebuilt = build_index(docs).postings, build_index(docs).postings
     assert sum(len(plist) for plist in built.values()) == sum(len(d.terms) for d in docs)
     assert built == rebuilt and dict(built.items()) == rebuilt
-    assert built._decoded == {} and rebuilt._decoded == {}
-    assert built["note"] is built["note"]  # a lookup decodes once and keeps the list
-    assert list(built._decoded) == ["note"]
+    assert built._columns == {} and rebuilt._columns == {}
+    assert built.columns("note") is built.columns("note")  # decoded once and kept
+    assert list(built._columns) == ["note"]
+
+
+def test_columns_hold_the_pairs_of_a_lookup(tmp_path):
+    built = build_index(scan_corpus(FIXTURES / "app"))
+    save_index(built, tmp_path / "index.json")
+    for postings in (built.postings, load_index(tmp_path / "index.json").postings):
+        assert len(postings) > 100
+        for term in postings:
+            assert list(zip(*postings.columns(term))) == postings[term]
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_scoring_a_long_posting_list_keeps_no_object_per_posting(scorer):
+    # 2,000 of 2,001 files hold the term, so rVSM's idf is not 0 either
+    docs = [make_doc(i, f"f{i:04}.java", ["common"] if i else ["rare"]) for i in range(2001)]
+    index = build_index(docs)
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        ranked = rank(index, ["common"], scorer)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(ranked.order) == 2000
+    assert grown < 100
 
 
 def _exact(scores):

@@ -224,6 +224,44 @@ def test_model_loads_indented_files_from_older_builds(tmp_path):
         assert loaded.entry_fingerprints == model.entry_fingerprints
 
 
+
+def _saved_model_data(tmp_path):
+    """A model file of the sample traces: 3 nodes, 2 edges, 1 entry."""
+    path = tmp_path / "model.json"
+    save_model(build_execution_model(list(_sample_traces())), path)
+    return path, json.loads(path.read_text())
+
+
+def _dangling_src(data):
+    data["edges"][0]["src"] = "0" * 16
+    return " edge 0: src '0000000000000000' is not in 'nodes'"
+
+
+def _dangling_dst(data):
+    data["edges"][1]["dst"] = "nowhere"
+    return " edge 1: dst 'nowhere' is not in 'nodes'"
+
+
+def _unknown_entry(data):
+    data["entries"].append("nowhere")
+    return ": entry 'nowhere' is not in 'nodes'"
+
+
+def _repeated_edge(data):
+    data["edges"].append(dict(data["edges"][0]))
+    return " edge 2: repeats an earlier edge"
+
+
+@pytest.mark.parametrize("edit", [_dangling_src, _dangling_dst, _unknown_entry, _repeated_edge])
+def test_model_files_that_build_model_never_writes_are_input_errors(tmp_path, edit):
+    path, data = _saved_model_data(tmp_path)
+    message = edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError) as exc_info:
+        load_model(path)
+    assert str(exc_info.value) == f"{path}{message}"
+
+
 def test_model_json_schema_fields(tmp_path):
     t1, _ = _sample_traces()
     path = tmp_path / "model.json"
