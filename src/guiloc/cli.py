@@ -17,8 +17,8 @@ from .corpus import Preprocessor, load_stopwords, scan_corpus
 from .errors import ConfigError, GuilocError, InputError
 from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep, warn_unindexed_ground_truth
 from .index import SCORERS, ScoringParams, build_index, load_index, save_index
-from .mapping import TERM_SOURCES
-from .pipeline import PipelineConfig, QUERY_STRATEGIES, config_context, localize, ranking_to_json
+from .mapping import TERM_SOURCES, gui_context
+from .pipeline import PipelineConfig, QUERY_STRATEGIES, localize, ranking_to_json
 from .reports import (
     HeuristicClassifier,
     RemoteClassifier,
@@ -142,7 +142,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     report = load_report(args.report)
     trace = parse_trace(args.trace)
     if args.dump_context:
-        ctx = config_context(trace, index, config)
+        ctx = gui_context(trace, config.window, index, sources=config.term_sources)
         atomic_write_text(args.dump_context, stable_json_dumps(ctx.to_json()))
         logger.info("wrote GUI context to %s", args.dump_context)
     ranked = localize(report, trace, index, config)

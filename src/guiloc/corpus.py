@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .util import json_fields
 
 logger = logging.getLogger(__name__)
@@ -103,6 +103,10 @@ class Preprocessor:
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
     min_term_len: int = 2
     stem: bool = False
+
+    def __post_init__(self):
+        if self.min_term_len < 1:
+            raise ConfigError(f"min_term_len must be >= 1, got {self.min_term_len}")
 
     def tokens(self, text: str) -> list[str]:
         min_len, stopwords = self.min_term_len, self.stopwords

@@ -318,17 +318,20 @@ def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
         meta = json.loads(_meta_path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError):  # missing, unreadable or not JSON
         meta = None
-    if not isinstance(meta, dict) or meta.get("inputs") != digest:
+    vouched = meta.get("rows") if isinstance(meta, dict) and meta.get("inputs") == digest else None
+    if not isinstance(vouched, list) or not all(isinstance(row, str) for row in vouched):
         logger.warning(
             "existing sweep file %s was not computed from this index and dataset; "
             "recomputing all rows",
             path,
         )
         return {}
+    vouched = set(vouched)
     existing = {}
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) == len(CSV_HEADER.split(",")):
+        # a row the meta does not list may come from another sweep into the same file
+        if len(cells) == len(CSV_HEADER.split(",")) and line in vouched:
             existing[tuple(cells[:6])] = line
     return existing
 
@@ -343,19 +346,24 @@ def sweep(
     """Evaluate every grid configuration and write a CSV.
 
     Rows already present in the output file are reused, so an interrupted
-    sweep resumes where it stopped and a finished one is a no-op; the
-    digest of :func:`_inputs_digest` in ``<out>.meta.json`` must match, or
-    every row is computed again. Invalid configurations are logged and
-    skipped, not fatal. Rows follow the grid order. Each report's GUI
-    contexts, terms and scorings are computed once per call and shared by
-    the configurations that need them. `jobs` is accepted and ignored: the
-    work is pure Python, and threads ran it slower than one loop.
+    sweep resumes where it stopped and a finished one is a no-op. A row is
+    reused only if ``<out>.meta.json`` lists it and holds the digest of
+    :func:`_inputs_digest`; a meta with another digest or no row list has
+    every row computed again. A grid with no configurations is a
+    ConfigError; invalid configurations are logged and skipped, not fatal.
+    Rows follow the grid order. Each report's GUI contexts, terms and
+    scorings are computed once per call and shared by the configurations
+    that need them. `jobs` is accepted and ignored: the work is pure
+    Python, and threads ran it slower than one loop.
     """
+    configs = grid.configs()
+    if not configs:
+        empty = [axis for axis, values in asdict(grid).items() if not values]
+        raise ConfigError(f"the sweep grid is empty: no {', '.join(empty)} given")
     out_path = Path(out_path)
     digest = _inputs_digest(pairs, index)
     existing = _load_existing_rows(out_path, digest)
 
-    configs = grid.configs()
     valid: list[PipelineConfig] = []
     for config in configs:
         try:
@@ -386,7 +394,7 @@ def sweep(
     ordered = [rows[_config_key(c)] for c in valid]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")
     # written after the rows, so a run cut in between leaves a mismatch, never stale rows
-    atomic_write_text(_meta_path(out_path), json.dumps({"inputs": digest}) + "\n")
+    atomic_write_text(_meta_path(out_path), json.dumps({"inputs": digest, "rows": ordered}) + "\n")
     return SweepOutcome(
         rows=ordered, computed=len(to_compute), reused=reused, skipped=len(configs) - len(valid)
     )

@@ -156,11 +156,8 @@ class Postings(Mapping):
     def term_bags(self) -> list[dict[str, int]]:
         """Each document's term -> count in sorted term order, rebuilt from the packed arrays."""
         bags: list[dict[str, int]] = [{} for _ in range(self.doc_count)]
-        gaps, counts, offsets = self.gaps, self.counts, self.offsets
-        for term, lo, hi in zip(self.terms, offsets, offsets[1:]):
-            doc_id = -1
-            for gap, freq in zip(gaps[lo:hi], counts[lo:hi]):
-                doc_id += gap
+        for term in self.terms:
+            for doc_id, freq in zip(*self._decode(term)):
                 bags[doc_id][term] = freq
         return bags
 
@@ -418,8 +415,8 @@ def load_index(path: str | Path) -> CorpusIndex:
         path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
     )
     k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
-    pre = Preprocessor.from_config(preprocess, f"{path} preprocess")
-    try:  # a parameter out of range or too large for a float, or bad postings or documents
+    try:  # a setting out of range or too large for a float, or bad postings or documents
+        pre = Preprocessor.from_config(preprocess)
         postings = _unpack_postings(terms, offsets, packed, len(rows))
         lengths = _doc_lengths(postings)
         docs, norms = _stored_documents(rows, lengths, postings)

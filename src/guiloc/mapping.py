@@ -30,7 +30,7 @@ TERM_SOURCES = (
     "type",
 )
 
-DEFAULT_COMPONENT_THRESHOLD = 0.5
+COMPONENT_THRESHOLD = 0.5
 
 
 @dataclass
@@ -162,7 +162,7 @@ def match_component_files(
     window: int,
     docs: Iterable[SourceDocument],
     preprocessor: Preprocessor | None = None,
-    threshold: float = DEFAULT_COMPONENT_THRESHOLD,
+    threshold: float = COMPONENT_THRESHOLD,
 ) -> set[str]:
     """Files containing at least `threshold` of some exercised component's terms.
 
@@ -187,14 +187,13 @@ def gui_context(
     window: int,
     index: CorpusIndex,
     sources: Sequence[str] | None = None,
-    component_threshold: float = DEFAULT_COMPONENT_THRESHOLD,
 ) -> GuiContext:
     """Term extraction and all three matchers over the screen window, read from the index."""
     postings, paths = index.postings, index.paths
     by_class, by_id = index.files_by_class, index.files_by_resource_id
     components = _component_matches(
         _component_term_sets(trace, window, index.preprocessor),
-        component_threshold,
+        COMPONENT_THRESHOLD,
         lambda t: postings.columns(t)[0] if t in postings else (),
     )
     names, ids = _window_class_names(trace, window), _exercised_ids(trace, window)

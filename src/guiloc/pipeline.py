@@ -11,13 +11,7 @@ from typing import Sequence
 
 from .errors import ConfigError, check_choice
 from .index import CorpusIndex, RankEntry, RankedList, SCORERS, ScoredList, rank
-from .mapping import (
-    DEFAULT_COMPONENT_THRESHOLD,
-    GuiContext,
-    TERM_SOURCES,
-    _check_sources,
-    gui_context,
-)
+from .mapping import COMPONENT_THRESHOLD, GuiContext, TERM_SOURCES, _check_sources, gui_context
 from .reports import BugReport
 from .traces import ReproTrace
 
@@ -39,7 +33,8 @@ class PipelineConfig:
     window: int = 3
     term_sources: tuple[str, ...] = TERM_SOURCES
     expansion_weight: float = 1.0
-    component_threshold: float = DEFAULT_COMPONENT_THRESHOLD
+    # fixed, not a setting; kept so that to_json still prints it
+    component_threshold: float = field(default=COMPONENT_THRESHOLD, init=False)
     top_k: int = 10
 
     def validate(self) -> "PipelineConfig":
@@ -54,10 +49,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"expansion_weight must be in (0, {MAX_EXPANSION_WEIGHT:g}], "
                 f"got {self.expansion_weight}"
-            )
-        if not 0 < self.component_threshold <= 1:
-            raise ConfigError(
-                f"component_threshold must be in (0, 1], got {self.component_threshold}"
             )
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
@@ -180,18 +171,7 @@ class StageCache:
 
 def context_key(config: PipelineConfig) -> tuple:
     """What the GUI context depends on, besides the trace and the index."""
-    return (config.window, config.term_sources, config.component_threshold)
-
-
-def config_context(trace: ReproTrace, index: CorpusIndex, config: PipelineConfig) -> GuiContext:
-    """The GUI context of `trace` over the index, as `config` sets it up."""
-    return gui_context(
-        trace,
-        config.window,
-        index,
-        sources=config.term_sources,
-        component_threshold=config.component_threshold,
-    )
+    return (config.window, config.term_sources)
 
 
 def scoring_key(config: PipelineConfig) -> tuple:
@@ -220,7 +200,9 @@ def score_stages(
         ctx_key = context_key(config)
         ctx = cache.contexts.get(ctx_key)
         if ctx is None:
-            ctx = cache.contexts[ctx_key] = config_context(trace, index, config)
+            ctx = cache.contexts[ctx_key] = gui_context(
+                trace, config.window, index, sources=config.term_sources
+            )
     key = scoring_key(config)
     if cache.scored_key != key:
         if cache.report_terms is None:

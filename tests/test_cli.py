@@ -6,12 +6,14 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import guiloc
-from guiloc.cli import run
+from guiloc.cli import _CONFIG_FILE_KEYS, run
+from guiloc.pipeline import PipelineConfig
 
 from conftest import FIXTURES, repack_postings, unpack_postings
 
@@ -250,6 +252,10 @@ def test_config_file_value_of_wrong_type_exits_two(workspace, caplog, key, value
     assert repr(key) in error
 
 
+def test_config_file_keys_are_the_settable_config_fields():
+    assert {f.name for f in fields(PipelineConfig) if f.init} == set(_CONFIG_FILE_KEYS)
+
+
 def test_config_file_keys_that_nothing_reads_exit_two(workspace, caplog):
     cfg = workspace / "cfg.json"
     cfg.write_text(json.dumps({"windw": 1, "component_threshold": 0.1, "window": 2}))
@@ -317,6 +323,25 @@ def test_sweep_skips_non_finite_weights(workspace, caplog, weight):
     rows = (workspace / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[5] for row in rows] == ["1"]
     assert any("skipping invalid configuration" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "flag, axis",
+    [
+        ("--scorers", "scorers"),
+        ("--queries", "query_strategies"),
+        ("--reranks", "rerank_strategies"),
+        ("--windows", "windows"),
+        ("--sources-sets", "term_sources"),
+        ("--weights", "expansion_weights"),
+    ],
+)
+def test_sweep_with_an_empty_axis_exits_two_before_reading_the_output(workspace, caplog, flag, axis):
+    out = workspace / "sweep.csv"
+    out.mkdir()  # an output that is read first exits 1
+    assert run(_sweep_argv(workspace, flag, "")) == 2
+    (error,) = _errors(caplog)
+    assert error == f"the sweep grid is empty: no {axis} given"
 
 
 def test_missing_input_exits_one(workspace):
@@ -661,6 +686,7 @@ MALFORMED_INDEXES = {
     "repeated-doc-id": _edit_postings(_repeated_doc_id),
     "doc-id-past-the-last": _edit_postings(_id_past_the_last_document),
     "zero-count": _edit_postings(_zero_count),
+    "min-term-len-below-one": lambda data: data["preprocess"].update(min_term_len=-3),
 }
 
 
@@ -684,6 +710,20 @@ def _old_index_exits_one(workspace, caplog, version):
     assert run(_localize_argv(workspace)) == 1
     (error,) = _errors(caplog)
     assert f"unsupported index version {version} in {path}; this build reads version 3" in error
+
+
+def test_index_min_term_len_below_one_exits_two_before_scanning(tmp_path, caplog, monkeypatch):
+    import guiloc.cli as cli
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the corpus was scanned")
+
+    monkeypatch.setattr(cli, "scan_corpus", unused)
+    out = tmp_path / "index.json"
+    assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(out), "--min-term-len", "-3"]) == 2
+    (error,) = _errors(caplog)
+    assert error == "min_term_len must be >= 1, got -3"
+    assert not out.exists()
 
 
 def test_localize_version_one_index_exits_one(workspace, caplog):
@@ -1105,6 +1145,13 @@ SWEEP_INPUT_CHANGES = {
     ), True),
     "no-meta-file": (lambda tmp_path, out: Path(f"{out}.meta.json").unlink(), False),
     "meta-file-not-json": (_write(lambda tmp_path, out: Path(f"{out}.meta.json"), "{"), False),
+    "meta-file-without-rows": (
+        lambda tmp_path, out: _edit_json(Path(f"{out}.meta.json"), lambda m: m.pop("rows")), False
+    ),
+    "meta-file-rows-not-strings": (
+        lambda tmp_path, out: _edit_json(Path(f"{out}.meta.json"), lambda m: m.update(rows=[[1]])),
+        False,
+    ),
 }
 
 

@@ -16,7 +16,7 @@ from guiloc.corpus import (
     load_stopwords,
     scan_corpus,
 )
-from guiloc.errors import InputError
+from guiloc.errors import ConfigError, InputError
 
 from conftest import FIXTURES
 
@@ -102,6 +102,12 @@ def test_acronym_and_digit_boundaries():
 
 def test_min_term_length_filters_single_chars():
     assert Preprocessor().tokens("a b c ab") == ["ab"]
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_min_term_length_below_one_is_a_config_error(length):
+    with pytest.raises(ConfigError, match=f"min_term_len must be >= 1, got {length}"):
+        Preprocessor(min_term_len=length)
 
 
 def test_terms_are_lowercase_alphanumeric():

@@ -27,7 +27,7 @@ from guiloc.evaluation import (
     reranked_ranks,
     sweep,
 )
-from guiloc.index import RankEntry, RankedList, build_index
+from guiloc.index import RankEntry, RankedList, ScoringParams, build_index
 from guiloc.mapping import GuiContext
 from guiloc.pipeline import PipelineConfig, full_depth, localize
 from guiloc.reports import BugReport
@@ -288,6 +288,27 @@ def fixture_data():
         build_index(scan_corpus(FIXTURES / "app")),
         load_dataset(FIXTURES / "reports", FIXTURES / "traces"),
     )
+
+
+def test_sweep_reuses_no_row_of_another_sweep_under_its_meta_file(fixture_data, tmp_path):
+    """Two sweeps into one file can leave B's CSV under A's meta file; A's resume must not keep B's rows."""
+    index, pairs = fixture_data
+    other = build_index(scan_corpus(FIXTURES / "app"), ScoringParams(bm25_k1=0.0, bm25_b=1.0))
+    grid = SweepGrid(
+        scorers=["bm25", "rvsm"],
+        query_strategies=["base", "expand"],
+        rerank_strategies=["none", "boost"],
+    )
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "sweep.csv"
+    fresh_rows = sweep(grid, pairs, index, fresh).rows
+    other_rows = sweep(grid, pairs, other, out).rows
+    assert other_rows != fresh_rows
+    (tmp_path / "sweep.csv.meta.json").write_bytes((tmp_path / "fresh.csv.meta.json").read_bytes())
+    outcome = sweep(grid, pairs, index, out)
+    assert out.read_bytes() == fresh.read_bytes()
+    # only a row that is byte for byte one of A's own is kept
+    assert outcome.reused == len(set(other_rows) & set(fresh_rows)) < 8
+    assert outcome.computed == 8 - outcome.reused
 
 
 def test_sweep_rows_equal_uncached_evaluation(fixture_data, tmp_path):

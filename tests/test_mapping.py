@@ -9,6 +9,7 @@ from guiloc.corpus import Preprocessor
 from guiloc.errors import ConfigError
 from guiloc.index import build_index
 from guiloc.mapping import (
+    COMPONENT_THRESHOLD,
     GuiContext,
     extract_gui_terms,
     gui_context,
@@ -210,7 +211,8 @@ def test_component_match_equals_set_intersection_definition():
             if any(len(set(d.terms) & ts) / len(ts) >= threshold for ts in comp_sets)
         }
         assert match_component_files(trace, 1, docs, pre, threshold) == want
-        assert gui_context(trace, 1, build_index(docs), component_threshold=threshold).component_files == want
+        if threshold == COMPONENT_THRESHOLD:
+            assert gui_context(trace, 1, build_index(docs)).component_files == want
 
 
 

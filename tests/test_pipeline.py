@@ -9,13 +9,12 @@ from guiloc.corpus import scan_corpus
 from guiloc.errors import ConfigError
 from guiloc.evaluation import load_dataset
 from guiloc.index import SCORERS, RankEntry, RankedList, build_index, rank
-from guiloc.mapping import GuiContext
+from guiloc.mapping import COMPONENT_THRESHOLD, GuiContext, gui_context
 from guiloc.pipeline import (
     QUERY_STRATEGIES,
     PipelineConfig,
     apply_rerank,
     build_query,
-    config_context,
     localize,
 )
 from guiloc.reports import BugReport
@@ -86,7 +85,7 @@ def test_integer_weights_score_like_the_repeated_term_list(corpus):
     if corpus == "fixture":
         index = build_index(scan_corpus(FIXTURES / "app"))
         cases = [
-            (index.preprocessor.tokens(r.full_text()), config_context(t, index, PipelineConfig()).terms)
+            (index.preprocessor.tokens(r.full_text()), gui_context(t, 3, index).terms)
             for r, t in load_dataset(FIXTURES / "reports", FIXTURES / "traces")
         ]
     else:
@@ -270,6 +269,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(top_k=0).validate()
     PipelineConfig().validate()
+
+
+def test_component_threshold_is_fixed_but_still_printed():
+    assert PipelineConfig().component_threshold == COMPONENT_THRESHOLD == 0.5
+    assert PipelineConfig().to_json()["component_threshold"] == 0.5
+    with pytest.raises(TypeError):
+        PipelineConfig(component_threshold=0.3)
 
 
 def test_localize_base_none_skips_gui_context(monkeypatch):
