@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -275,8 +276,9 @@ def _meta_path(out_path: Path) -> Path:
 def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex) -> str:
     """A digest of the index and the dataset, which every sweep row is computed from.
 
-    It covers the index's parameters, preprocessing, documents, terms and
-    packed postings, and each report's id, text, ground truth and trace.
+    It covers the index's parameters, preprocessing, documents, terms, packed
+    postings, lengths and rVSM norms, and each report's id, text, ground truth
+    and trace.
     """
     docs, postings = index.documents, index.postings
     digest = hashlib.sha256()
@@ -295,7 +297,8 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
         postings.terms,
     ):
         digest.update("\0".join(strings).encode() + b"\1")
-    for words in (postings.offsets, postings.gaps, postings.counts):
+    for words in (postings.offsets, postings.gaps, postings.counts,
+                  array("I", index.lengths), array("d", index.rvsm_norms)):
         digest.update(words)
     return digest.hexdigest()
 

@@ -24,7 +24,7 @@ from .util import json_fields, load_format_file, save_format_file
 logger = logging.getLogger(__name__)
 
 INDEX_FORMAT = "guiloc-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 SCORERS = ("bm25", "rvsm")
 
@@ -145,13 +145,6 @@ class Postings(Mapping):
             )
         return super().__eq__(other)
 
-    def body(self) -> bytes:
-        """The gaps, then the counts, as little-endian 32-bit words."""
-        words = self.gaps + self.counts
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words.tobytes()
-
     @cached_property
     def term_bags(self) -> list[dict[str, int]]:
         """Each document's term -> count in sorted term order, rebuilt from the packed arrays."""
@@ -254,9 +247,10 @@ def build_index(
     """Build the inverted index over already-scanned documents.
 
     Document ids must be 0..n-1 in list order, as :func:`scan_corpus` assigns
-    them. Paths must be distinct and term counts whole numbers from 1 to
-    2**32 - 1. Each document's rVSM vector norm is summed over ``doc.terms``
-    in stored order, which fixes its floating-point value.
+    them. Paths must be distinct, term counts whole numbers from 1 to
+    2**32 - 1 and lengths below 2**32. Each document's rVSM vector norm is
+    summed over ``doc.terms`` in stored order, which fixes its floating-point
+    value.
     """
     docs = list(documents)
     ids_of: dict[str, list[int]] = defaultdict(list)
@@ -294,6 +288,8 @@ def build_index(
         raise InputError("term counts must be whole numbers below 2**32") from None
     postings = Postings(terms, offsets, gaps, counts, len(docs))
     lengths = [doc.length for doc in docs]
+    if max(lengths, default=0) >= 2**32:  # index files store lengths in 32 bits
+        raise InputError("document lengths must be below 2**32")
     index = CorpusIndex(docs, postings, lengths, [], params or ScoringParams(),
                         preprocessor or DEFAULT_PREPROCESSOR)
     index.rvsm_norms = _rvsm_norms(index)
@@ -394,7 +390,11 @@ def rank(index: CorpusIndex, query: Query, scorer: str = "bm25") -> ScoredList:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as compact versioned JSON with its postings packed into one string."""
+    """Write the index as compact versioned JSON; see :func:`_unpack_postings` for its body."""
+    postings = index.postings
+    words = array("I", [*index.doc_freq.values(), *index.lengths]) + postings.gaps + postings.counts
+    if sys.byteorder == "big":
+        words.byteswap()
     payload = {
         "params": {"bm25_k1": index.params.bm25_k1, "bm25_b": index.params.bm25_b},
         "preprocess": index.preprocessor.config(),
@@ -402,88 +402,83 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             [doc.path, doc.class_name, sorted(doc.resource_id_refs), norm]
             for doc, norm in zip(index.documents, index.rvsm_norms)
         ],
-        "terms": index.postings.terms,
-        "offsets": index.postings.offsets.tolist(),
-        "postings": base64.b64encode(zlib.compress(index.postings.body(), 1)).decode("ascii"),
+        "terms": postings.terms,
+        "postings": base64.b64encode(zlib.compress(words.tobytes(), 1)).decode("ascii"),
     }
     save_format_file(path, INDEX_FORMAT, INDEX_VERSION, payload)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index written by :func:`save_index`; a term's postings decode on first use."""
-    params, preprocess, rows, terms, offsets, packed = load_format_file(
+    params, preprocess, rows, terms, packed = load_format_file(
         path, INDEX_FORMAT, INDEX_VERSION, _INDEX_FIELDS
     )
     k1, b = json_fields(params, _PARAMS_FIELDS, f"{path} params")
     try:  # a setting out of range or too large for a float, or bad postings or documents
         pre = Preprocessor.from_config(preprocess)
-        postings = _unpack_postings(terms, offsets, packed, len(rows))
-        lengths = _doc_lengths(postings)
+        postings, lengths = _unpack_postings(terms, packed, len(rows))
         docs, norms = _stored_documents(rows, lengths, postings)
         return CorpusIndex(docs, postings, lengths, norms, ScoringParams(float(k1), float(b)), pre)
     except (ConfigError, InputError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _unpack_postings(terms: list, offsets: list, packed: str, doc_count: int) -> Postings:
-    """Check the term dictionary and decode the body, with whole-array passes only."""
+def _inflate(stream, data: bytes, size: int, cap: int, what: str) -> array:
+    """The next `size` bytes of a zlib stream as 32-bit words, inflating at most `cap` bytes."""
+    try:
+        chunk = stream.decompress(data, cap)
+    except zlib.error as exc:
+        raise InputError(f"'postings' is not a zlib stream: {exc}") from None
+    if len(chunk) != size:
+        raise InputError(f"'postings' must hold {size} bytes of {what}")
+    words = array("I")
+    words.frombytes(chunk)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _unpack_postings(terms: list, packed: str, doc_count: int) -> tuple[Postings, list[int]]:
+    """Check the term dictionary and decode the body and the document lengths.
+
+    The body is zlib over little-endian 32-bit words: each term's document
+    frequency, each document's length, every gap, then every count. The
+    frequencies and lengths are inflated first, then at most one byte more
+    than the frequencies need, so a longer body is never inflated whole.
+    Every check is a whole-array pass or one per term.
+    """
     if set(map(type, terms)) - {str}:
         raise InputError("'terms' must be a list of strings")
     if not all(map(str.__lt__, terms, islice(terms, 1, None))):
         raise InputError("'terms' must be sorted and distinct")
-    if set(map(type, offsets)) - {int}:
-        raise InputError("'offsets' must be a list of integers")
     try:
-        offsets = array("I", offsets)
-    except OverflowError:
-        raise InputError("'offsets' must lie in [0, 2**32)") from None
-    if (
-        len(offsets) != len(terms) + 1
-        or offsets[0] != 0
-        or not all(map(int.__lt__, offsets, islice(offsets, 1, None)))
-    ):
-        raise InputError(
-            "'offsets' must start at 0, strictly increase and hold one more entry than 'terms'"
-        )
+        data = base64.b64decode(packed, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise InputError(f"'postings' is not base64: {exc}") from None
+    stream, head = zlib.decompressobj(), 4 * (len(terms) + doc_count)
+    # a cap of 0 would inflate it all; an index holds at least one document
+    words = _inflate(stream, data, head, max(head, 1), "document frequencies and lengths first")
+    dfs, lengths = words[: len(terms)], words[len(terms) :]
+    if 0 in dfs or max(dfs, default=0) > doc_count:
+        raise InputError(f"each term's document frequency must lie in [1, {doc_count}]")
+    offsets = array("I", accumulate(dfs, initial=0))
     total = offsets[-1]
-    stream = zlib.decompressobj()
-    try:
-        # at most one byte more than the offsets need, so a longer body is not inflated whole
-        body = stream.decompress(base64.b64decode(packed, validate=True), 8 * total + 1)
-    except (ValueError, zlib.error) as exc:  # binascii.Error is a ValueError
-        raise InputError(f"'postings' is not base64 of a zlib stream: {exc}") from None
-    if len(body) != 8 * total:
-        raise InputError(f"'postings' must hold the {8 * total} bytes that 'offsets' needs")
+    words = _inflate(stream, stream.unconsumed_tail, 8 * total, 8 * total + 1,
+                     "gaps and counts, as the document frequencies need")
     if not stream.eof or stream.unused_data:
         raise InputError("'postings' holds a truncated zlib stream or data after its end")
-    words = array("I")
-    words.frombytes(body)
-    if sys.byteorder == "big":
-        words.byteswap()
     postings = Postings(terms, offsets, words[:total], words[total:], doc_count)
     if 0 in postings.gaps:
         raise InputError("doc ids must be strictly increasing within each term")
     if 0 in postings.distinct_counts:
         raise InputError("the postings hold a term count below 1")
-    return postings
-
-
-def _doc_lengths(postings: Postings) -> list[int]:
-    """Each document's term total, summed from the packed postings in one pass.
-
-    A term's running gap sum is a doc id + 1, so a sum past the document
-    count is an id out of range.
-    """
-    lengths = [0] * (postings.doc_count + 1)
-    gaps, counts, offsets = postings.gaps, postings.counts, postings.offsets
-    try:
-        for lo, hi in zip(offsets, offsets[1:]):
-            for id_plus_1, freq in zip(accumulate(gaps[lo:hi]), counts[lo:hi]):
-                lengths[id_plus_1] += freq
-    except IndexError:
-        raise InputError(f"a doc id is not below the document count {postings.doc_count}") from None
-    del lengths[0]
-    return lengths
+    # a term's gap sum is its last doc id + 1, and no gap is 0
+    gap_sums = map(sum, map(postings.gaps.__getitem__, map(slice, offsets, offsets[1:])))
+    if max(gap_sums, default=0) > doc_count:
+        raise InputError(f"a doc id is not below the document count {doc_count}")
+    if sum(lengths) != sum(postings.counts):
+        raise InputError("the document lengths do not add up to the term counts")
+    return postings, lengths.tolist()
 
 
 def _stored_documents(
@@ -512,6 +507,6 @@ def _stored_documents(
 
 _INDEX_FIELDS = {
     "params": (dict,), "preprocess": (dict,), "documents": (list,),
-    "terms": (list,), "offsets": (list,), "postings": (str,),
+    "terms": (list,), "postings": (str,),
 }
 _PARAMS_FIELDS = {"bm25_k1": (int, float), "bm25_b": (int, float)}

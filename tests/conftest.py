@@ -5,6 +5,8 @@ import sys
 import zlib
 from array import array
 from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from guiloc.corpus import SourceDocument
@@ -44,19 +46,36 @@ def make_trace(trace_id, screens):
     return ReproTrace(trace_id=trace_id, screens=list(screens))
 
 
-def unpack_postings(data):
-    """The gaps and counts packed in an index file's JSON, for tests that edit them."""
+@dataclass
+class PackedBody:
+    """The four runs of 32-bit words in an index file's packed postings."""
+
+    dfs: array
+    lengths: array
+    gaps: array
+    counts: array
+
+    @property
+    def offsets(self) -> list[int]:
+        """Where each term's gaps and counts start, and one past the last term's."""
+        return list(accumulate(self.dfs, initial=0))
+
+
+def unpack_postings(data) -> PackedBody:
+    """The body packed in an index file's JSON, for tests that edit it."""
     words = array("I")
     words.frombytes(zlib.decompress(base64.b64decode(data["postings"])))
     if sys.byteorder == "big":
         words.byteswap()
-    total = data["offsets"][-1]
-    return words[:total], words[total:]
+    head = len(data["terms"]) + len(data["documents"])
+    total = (len(words) - head) // 2
+    cuts = [0, len(data["terms"]), head, head + total, len(words)]
+    return PackedBody(*(words[lo:hi] for lo, hi in zip(cuts, cuts[1:])))
 
 
-def repack_postings(data, gaps, counts, extra=b""):
-    """Pack `gaps` and `counts` back into `data`, with `extra` bytes appended to the body."""
-    words = gaps + counts
+def repack_postings(data, body: PackedBody, extra=b""):
+    """Pack `body` back into `data`, with `extra` bytes appended."""
+    words = body.dfs + body.lengths + body.gaps + body.counts
     if sys.byteorder == "big":
         words.byteswap()
     data["postings"] = base64.b64encode(zlib.compress(words.tobytes() + extra)).decode("ascii")

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from dataclasses import fields
 from pathlib import Path
 
@@ -527,17 +528,17 @@ def test_report_id_that_is_not_a_file_name_exits_one(workspace, caplog, command,
 
 def _edit_postings(edit):
     def edit_data(data):
-        gaps, counts = unpack_postings(data)
-        edit(data, gaps, counts)
-        repack_postings(data, gaps, counts)
+        body = unpack_postings(data)
+        edit(data, body)
+        repack_postings(data, body)
     return edit_data
 
 
-def _repeated_doc_id(data, gaps, counts):
+def _repeated_doc_id(data, body):
     # the second gap of the first term held by two documents
-    starts = data["offsets"]
+    starts = body.offsets
     (start,) = [lo for lo, hi in zip(starts, starts[1:]) if hi - lo > 1][:1]
-    gaps[start + 1] = 0
+    body.gaps[start + 1] = 0
 
 
 def test_localize_index_with_swapped_doc_ids_exits_one(workspace, caplog):
@@ -565,17 +566,6 @@ def _set(key, value):
 def _first_document(value):
     def edit(data):
         data["documents"][0] = value
-    return edit
-
-
-def _string_term_count(data):
-    # the offset that ends the first term's postings
-    data["offsets"][1] = str(data["offsets"][1])
-
-
-def _last_offset(value):
-    def edit(data):
-        data["offsets"][-1] = value(data["offsets"][-1])
     return edit
 
 
@@ -610,12 +600,6 @@ def _duplicate_path(data):
     data["documents"][1][0] = data["documents"][0][0]
 
 
-def _offsets(edit):
-    def edit_data(data):
-        edit(data["offsets"])
-    return edit_data
-
-
 def _terms(edit):
     def edit_data(data):
         edit(data["terms"])
@@ -636,17 +620,47 @@ def _flip_checksum(stream):
     return stream[:-1] + bytes([stream[-1] ^ 1])
 
 
-def _id_past_the_last_document(data, gaps, counts):
-    gaps[0] = len(data["documents"]) + 1  # the first term's first id is n
+def _id_past_the_last_document(data, body):
+    body.gaps[0] = len(data["documents"]) + 1  # the first term's first id is n
 
 
-def _zero_count(data, gaps, counts):
-    counts[0] = 0
+def _zero_count(data, body):
+    body.counts[0] = 0
 
 
 def _body_with_extra_bytes(data):
-    gaps, counts = unpack_postings(data)
-    repack_postings(data, gaps, counts, extra=bytes(8))
+    repack_postings(data, unpack_postings(data), extra=bytes(8))
+
+
+def _df(term, value):
+    def edit(data, body):
+        body.dfs[term] = value(body.dfs[term], len(data["documents"]))
+    return edit
+
+
+def _every_df_the_document_count(data, body):
+    # the gaps and counts would then need about terms x documents x 8 bytes
+    body.dfs = array("I", [len(data["documents"])] * len(body.dfs))
+
+
+def _move_the_last_df_to_the_first(data, body):
+    # the body keeps the size the dfs need, so the df check must see it
+    body.dfs[0] += body.dfs[-1]
+    body.dfs[-1] = 0
+
+
+def _drop_the_first_df(data, body):
+    del body.dfs[0]
+
+
+def _head_short(data, body):
+    # the body ends one word before the end of the lengths
+    del body.lengths[-1]
+    body.gaps, body.counts = array("I"), array("I")
+
+
+def _lengths_off_the_count_total(data, body):
+    body.lengths[0] += 1
 
 
 MALFORMED_INDEXES = {
@@ -655,9 +669,9 @@ MALFORMED_INDEXES = {
     "no-documents": _drop("documents"),
     "params-not-object": _set("params", [1.2, 0.75]),
     "document-not-object": _first_document(7),
-    "string-term-count": _string_term_count,
-    "huge-length": _last_offset(lambda last: 10**400),
-    "length-not-term-total": _last_offset(lambda last: last + 1),
+    "string-term-count": _edit_postings(_df(0, lambda df, n: 2**32 - 1)),
+    "huge-length": _edit_postings(_every_df_the_document_count),
+    "length-not-term-total": _edit_postings(_df(-1, lambda df, n: df + 1)),
     "huge-k1": _k1(10**400),
     "negative-k1": _k1(-1),
     "nan-k1": _k1(float("nan")),  # json writes NaN, and reads it back
@@ -677,9 +691,13 @@ MALFORMED_INDEXES = {
     "postings-bad-checksum": _stream(_flip_checksum),
     "postings-data-after-stream": _stream(lambda stream: stream + b"x"),
     "body-longer-than-offsets": _body_with_extra_bytes,
-    "offsets-not-from-zero": _offsets(lambda offsets: offsets.__setitem__(0, 1)),
-    "offsets-not-increasing": _offsets(lambda offsets: offsets.__setitem__(1, 0)),
-    "offsets-one-short": _offsets(lambda offsets: offsets.pop(1)),
+    "offsets-not-from-zero": _edit_postings(_df(0, lambda df, n: df + 1)),
+    "offsets-not-increasing": _edit_postings(_move_the_last_df_to_the_first),
+    "offsets-one-short": _edit_postings(_drop_the_first_df),
+    "df-zero": _edit_postings(_df(0, lambda df, n: 0)),
+    "df-above-the-document-count": _edit_postings(_df(0, lambda df, n: n + 1)),
+    "head-short": _edit_postings(_head_short),
+    "lengths-off-the-count-total": _edit_postings(_lengths_off_the_count_total),
     "terms-unsorted": _terms(_swap_first_two),
     "terms-duplicated": _terms(lambda terms: terms.__setitem__(1, terms[0])),
     "term-not-string": _terms(lambda terms: terms.__setitem__(0, 7)),
@@ -709,7 +727,7 @@ def _old_index_exits_one(workspace, caplog, version):
     path.write_text(json.dumps(data))
     assert run(_localize_argv(workspace)) == 1
     (error,) = _errors(caplog)
-    assert f"unsupported index version {version} in {path}; this build reads version 3" in error
+    assert f"unsupported index version {version} in {path}; this build reads version 4" in error
 
 
 def test_index_min_term_len_below_one_exits_two_before_scanning(tmp_path, caplog, monkeypatch):
@@ -734,6 +752,10 @@ def test_localize_version_two_index_exits_one(workspace, caplog):
     _old_index_exits_one(workspace, caplog, 2)
 
 
+def test_localize_version_three_index_exits_one(workspace, caplog):
+    _old_index_exits_one(workspace, caplog, 3)
+
+
 @pytest.mark.parametrize("scorer", ["bm25", "rvsm"])
 def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, capsys, scorer):
     corpus = tmp_path / "corpus"
@@ -756,7 +778,9 @@ def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, ca
     assert code == 0
     assert json.loads(capsys.readouterr().out)["ranking"] == []
     data = json.loads(index.read_text())
-    assert data["documents"][0][3] == 0.0 and data["terms"] == [] and data["offsets"] == [0]
+    assert data["documents"][0][3] == 0.0 and data["terms"] == []
+    body = unpack_postings(data)  # only the one document's length, 0
+    assert body.lengths == array("I", [0]) and not (body.dfs or body.gaps or body.counts)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -1177,6 +1201,47 @@ def test_sweep_recomputes_every_row_when_its_inputs_change(tmp_path, caplog, cha
     caplog.clear()
     _sweep_fixture(tmp_path, out, *index_flags)
     assert "(0 computed, 48 reused, 0 skipped)" in caplog.text
+
+
+def _scale_each_norm(data):
+    for i, row in enumerate(data["documents"]):
+        row[3] *= 1 + i % 3
+
+
+def _reverse_the_lengths(data):
+    body = unpack_postings(data)  # the total stays, so the load checks pass
+    body.lengths.reverse()
+    repack_postings(data, body)
+
+
+@pytest.mark.parametrize("scorer, edit", [
+    ("rvsm", _scale_each_norm), ("bm25", _reverse_the_lengths),
+], ids=["norms", "lengths"])
+def test_sweep_recomputes_its_rows_when_stored_norms_or_lengths_change(tmp_path, caplog, scorer, edit):
+    """Neither is checked against the postings at load, so the sweep digest must cover both."""
+    index = tmp_path / "index.json"
+    assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(index)]) == 0
+
+    def sweep(out):
+        caplog.clear()
+        argv = [
+            "sweep", "--index", str(index), "--out", str(out),
+            "--reports", str(FIXTURES / "reports"), "--traces", str(FIXTURES / "traces"),
+            "--scorers", scorer, "--queries", "base", "--reranks", "none", "--windows", "1",
+        ]
+        assert run(argv) == 0
+        return out.read_bytes()
+
+    caplog.set_level("INFO")
+    before = sweep(tmp_path / "first.csv")
+    _edit_json(index, edit)
+    after = sweep(tmp_path / "fresh.csv")
+    assert after != before
+    out = tmp_path / "resumed.csv"
+    out.write_bytes(before)
+    shutil.copy(tmp_path / "first.csv.meta.json", tmp_path / "resumed.csv.meta.json")
+    assert sweep(out) == after
+    assert "(1 computed, 0 reused, 0 skipped)" in caplog.text
 
 
 def test_lint_report_that_is_not_utf8_exits_one(tmp_path, caplog):

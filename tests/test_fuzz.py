@@ -159,8 +159,8 @@ def _copy_a_path(index, rng: random.Random) -> str:
 
 
 def _break_a_posting(index, rng: random.Random) -> str:
-    gaps, counts = unpack_postings(index)
-    offsets = index["offsets"]
+    body = unpack_postings(index)
+    gaps, counts, offsets = body.gaps, body.counts, body.offsets
     term = rng.randrange(len(index["terms"]))
     lo, hi = offsets[term], offsets[term + 1]
     rule = rng.choice(("repeat an id", "zero count", "id past the end"))
@@ -171,7 +171,7 @@ def _break_a_posting(index, rng: random.Random) -> str:
     else:
         rule = "zero count"
         counts[rng.randrange(lo, hi)] = 0
-    repack_postings(index, gaps, counts)
+    repack_postings(index, body)
     return f"{rule} in the postings of {index['terms'][term]!r}"
 
 

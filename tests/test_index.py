@@ -301,10 +301,10 @@ def test_doc_ids_must_run_in_list_order(tmp_path):
     path = tmp_path / "repeated.idx.json"
     save_index(build_index(docs), path)
     data = json.loads(path.read_text())
-    gaps, counts = unpack_postings(data)
+    body = unpack_postings(data)
     save = data["terms"].index("save")
-    gaps[data["offsets"][save] + 1] = 0  # save's second doc id repeats its first
-    repack_postings(data, gaps, counts)
+    body.gaps[body.offsets[save] + 1] = 0  # save's second doc id repeats its first
+    repack_postings(data, body)
     path.write_text(json.dumps(data))
     with pytest.raises(InputError, match="ids must be"):
         load_index(path)
@@ -320,9 +320,9 @@ def test_term_counts_below_one_are_rejected(tmp_path):
     path = tmp_path / "zero.idx.json"
     save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
     data = json.loads(path.read_text())
-    gaps, counts = unpack_postings(data)
-    counts[1] = 0
-    repack_postings(data, gaps, counts)
+    body = unpack_postings(data)
+    body.counts[1] = 0
+    repack_postings(data, body)
     path.write_text(json.dumps(data))
     with pytest.raises(InputError, match="term count below 1"):
         load_index(path)
@@ -514,3 +514,99 @@ def test_localize_on_a_loaded_index_builds_no_term_bags(tmp_path):
     assert "term_bags" not in vars(loaded.postings)
     assert loaded.documents[0].terms  # a library caller's first read rebuilds them
     assert "term_bags" in vars(loaded.postings)
+
+
+def _random_corpus(rng, vocab):
+    """Up to 30 documents over `vocab` terms, one of them without terms."""
+    docs = [
+        make_doc(i, f"r{i:02d}.java", [f"w{rng.randrange(vocab)}" for _ in range(rng.randint(0, 30))])
+        for i in range(rng.randint(1, 30))
+    ]
+    empty = rng.randrange(len(docs))
+    docs[empty] = make_doc(empty, docs[empty].path, [])
+    return docs
+
+
+def test_round_trip_keeps_every_packed_array_and_every_score(tmp_path):
+    rng = random.Random(71)
+    no_terms = [make_doc(i, f"e{i}.java", []) for i in range(3)]
+    corpora = [_random_corpus(rng, vocab) for vocab in (1, 5, 40, 200) for _ in range(3)]
+    for docs in [no_terms] + corpora:
+        built = build_index(docs)
+        loaded = _round_trip(built, tmp_path)
+        for name in ("offsets", "gaps", "counts"):
+            assert getattr(loaded.postings, name) == getattr(built.postings, name)
+        assert loaded.lengths == built.lengths and loaded.rvsm_norms == built.rvsm_norms
+        vocab = sorted(built.postings) + ["absent"]
+        for _ in range(10):
+            query = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+            for scorer in (score_bm25, score_rvsm):
+                assert scorer(loaded, query).scores == scorer(built, query).scores
+    save_index(build_index(no_terms), tmp_path / "corpus.idx.json")
+    body = unpack_postings(json.loads((tmp_path / "corpus.idx.json").read_text()))
+    assert list(body.lengths) == [0, 0, 0] and not (body.dfs or body.gaps or body.counts)
+
+
+def test_saving_the_fixture_index_twice_writes_the_same_bytes(tmp_path):
+    index = build_index(scan_corpus(FIXTURES / "app"))
+    save_index(index, tmp_path / "a.json")
+    save_index(index, tmp_path / "b.json")
+    save_index(load_index(tmp_path / "a.json"), tmp_path / "c.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+
+
+def _zero_df_keeping_the_body_size(body):
+    body.dfs[-2] += body.dfs[-1]
+    body.dfs[-1] = 0
+
+
+def _df_above_the_document_count(body):
+    body.dfs[0] = len(body.lengths) + 1
+
+
+def _short_head(body):
+    del body.lengths[-1]
+    body.gaps, body.counts = body.gaps[:0], body.counts[:0]
+
+
+def _length_moved_off_the_total(body):
+    body.lengths[0] += 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_zero_df_keeping_the_body_size, r"document frequency must lie in \[1, 2\]"),
+    (_df_above_the_document_count, r"document frequency must lie in \[1, 2\]"),
+    (_short_head, "must hold 20 bytes of document frequencies and lengths first"),
+    (_length_moved_off_the_total, "lengths do not add up to the term counts"),
+], ids=["zero-df", "df-above-n", "short-head", "lengths-off-total"])
+def test_each_v4_load_check_names_what_it_found(tmp_path, edit, message):
+    path = tmp_path / "bad.idx.json"
+    # moving tag's one posting onto save leaves valid ids 0 and 1 under save
+    docs = [make_doc(0, "a.java", ["save", "note", "save", "tag"]), make_doc(1, "b.java", ["note"])]
+    save_index(build_index(docs), path)
+    data = json.loads(path.read_text())
+    body = unpack_postings(data)
+    edit(body)
+    repack_postings(data, body)
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError, match=message):
+        load_index(path)
+
+
+def test_a_length_is_checked_only_through_the_total(tmp_path):
+    path = tmp_path / "moved.idx.json"
+    docs = [make_doc(0, "a.java", ["save", "note", "save"]), make_doc(1, "b.java", ["note", "tag"])]
+    save_index(build_index(docs), path)
+    data = json.loads(path.read_text())
+    body = unpack_postings(data)
+    body.lengths[0] += 1
+    body.lengths[1] -= 1
+    repack_postings(data, body)
+    path.write_text(json.dumps(data))
+    assert load_index(path).lengths == [4, 1]
+
+
+def test_build_index_rejects_a_length_that_an_index_file_cannot_store():
+    with pytest.raises(InputError, match="lengths must be below 2"):
+        build_index([make_doc(0, "a.java", {"save": 2**32 - 1, "note": 1})])
