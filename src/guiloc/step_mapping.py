@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .corpus import DEFAULT_PREPROCESSOR
 from .errors import InputError
@@ -55,12 +56,6 @@ class MissingStepReport:
     gaps: list[StepGap] = field(default_factory=list)
 
 
-def _jaccard(a: set[str], b: set[str]) -> float:
-    if not a or not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 def step_object_terms(step: S2RStep) -> set[str]:
     parts = step.object
     if step.object2:
@@ -75,6 +70,10 @@ def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[Step
     edge component's terms. Below MATCH_THRESHOLD a step is unmatched; a
     runner-up within AMBIGUITY_MARGIN of the best makes it ambiguous. Ties
     keep the earliest edge in model insertion order.
+
+    Only edges that share a term with the step are scored: the rest score
+    0.0, which neither matches nor raises the runner-up. With k shared terms
+    |a | b| = |a| + |b| - k exactly, so each similarity is the set Jaccard.
     """
     by_action = model.edges_by_action
     matches = []
@@ -83,15 +82,18 @@ def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[Step
         best: ModelEdge | None = None
         best_sim = 0.0
         runner_up = 0.0
-        for edge, edge_terms in by_action.get(step.action, ()):
-            sim = _jaccard(step_terms, edge_terms)
-            if best is None or sim > best_sim:
-                if best is not None:
+        group = by_action.get(step.action)
+        if group is not None:
+            holders, sizes, n = group.holders, group.sizes, len(step_terms)
+            shared = Counter(chain.from_iterable(holders.get(t, ()) for t in step_terms))
+            for position, k in sorted(shared.items()):
+                sim = k / (n + sizes[position] - k)
+                if sim > best_sim:
                     runner_up = max(runner_up, best_sim)
-                best, best_sim = edge, sim
-            else:
-                runner_up = max(runner_up, sim)
-        if best is None or best_sim < MATCH_THRESHOLD:
+                    best, best_sim = group.edges[position], sim
+                else:
+                    runner_up = max(runner_up, sim)
+        if best_sim < MATCH_THRESHOLD:
             matches.append(StepMatch(step, None, best_sim, "unmatched"))
         elif runner_up >= best_sim - AMBIGUITY_MARGIN:
             matches.append(StepMatch(step, best, best_sim, "ambiguous"))

@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor
 from .errors import ConfigError, InputError
@@ -21,7 +22,7 @@ from .util import NULL, json_fields, load_format_file, load_json_file, save_form
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "guiloc-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 ACTIONS = frozenset(
     {"click", "type", "long-click", "swipe", "pinch", "open", "press", "select", "back"}
@@ -220,6 +221,14 @@ class ModelEdge:
         }
 
 
+class ActionEdges(NamedTuple):
+    """The model edges of one action, and which of them hold each term."""
+
+    edges: list[ModelEdge]  # in insertion order
+    sizes: list[int]  # each edge's component term count
+    holders: dict[str, list[int]]  # term -> ascending positions in `edges`
+
+
 @dataclass
 class ExecutionModel:
     """A screen graph. Lookups over `edges` are built on first use, so the
@@ -238,13 +247,17 @@ class ExecutionModel:
         return out
 
     @cached_property
-    def edges_by_action(self) -> dict[str, list[tuple[ModelEdge, set[str]]]]:
-        """Edges per action with their component's terms, in insertion order."""
-        by_action: dict[str, list[tuple[ModelEdge, set[str]]]] = {}
+    def edges_by_action(self) -> dict[str, ActionEdges]:
+        """Edges per action, in insertion order, with an index of their components' terms."""
+        by_action: dict[str, ActionEdges] = {}
         for edge in self.edges:
-            by_action.setdefault(edge.action, []).append(
-                (edge, edge.component.term_set(DEFAULT_PREPROCESSOR))
-            )
+            group = by_action.setdefault(edge.action, ActionEdges([], [], {}))
+            terms = edge.component.term_set(DEFAULT_PREPROCESSOR)
+            position = len(group.edges)
+            group.edges.append(edge)
+            group.sizes.append(len(terms))
+            for term in terms:
+                group.holders.setdefault(term, []).append(position)
         return by_action
 
 
@@ -280,9 +293,14 @@ def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:
 
 
 def save_model(model: ExecutionModel, path: str | Path) -> None:
+    """Write the model; each edge keeps its own component's type, text and description."""
     payload = {
         "nodes": {fp: screen.to_json() for fp, screen in model.nodes.items()},
-        "edges": [e.to_json() for e in model.edges],
+        "edges": [
+            {**e.to_json(), "type": e.component.component_type, "text": e.component.text,
+             "content_desc": e.component.content_desc}
+            for e in model.edges
+        ],
         "entries": sorted(model.entry_fingerprints),
     }
     save_format_file(path, MODEL_FORMAT, MODEL_VERSION, payload)
@@ -293,7 +311,8 @@ def load_model(path: str | Path) -> ExecutionModel:
 
     Every edge's ends and every entry must be nodes, and no two edges may
     share (src, action, resource_id, dst), as :func:`build_execution_model`
-    writes them.
+    writes them. Each edge's component is rebuilt from the id, type, text and
+    description stored with the edge, so it matches steps as the built one does.
     """
     raw_nodes, raw_edges, entries = load_format_file(
         path, MODEL_FORMAT, MODEL_VERSION, _MODEL_FIELDS
@@ -307,21 +326,19 @@ def load_model(path: str | Path) -> ExecutionModel:
     edges = []
     keys = set()
     for i, e in enumerate(raw_edges):
-        src, action, resource_id, dst = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
+        fields = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
+        src, action, resource_id, dst, ctype, text, desc = fields
         for end, fp in (("src", src), ("dst", dst)):
             if fp not in nodes:
                 raise InputError(f"{path} edge {i}: {end} {fp!r} is not in 'nodes'")
         if (src, action, resource_id, dst) in keys:
             raise InputError(f"{path} edge {i}: repeats an earlier edge")
         keys.add((src, action, resource_id, dst))
-        candidates = nodes[src].components if resource_id else ()
-        component = next((c for c in candidates if c.resource_id == resource_id), None)
-        if component is None:
-            # the schema stores only the id; synthesize a bare descriptor
-            component = GuiComponent(resource_id=resource_id, exercised=True, action=action or None)
+        component = GuiComponent(resource_id, ctype, text, desc, exercised=True, action=action or None)
         edges.append(ModelEdge(src, action, resource_id, dst, component))
     return ExecutionModel(nodes=nodes, edges=edges, entry_fingerprints=set(entries or ()))
 
 
 _MODEL_FIELDS = {"nodes": (dict,), "edges": (list,), "entries": (list, NULL)}
-_EDGE_FIELDS = {"src": (str,), "action": (str,), "resource_id": (str,), "dst": (str,)}
+_EDGE_FIELDS = {"src": (str,), "action": (str,), "resource_id": (str,), "dst": (str,),
+                "type": (str,), "text": (str,), "content_desc": (str,)}

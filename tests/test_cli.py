@@ -826,10 +826,20 @@ def _edge_without_resource_id(data):
     del data["edges"][0]["resource_id"]
 
 
+def _edge_with_null_text(data):
+    data["edges"][0]["text"] = None
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_drop("nodes"), _edge_without_resource_id, _first_node(7), _set("entries", [["fp"]])],
-    ids=["no-nodes", "edge-without-resource-id", "node-not-object", "entry-not-string"],
+    [
+        _drop("nodes"), _edge_without_resource_id, _edge_with_null_text, _first_node(7),
+        _set("entries", [["fp"]]),
+    ],
+    ids=[
+        "no-nodes", "edge-without-resource-id", "edge-with-null-text", "node-not-object",
+        "entry-not-string",
+    ],
 )
 def test_lint_report_malformed_model_exits_one(workspace, caplog, edit):
     path = workspace / "model.json"
@@ -847,6 +857,18 @@ def test_lint_report_malformed_model_exits_one(workspace, caplog, edit):
     )
     assert code == 1
     assert str(path) in caplog.text
+
+
+def test_lint_report_version_one_model_exits_one(workspace, caplog):
+    path = workspace / "model.json"
+    assert run(["build-model", "--trace", str(workspace / "traces" / "r1.json"), "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["version"] = 1
+    path.write_text(json.dumps(data))
+    code = run(["lint-report", "--report", str(workspace / "reports" / "r1.json"), "--model", str(path)])
+    assert code == 1
+    (error,) = _errors(caplog)
+    assert f"unsupported model version 1 in {path}; this build reads version 2" in error
 
 
 def test_cli_import_leaves_out_urllib_request():

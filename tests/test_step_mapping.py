@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
+from guiloc.corpus import DEFAULT_PREPROCESSOR
 from guiloc.errors import InputError
 from guiloc.reports import S2RStep
 from guiloc.step_mapping import (
@@ -9,9 +13,17 @@ from guiloc.step_mapping import (
     MATCH_THRESHOLD,
     detect_missing_steps,
     map_steps_to_model,
+    step_object_terms,
     suggest_next_steps,
 )
-from guiloc.traces import ExecutionModel, ModelEdge, build_execution_model, screen_fingerprint
+from guiloc.traces import (
+    ExecutionModel,
+    ModelEdge,
+    build_execution_model,
+    load_model,
+    save_model,
+    screen_fingerprint,
+)
 
 from conftest import make_component, make_screen, make_trace
 
@@ -130,7 +142,124 @@ def test_edges_by_action_is_built_once_per_model():
     first = model.edges_by_action
     map_steps_to_model([_step("click", "save button")], model)
     assert model.edges_by_action is first
-    assert [e.resource_id for e, _ in first["click"]] == ["go_list", "open_editor", "save_button"]
+    click = first["click"]
+    assert [e.resource_id for e in click.edges] == ["go_list", "open_editor", "save_button"]
+    # go_list "Notes", open_editor "New note" ("new" is a stopword), save_button "Save"
+    assert click.sizes == [3, 3, 2]
+    assert click.holders == {
+        "go": [0], "list": [0], "notes": [0], "open": [1], "editor": [1], "note": [1],
+        "save": [2], "button": [2],
+    }
+
+
+def _brute_force_matches(steps, model, seen):
+    """(edge, similarity, status) per step from a set Jaccard of every same-action edge.
+
+    The best edge is the earliest of the highest similarity and the
+    runner-up is the highest similarity of the other edges. `seen` counts
+    the cases the indexed matcher must get right.
+    """
+    out = []
+    for step in steps:
+        a = step_object_terms(step)
+        scored = []
+        for edge in model.edges:
+            if edge.action == step.action:
+                b = edge.component.term_set(DEFAULT_PREPROCESSOR)
+                seen["component without terms"] += not b
+                scored.append((edge, len(a & b) / len(a | b) if a and b else 0.0))
+        seen["step without terms"] += not a
+        seen["action without edges"] += not scored
+        best_sim = max((sim for _, sim in scored), default=0.0)
+        best = next((i for i, (_, sim) in enumerate(scored) if sim == best_sim), None)
+        runner_up = max((sim for i, (_, sim) in enumerate(scored) if i != best), default=0.0)
+        if best_sim < MATCH_THRESHOLD:
+            out.append((None, best_sim, "unmatched"))
+            continue
+        seen["at the threshold"] += best_sim == MATCH_THRESHOLD
+        seen["tied best"] += runner_up == best_sim
+        seen["runner-up at the margin"] += runner_up == best_sim - AMBIGUITY_MARGIN
+        status = "ambiguous" if runner_up >= best_sim - AMBIGUITY_MARGIN else "matched"
+        out.append((scored[best][0], best_sim, status))
+    return out
+
+
+def test_indexed_matcher_equals_a_jaccard_over_every_same_action_edge():
+    rng = random.Random(18)
+    vocab = WORDS[:10]
+
+    def words():
+        return " ".join(rng.sample(vocab, rng.randint(0, 6)))
+
+    def near(base, flips):
+        """`base` with `flips` vocabulary words added or dropped, so that
+        steps and edges share most terms and similarities tie or sit close."""
+        return " ".join(sorted(set(base) ^ set(rng.sample(vocab, flips))))
+
+    seen = Counter()
+    for _ in range(300):
+        base = rng.sample(vocab, rng.randint(3, 5))
+        edges = [
+            ModelEdge(
+                "s",
+                rng.choice(("click", "type")),
+                f"x{i}",
+                f"d{i}",
+                make_component(
+                    rng.choice(("", f"x{i}", rng.choice(vocab))),  # ids like "x1" add no terms
+                    text=near(base, rng.randint(1, 2)) if rng.random() < 0.7 else words(),
+                    desc=rng.choice(("", "", rng.choice(vocab))),
+                    exercised=True,
+                ),
+            )
+            for i in range(rng.randint(0, 12))
+        ]
+        model = ExecutionModel(nodes={}, edges=edges, entry_fingerprints=set())
+        steps = [
+            _step(
+                rng.choice(("click", "type", "pinch")),
+                near(base, rng.randint(0, 1)) if rng.random() < 0.7 else words(),
+                rng.choice((None, None, words())),
+            )
+            for _ in range(8)
+        ]
+        want = _brute_force_matches(steps, model, seen)
+        got = [(m.matched_edge, m.similarity, m.status) for m in map_steps_to_model(steps, model)]
+        assert [(id(e), sim, status) for e, sim, status in got] == [
+            (id(e), sim, status) for e, sim, status in want
+        ]
+    for case in (
+        "component without terms", "step without terms", "action without edges",
+        "at the threshold", "tied best", "runner-up at the margin",
+    ):
+        assert seen[case] > 0, case
+
+
+def test_a_loaded_model_matches_steps_as_the_built_model_does(tmp_path):
+    # two rows share an id and the trace clicks the second; then a component without an id
+    screens = [
+        make_screen("com.app.Mail", components=[
+            make_component("row_title", text="Archive"),
+            make_component("row_title", text="Inbox", exercised=True, action="click"),
+        ]),
+        make_screen("com.app.Inbox", components=[
+            make_component("", text="Compose", desc="Message draft", exercised=True, action="click"),
+        ]),
+        make_screen("com.app.Compose"),
+    ]
+    built = build_execution_model([make_trace("t", screens)])
+    save_model(built, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    steps = [_step("click", "Inbox row title"), _step("click", "compose message draft")]
+
+    def outcome(model):
+        return [
+            (m.matched_edge and m.matched_edge.key(), m.similarity, m.status)
+            for m in map_steps_to_model(steps, model)
+        ]
+
+    assert [(sim, status) for _, sim, status in outcome(built)] == [(1.0, "matched")] * 2
+    assert outcome(loaded) == outcome(built)
 
 
 def test_missing_middle_edge_is_reported_exactly():

@@ -203,8 +203,7 @@ def test_model_round_trip(tmp_path):
     assert set(loaded.nodes) == set(model.nodes)
     assert [e.key() for e in loaded.edges] == [e.key() for e in model.edges]
     assert loaded.entry_fingerprints == model.entry_fingerprints
-    # the reconstructed descriptor carries the canonical screen's component
-    assert loaded.edges[0].component.resource_id == model.edges[0].component.resource_id
+    assert [e.component for e in loaded.edges] == [e.component for e in model.edges]
     save_model(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -269,7 +268,7 @@ def test_model_json_schema_fields(tmp_path):
     data = json.loads(path.read_text())
     assert set(data) == {"format", "version", "nodes", "edges", "entries"}
     edge = data["edges"][0]
-    assert set(edge) == {"src", "action", "resource_id", "dst"}
+    assert set(edge) == {"src", "action", "resource_id", "dst", "type", "text", "content_desc"}
     node = next(iter(data["nodes"].values()))
     assert set(node) == {"activity_name", "window_name", "components"}
 
