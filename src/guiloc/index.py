@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import base64
-import logging
 import math
 import sys
 import zlib
@@ -20,8 +19,6 @@ from typing import Sequence
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError, InputError, check_choice
 from .util import json_fields, load_format_file, save_format_file
-
-logger = logging.getLogger(__name__)
 
 INDEX_FORMAT = "guiloc-index"
 INDEX_VERSION = 4

@@ -8,7 +8,6 @@ three together form the gui-related set.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -18,8 +17,6 @@ from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
 from .errors import ConfigError
 from .index import CorpusIndex
 from .traces import GuiComponent, ReproTrace, last_screens
-
-logger = logging.getLogger(__name__)
 
 TERM_SOURCES = (
     "activity",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -14,8 +13,6 @@ from .index import CorpusIndex, RankEntry, RankedList, SCORERS, ScoredList, rank
 from .mapping import COMPONENT_THRESHOLD, GuiContext, TERM_SOURCES, _check_sources, gui_context
 from .reports import BugReport
 from .traces import ReproTrace
-
-logger = logging.getLogger(__name__)
 
 QUERY_STRATEGIES = ("base", "expand", "replace")
 # keeps every score finite: near the float maximum, a GUI term's count times

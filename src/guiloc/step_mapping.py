@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -11,8 +10,6 @@ from .corpus import DEFAULT_PREPROCESSOR
 from .errors import InputError
 from .reports import S2RStep
 from .traces import ExecutionModel, GuiComponent, ModelEdge
-
-logger = logging.getLogger(__name__)
 
 MATCH_THRESHOLD = 0.5
 AMBIGUITY_MARGIN = 0.05

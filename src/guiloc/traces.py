@@ -9,7 +9,6 @@ screens and deduplicated interactions.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -19,10 +18,8 @@ from .corpus import DEFAULT_PREPROCESSOR, Preprocessor
 from .errors import ConfigError, InputError
 from .util import NULL, json_fields, load_format_file, load_json_file, save_format_file
 
-logger = logging.getLogger(__name__)
-
 MODEL_FORMAT = "guiloc-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 ACTIONS = frozenset(
     {"click", "type", "long-click", "swipe", "pinch", "open", "press", "select", "back"}
@@ -231,12 +228,16 @@ class ActionEdges(NamedTuple):
 
 @dataclass
 class ExecutionModel:
-    """A screen graph. Lookups over `edges` are built on first use, so the
-    edges must not change once the model is in use."""
+    """A screen graph. Lookups over `edges`, and the nodes, are built on first
+    use, so the edges and entries must not change once the model is in use."""
 
-    nodes: dict[str, Screen]
     edges: list[ModelEdge]
     entry_fingerprints: set[str]
+
+    @cached_property
+    def nodes(self) -> set[str]:
+        """The screen fingerprints: every edge's ends and every entry."""
+        return {fp for edge in self.edges for fp in (edge.src, edge.dst)} | self.entry_fingerprints
 
     @cached_property
     def adjacency(self) -> dict[str, list[ModelEdge]]:
@@ -264,18 +265,16 @@ class ExecutionModel:
 def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:
     """Fold traces into a screen graph.
 
-    Nodes are keyed by fingerprint (first-seen screen is kept as the
-    canonical one); edges are deduplicated on (src, action, resource_id, dst)
-    and keep insertion order.
+    Screens are keyed by fingerprint; edges are deduplicated on
+    (src, action, resource_id, dst) and keep insertion order. Every screen is
+    a node: all but a trace's last are the `src` of an edge, the last of a
+    longer trace is a `dst`, and the screen of a one-screen trace is an entry.
     """
-    nodes: dict[str, Screen] = {}
     edges: list[ModelEdge] = []
     seen_keys: set[tuple[str, str, str, str]] = set()
     entries: set[str] = set()
     for trace in traces:
         fps = [screen_fingerprint(s) for s in trace.screens]
-        for fp, screen in zip(fps, trace.screens):
-            nodes.setdefault(fp, screen)
         entries.add(fps[0])
         for i in range(len(trace.screens) - 1):
             comp = trace.screens[i].exercised_components()[0]
@@ -289,13 +288,12 @@ def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:
             if edge.key() not in seen_keys:
                 seen_keys.add(edge.key())
                 edges.append(edge)
-    return ExecutionModel(nodes=nodes, edges=edges, entry_fingerprints=entries)
+    return ExecutionModel(edges=edges, entry_fingerprints=entries)
 
 
 def save_model(model: ExecutionModel, path: str | Path) -> None:
     """Write the model; each edge keeps its own component's type, text and description."""
     payload = {
-        "nodes": {fp: screen.to_json() for fp, screen in model.nodes.items()},
         "edges": [
             {**e.to_json(), "type": e.component.component_type, "text": e.component.text,
              "content_desc": e.component.content_desc}
@@ -309,36 +307,31 @@ def save_model(model: ExecutionModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ExecutionModel:
     """Read a model written by :func:`save_model`; malformed files raise InputError.
 
-    Every edge's ends and every entry must be nodes, and no two edges may
-    share (src, action, resource_id, dst), as :func:`build_execution_model`
-    writes them. Each edge's component is rebuilt from the id, type, text and
+    No two edges may share (src, action, resource_id, dst), and every edge's
+    action must be one of ACTIONS, as :func:`build_execution_model` writes
+    them. Each edge's component is rebuilt from the id, type, text and
     description stored with the edge, so it matches steps as the built one does.
     """
-    raw_nodes, raw_edges, entries = load_format_file(
-        path, MODEL_FORMAT, MODEL_VERSION, _MODEL_FIELDS
-    )
+    raw_edges, entries = load_format_file(path, MODEL_FORMAT, MODEL_VERSION, _MODEL_FIELDS)
     if not all(type(fp) is str for fp in entries or ()):
         raise InputError(f"{path}: 'entries' must be a list of strings")
-    nodes = {fp: Screen.from_json(s, f"{path} node {fp!r}") for fp, s in raw_nodes.items()}
-    unknown = next((fp for fp in entries or () if fp not in nodes), None)
-    if unknown is not None:
-        raise InputError(f"{path}: entry {unknown!r} is not in 'nodes'")
     edges = []
     keys = set()
     for i, e in enumerate(raw_edges):
         fields = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
         src, action, resource_id, dst, ctype, text, desc = fields
-        for end, fp in (("src", src), ("dst", dst)):
-            if fp not in nodes:
-                raise InputError(f"{path} edge {i}: {end} {fp!r} is not in 'nodes'")
+        if action not in ACTIONS:
+            raise InputError(
+                f"{path} edge {i}: unknown action {action!r}; expected one of {', '.join(sorted(ACTIONS))}"
+            )
         if (src, action, resource_id, dst) in keys:
             raise InputError(f"{path} edge {i}: repeats an earlier edge")
         keys.add((src, action, resource_id, dst))
-        component = GuiComponent(resource_id, ctype, text, desc, exercised=True, action=action or None)
+        component = GuiComponent(resource_id, ctype, text, desc, exercised=True, action=action)
         edges.append(ModelEdge(src, action, resource_id, dst, component))
-    return ExecutionModel(nodes=nodes, edges=edges, entry_fingerprints=set(entries or ()))
+    return ExecutionModel(edges=edges, entry_fingerprints=set(entries or ()))
 
 
-_MODEL_FIELDS = {"nodes": (dict,), "edges": (list,), "entries": (list, NULL)}
+_MODEL_FIELDS = {"edges": (list,), "entries": (list, NULL)}
 _EDGE_FIELDS = {"src": (str,), "action": (str,), "resource_id": (str,), "dst": (str,),
                 "type": (str,), "text": (str,), "content_desc": (str,)}

@@ -369,8 +369,9 @@ def test_build_model_and_lint_report(workspace):
     )
     assert code == 0
     model = json.loads(model_path.read_text())
-    assert model["format"] == "guiloc-model"
-    assert len(model["nodes"]) == 2
+    assert model["format"] == "guiloc-model" and model["version"] == 3
+    assert "nodes" not in model
+    assert len({fp for e in model["edges"] for fp in (e["src"], e["dst"])} | set(model["entries"])) == 2
     assert len(model["edges"]) == 1
 
     out = workspace / "lint.json"
@@ -816,9 +817,9 @@ def test_localize_trace_with_non_object_screen_exits_one(workspace, caplog):
     assert "screen 0" in caplog.text
 
 
-def _first_node(value):
+def _first_edge(value):
     def edit(data):
-        data["nodes"][next(iter(data["nodes"]))] = value
+        data["edges"][0] = value
     return edit
 
 
@@ -833,11 +834,11 @@ def _edge_with_null_text(data):
 @pytest.mark.parametrize(
     "edit",
     [
-        _drop("nodes"), _edge_without_resource_id, _edge_with_null_text, _first_node(7),
+        _drop("edges"), _edge_without_resource_id, _edge_with_null_text, _first_edge(7),
         _set("entries", [["fp"]]),
     ],
     ids=[
-        "no-nodes", "edge-without-resource-id", "edge-with-null-text", "node-not-object",
+        "no-edges", "edge-without-resource-id", "edge-with-null-text", "edge-not-object",
         "entry-not-string",
     ],
 )
@@ -859,16 +860,24 @@ def test_lint_report_malformed_model_exits_one(workspace, caplog, edit):
     assert str(path) in caplog.text
 
 
-def test_lint_report_version_one_model_exits_one(workspace, caplog):
+def _lint_with_model_version(workspace, caplog, version):
     path = workspace / "model.json"
     assert run(["build-model", "--trace", str(workspace / "traces" / "r1.json"), "--out", str(path)]) == 0
     data = json.loads(path.read_text())
-    data["version"] = 1
+    data["version"] = version
     path.write_text(json.dumps(data))
     code = run(["lint-report", "--report", str(workspace / "reports" / "r1.json"), "--model", str(path)])
     assert code == 1
     (error,) = _errors(caplog)
-    assert f"unsupported model version 1 in {path}; this build reads version 2" in error
+    assert f"unsupported model version {version} in {path}; this build reads version 3" in error
+
+
+def test_lint_report_version_one_model_exits_one(workspace, caplog):
+    _lint_with_model_version(workspace, caplog, 1)
+
+
+def test_lint_report_version_two_model_exits_one(workspace, caplog):
+    _lint_with_model_version(workspace, caplog, 2)
 
 
 def test_cli_import_leaves_out_urllib_request():
@@ -1090,6 +1099,20 @@ def test_lint_report_with_model_output_is_pinned(tmp_path, capsys):
     code = run(["lint-report", "--report", str(report), "--model", str(tmp_path / "model.json")])
     assert code == 0
     assert capsys.readouterr().out == LINT_OUTPUT
+
+
+def test_lint_report_of_the_fixture_report_with_steps_is_pinned(tmp_path, capsys):
+    # a model of every fixture trace; the report's steps match three edges and
+    # leave out the one between the first two
+    traces = sorted((FIXTURES / "traces").glob("*.json"))
+    argv = ["build-model", "--out", str(tmp_path / "model.json")]
+    assert run(argv + [flag for t in traces for flag in ("--trace", str(t))]) == 0
+    capsys.readouterr()
+    report = FIXTURES / "lint" / "r11.json"
+    assert run(["lint-report", "--report", str(report), "--model", str(tmp_path / "model.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == (FIXTURES / "lint" / "r11.lint.json").read_text()
+    assert "matched" in {m["status"] for m in json.loads(out)["step_matches"]}
 
 
 def test_config_file_huge_integer_weight_exits_two(workspace, caplog):

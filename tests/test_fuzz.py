@@ -4,8 +4,8 @@ Each mutant of the fixture's index, model, report, trace or config file
 goes through ``cli.run``, which must return 0, 1 or 2 and raise nothing.
 A mutation drops a key or a list item, swaps a value for one of a few
 JSON values of other types, or puts a non-object where an object belongs.
-Boundary mutants, which pass every field check but break a rule across
-fields, must exit 1 with one ERROR line.
+Boundary mutants, which pass every field's type check but break a rule of
+the format, must exit 1 with one ERROR line.
 """
 
 from __future__ import annotations
@@ -185,15 +185,11 @@ def _slash_in_report_id(report, rng: random.Random) -> str:
 def _break_the_graph(model, rng: random.Random) -> str:
     edges = model["edges"]
     i = rng.randrange(len(edges))
-    rule = rng.choice(("src", "dst", "entry", "repeat"))
-    if rule == "entry":
-        model["entries"].append(rng.choice(edges)["src"][::-1])
-        return "an entry that is not a node"
-    if rule == "repeat":
+    if rng.random() < 0.5:
         edges.insert(rng.randrange(i + 1, len(edges) + 1), dict(edges[i]))
         return f"edge {i} listed twice"
-    edges[i][rule] = edges[i][rule][::-1]
-    return f"edge {i}'s {rule} not a node"
+    edges[i]["action"] = rng.choice(("fly", "", edges[i]["action"].upper()))
+    return f"edge {i}'s action {edges[i]['action']!r}"
 
 
 @pytest.mark.parametrize(
@@ -206,9 +202,9 @@ def _break_the_graph(model, rng: random.Random) -> str:
     ],
 )
 def test_seeded_boundary_mutation_exits_one(inputs, caplog, kind, edit):
-    """Mutants that every field check passes: a path two documents share, a posting that
-    breaks a rule of the packed body, a report id with a '/', a model edge or entry
-    that names no node or an edge listed twice."""
+    """Mutants that every field's type check passes: a path two documents share, a posting that
+    breaks a rule of the packed body, a report id with a '/', a model edge listed
+    twice or with an unknown action."""
     rng = random.Random(f"{SEED}-{kind}-boundary")
     original = json.loads(inputs[kind].read_text())
     mutant_path = str(inputs["root"] / f"boundary-{kind}.json")

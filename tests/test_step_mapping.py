@@ -111,7 +111,7 @@ def _click_model(*texts):
         ModelEdge("s", "click", f"x{i}", f"d{i}", make_component(f"x{i}", text=t, exercised=True))
         for i, t in enumerate(texts, 1)
     ]
-    return ExecutionModel(nodes={}, edges=edges, entry_fingerprints=set())
+    return ExecutionModel(edges=edges, entry_fingerprints=set())
 
 
 def test_similarity_at_the_match_threshold_is_matched():
@@ -214,7 +214,7 @@ def test_indexed_matcher_equals_a_jaccard_over_every_same_action_edge():
             )
             for i in range(rng.randint(0, 12))
         ]
-        model = ExecutionModel(nodes={}, edges=edges, entry_fingerprints=set())
+        model = ExecutionModel(edges=edges, entry_fingerprints=set())
         steps = [
             _step(
                 rng.choice(("click", "type", "pinch")),

@@ -7,6 +7,7 @@ import pytest
 
 from guiloc.errors import ConfigError, InputError
 from guiloc.traces import (
+    ACTIONS,
     build_execution_model,
     last_screens,
     load_model,
@@ -217,33 +218,16 @@ def test_model_loads_indented_files_from_older_builds(tmp_path):
     indented.write_text(json.dumps(json.loads(compact.read_text()), sort_keys=True, indent=2) + "\n")
     for loaded in (load_model(compact), load_model(indented)):
         assert [e.key() for e in loaded.edges] == [e.key() for e in model.edges]
-        assert {fp: s.to_json() for fp, s in loaded.nodes.items()} == {
-            fp: s.to_json() for fp, s in model.nodes.items()
-        }
+        assert loaded.nodes == model.nodes
         assert loaded.entry_fingerprints == model.entry_fingerprints
 
 
 
 def _saved_model_data(tmp_path):
-    """A model file of the sample traces: 3 nodes, 2 edges, 1 entry."""
+    """A model file of the sample traces: 2 edges, 1 entry."""
     path = tmp_path / "model.json"
     save_model(build_execution_model(list(_sample_traces())), path)
     return path, json.loads(path.read_text())
-
-
-def _dangling_src(data):
-    data["edges"][0]["src"] = "0" * 16
-    return " edge 0: src '0000000000000000' is not in 'nodes'"
-
-
-def _dangling_dst(data):
-    data["edges"][1]["dst"] = "nowhere"
-    return " edge 1: dst 'nowhere' is not in 'nodes'"
-
-
-def _unknown_entry(data):
-    data["entries"].append("nowhere")
-    return ": entry 'nowhere' is not in 'nodes'"
 
 
 def _repeated_edge(data):
@@ -251,7 +235,17 @@ def _repeated_edge(data):
     return " edge 2: repeats an earlier edge"
 
 
-@pytest.mark.parametrize("edit", [_dangling_src, _dangling_dst, _unknown_entry, _repeated_edge])
+def _unknown_action(action):
+    def edit(data):
+        data["edges"][1]["action"] = action
+        return f" edge 1: unknown action {action!r}; expected one of {', '.join(sorted(ACTIONS))}"
+    edit.__name__ = f"_unknown_action_{action or 'empty'}"
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit", [_repeated_edge, _unknown_action("fly"), _unknown_action(""), _unknown_action("Click")]
+)
 def test_model_files_that_build_model_never_writes_are_input_errors(tmp_path, edit):
     path, data = _saved_model_data(tmp_path)
     message = edit(data)
@@ -266,11 +260,45 @@ def test_model_json_schema_fields(tmp_path):
     path = tmp_path / "model.json"
     save_model(build_execution_model([t1]), path)
     data = json.loads(path.read_text())
-    assert set(data) == {"format", "version", "nodes", "edges", "entries"}
+    assert set(data) == {"format", "version", "edges", "entries"}
+    assert data["version"] == 3
     edge = data["edges"][0]
     assert set(edge) == {"src", "action", "resource_id", "dst", "type", "text", "content_desc"}
-    node = next(iter(data["nodes"].values()))
-    assert set(node) == {"activity_name", "window_name", "components"}
+
+
+def _random_traces(rng: random.Random) -> list:
+    """Valid traces over a few screens, so screens, edges and one-screen traces repeat."""
+    activities = [f"com.app.A{i}" for i in range(rng.randint(1, 4))]
+    ids = ("a", "b", "")
+    traces = []
+    for t in range(rng.randint(1, 6)):
+        length = rng.choice((1, 1, 2, 3, 5))
+        screens = []
+        for i in range(length):
+            exercised = i < length - 1 or rng.random() < 0.3
+            action = rng.choice(("click", "type")) if i < length - 1 else None
+            components = [_comp_dict(rng.choice(ids), exercised=exercised, action=action)]
+            if rng.random() < 0.5:
+                components.append(_comp_dict(rng.choice(ids)))
+            screens.append(_screen_dict(rng.choice(activities), components))
+        traces.append(trace_from_dict({"trace_id": f"t{t}", "screens": screens}))
+    return traces
+
+
+def test_model_nodes_are_the_screens_of_its_traces(tmp_path):
+    rng = random.Random(19)
+    path = tmp_path / "model.json"
+    only_an_entry = repeated_edge = False
+    for _ in range(300):
+        traces = _random_traces(rng)
+        model = build_execution_model(traces)
+        assert model.nodes == {screen_fingerprint(s) for t in traces for s in t.screens}
+        save_model(model, path)
+        assert load_model(path).nodes == model.nodes
+        ends = {fp for e in model.edges for fp in (e.src, e.dst)}
+        only_an_entry |= not model.entry_fingerprints <= ends
+        repeated_edge |= len(model.edges) < sum(len(t.screens) - 1 for t in traces)
+    assert only_an_entry and repeated_edge
 
 
 def test_last_screens_window():
