@@ -50,11 +50,15 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a user-supplied stopword file (one word per line, # comments)."""
+    """Read a user-supplied stopword file: one word per line, # comments, an optional BOM."""
     p = Path(path)
     if not p.is_file():
         raise InputError(f"stopword file not found: {p}")
-    return _parse_stopword_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read stopword file {p}: {exc}") from exc
+    return _parse_stopword_text(text)
 
 
 def _stem_once(word: str) -> str:

@@ -18,7 +18,7 @@ from .mapping import TERM_SOURCES
 from .pipeline import PipelineConfig, StageCache, rerank_groups, score_stages, scoring_key
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
-from .util import atomic_write_text
+from .util import atomic_write_text, load_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -280,11 +280,12 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
     postings, lengths and rVSM norms, and each report's id, text, ground truth
     and trace.
     """
-    docs, postings = index.documents, index.postings
+    postings = index.postings
     digest = hashlib.sha256()
+    # a dataclass repr names every field and quotes every string, so it tells screens apart
     dataset = [
         [report.report_id, report.full_text(), sorted(report.ground_truth or ()),
-         [screen.to_json() for screen in trace.screens]]
+         repr(trace.screens)]
         for report, trace in pairs
     ]
     digest.update(json.dumps([index.params.bm25_k1, index.params.bm25_b,
@@ -292,8 +293,8 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
     # NUL joins: no path, class name, resource id or term holds one
     for strings in (
         index.paths,
-        [doc.class_name for doc in docs],
-        [" ".join(sorted(doc.resource_id_refs)) for doc in docs],
+        index.class_names,
+        map(" ".join, map(sorted, index.resource_id_refs)),
         postings.terms,
     ):
         digest.update("\0".join(strings).encode() + b"\1")
@@ -318,8 +319,8 @@ def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
         logger.warning("existing sweep file %s has a different header; recomputing all rows", path)
         return {}
     try:
-        meta = json.loads(_meta_path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # missing, unreadable or not JSON
+        meta = load_json_file(_meta_path(path))
+    except InputError:  # missing, unreadable or not JSON
         meta = None
     vouched = meta.get("rows") if isinstance(meta, dict) and meta.get("inputs") == digest else None
     if not isinstance(vouched, list) or not all(isinstance(row, str) for row in vouched):

@@ -101,11 +101,8 @@ class Postings(Mapping):
     the packed arrays.
     """
 
-    def __init__(
-        self, terms: list[str], offsets: array, gaps: array, counts: array, doc_count: int
-    ):
+    def __init__(self, terms: list[str], offsets: array, gaps: array, counts: array):
         self.terms, self.offsets, self.gaps, self.counts = terms, offsets, gaps, counts
-        self.doc_count = doc_count
         self.distinct_counts = set(counts)
         self._position = dict(zip(terms, range(len(terms))))
         self._columns: dict[str, tuple[list[int], array]] = {}
@@ -142,65 +139,45 @@ class Postings(Mapping):
             )
         return super().__eq__(other)
 
-    @cached_property
-    def term_bags(self) -> list[dict[str, int]]:
-        """Each document's term -> count in sorted term order, rebuilt from the packed arrays."""
-        bags: list[dict[str, int]] = [{} for _ in range(self.doc_count)]
-        for term in self.terms:
-            for doc_id, freq in zip(*self._decode(term)):
-                bags[doc_id][term] = freq
-        return bags
-
-
-class _StoredDocument(SourceDocument):
-    """A document of a loaded index; its term bag is rebuilt from the postings on first read."""
-
-    def __init__(self, doc_id: int, path: str, class_name: str, length: int,
-                 resource_id_refs: set[str], postings: Postings):
-        self.doc_id, self.path, self.class_name, self.length = doc_id, path, class_name, length
-        self.resource_id_refs = resource_id_refs
-        self._postings = postings
-
-    @property
-    def terms(self) -> dict[str, int]:
-        return self._postings.term_bags[self.doc_id]
+    def doc_freq(self) -> dict[str, int]:
+        """term -> the number of documents that hold it."""
+        return dict(zip(self.terms, map(sub, self.offsets[1:], self.offsets)))
 
 
 @dataclass
 class CorpusIndex:
-    """Postings plus per-document lists indexed by doc_id, which runs 0..n-1.
+    """Postings plus per-file columns indexed by doc_id, which runs 0..n-1.
 
     The fields after `preprocessor` are derived from the ones before it.
     """
 
-    documents: list[SourceDocument]
-    postings: Postings
+    paths: list[str]
+    class_names: list[str]
+    resource_id_refs: list[set[str]]
     lengths: list[int]
     rvsm_norms: list[float]
+    postings: Postings
     params: ScoringParams
     preprocessor: Preprocessor
     doc_count: int = field(init=False)
     doc_freq: dict[str, int] = field(init=False)
     avg_length: float = field(init=False)
-    paths: list[str] = field(init=False)
     length_prior: list[float] = field(init=False)
     tf_weights: dict[int, float] = field(init=False)
     files_by_class: dict[str, list[str]] = field(init=False)
     files_by_resource_id: dict[str, list[str]] = field(init=False)
 
     def __post_init__(self):
-        docs, postings, lengths = self.documents, self.postings, self.lengths
-        if not docs:
+        paths, postings, lengths = self.paths, self.postings, self.lengths
+        if not paths:
             raise InputError("cannot index an empty corpus")
-        self.paths = [doc.path for doc in docs]
-        if len(set(self.paths)) < len(self.paths):
-            ((duplicate, _),) = Counter(self.paths).most_common(1)
+        if len(set(paths)) < len(paths):
+            ((duplicate, _),) = Counter(paths).most_common(1)
             raise InputError(f"document path {duplicate!r} appears more than once")
-        self.doc_count = len(docs)
-        self.doc_freq = dict(zip(postings.terms, map(sub, postings.offsets[1:], postings.offsets)))
-        # rVSM's 1 + ln f for each distinct count f
-        self.tf_weights = {f: 1.0 + math.log(f) for f in postings.distinct_counts}
-        self.avg_length = sum(lengths) / len(docs)
+        self.doc_count = len(paths)
+        self.doc_freq = postings.doc_freq()
+        self.tf_weights = _rvsm_tf_weights(postings)
+        self.avg_length = sum(lengths) / len(paths)
         min_len = min(lengths)
         span = max(lengths) - min_len
         # rVSM's g(d) = 1 / (1 + e^(-norm_len)), norm_len min-max normalized
@@ -210,10 +187,20 @@ class CorpusIndex:
         ]
         self.files_by_class = defaultdict(list)
         self.files_by_resource_id = defaultdict(list)
-        for doc in docs:
-            self.files_by_class[doc.class_name].append(doc.path)
-            for ref in doc.resource_id_refs:
-                self.files_by_resource_id[ref].append(doc.path)
+        for path, class_name, refs in zip(paths, self.class_names, self.resource_id_refs):
+            self.files_by_class[class_name].append(path)
+            for ref in refs:
+                self.files_by_resource_id[ref].append(path)
+
+    @cached_property
+    def documents(self) -> list[SourceDocument]:
+        """The indexed files, each term bag rebuilt from the postings in sorted term order."""
+        bags: list[dict[str, int]] = [{} for _ in range(self.doc_count)]
+        for term in self.postings.terms:
+            for doc_id, freq in zip(*self.postings._decode(term)):
+                bags[doc_id][term] = freq
+        return list(map(SourceDocument, count(), self.paths, self.class_names, bags,
+                        self.lengths, self.resource_id_refs))
 
     @cached_property
     def path_order(self) -> list[int]:
@@ -283,22 +270,28 @@ def build_index(
             offsets.append(len(gaps))
     except (TypeError, OverflowError):
         raise InputError("term counts must be whole numbers below 2**32") from None
-    postings = Postings(terms, offsets, gaps, counts, len(docs))
+    postings = Postings(terms, offsets, gaps, counts)
     lengths = [doc.length for doc in docs]
     if max(lengths, default=0) >= 2**32:  # index files store lengths in 32 bits
         raise InputError("document lengths must be below 2**32")
-    index = CorpusIndex(docs, postings, lengths, [], params or ScoringParams(),
-                        preprocessor or DEFAULT_PREPROCESSOR)
-    index.rvsm_norms = _rvsm_norms(index)
-    return index
+    return CorpusIndex(
+        [doc.path for doc in docs], [doc.class_name for doc in docs],
+        [doc.resource_id_refs for doc in docs], lengths, _rvsm_norms(docs, postings), postings,
+        params or ScoringParams(), preprocessor or DEFAULT_PREPROCESSOR,
+    )
 
 
-def _rvsm_norms(index: CorpusIndex) -> list[float]:
+def _rvsm_tf_weights(postings: Postings) -> dict[int, float]:
+    """rVSM's 1 + ln f for each distinct count f."""
+    return {f: 1.0 + math.log(f) for f in postings.distinct_counts}
+
+
+def _rvsm_norms(docs: list[SourceDocument], postings: Postings) -> list[float]:
     """Each document's rVSM vector norm, summed over its terms in stored order."""
-    n, tf_weights = index.doc_count, index.tf_weights
-    idf = {term: _rvsm_idf(n, df) for term, df in index.doc_freq.items()}
+    n, tf_weights = len(docs), _rvsm_tf_weights(postings)
+    idf = {term: _rvsm_idf(n, df) for term, df in postings.doc_freq().items()}
     norms = []
-    for doc in index.documents:
+    for doc in docs:
         d_norm_sq = 0.0
         for term, f in doc.terms.items():
             w = tf_weights[f] * idf[term]
@@ -396,8 +389,9 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "params": {"bm25_k1": index.params.bm25_k1, "bm25_b": index.params.bm25_b},
         "preprocess": index.preprocessor.config(),
         "documents": [
-            [doc.path, doc.class_name, sorted(doc.resource_id_refs), norm]
-            for doc, norm in zip(index.documents, index.rvsm_norms)
+            [path, class_name, sorted(refs), norm] for path, class_name, refs, norm in zip(
+                index.paths, index.class_names, index.resource_id_refs, index.rvsm_norms
+            )
         ],
         "terms": postings.terms,
         "postings": base64.b64encode(zlib.compress(words.tobytes(), 1)).decode("ascii"),
@@ -414,8 +408,9 @@ def load_index(path: str | Path) -> CorpusIndex:
     try:  # a setting out of range or too large for a float, or bad postings or documents
         pre = Preprocessor.from_config(preprocess)
         postings, lengths = _unpack_postings(terms, packed, len(rows))
-        docs, norms = _stored_documents(rows, lengths, postings)
-        return CorpusIndex(docs, postings, lengths, norms, ScoringParams(float(k1), float(b)), pre)
+        paths, class_names, refs, norms = _document_columns(rows)
+        return CorpusIndex(paths, class_names, refs, lengths, norms, postings,
+                           ScoringParams(float(k1), float(b)), pre)
     except (ConfigError, InputError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -464,7 +459,7 @@ def _unpack_postings(terms: list, packed: str, doc_count: int) -> tuple[Postings
                      "gaps and counts, as the document frequencies need")
     if not stream.eof or stream.unused_data:
         raise InputError("'postings' holds a truncated zlib stream or data after its end")
-    postings = Postings(terms, offsets, words[:total], words[total:], doc_count)
+    postings = Postings(terms, offsets, words[:total], words[total:])
     if 0 in postings.gaps:
         raise InputError("doc ids must be strictly increasing within each term")
     if 0 in postings.distinct_counts:
@@ -478,12 +473,8 @@ def _unpack_postings(terms: list, packed: str, doc_count: int) -> tuple[Postings
     return postings, lengths.tolist()
 
 
-def _stored_documents(
-    rows: list, lengths: list[int], postings: Postings
-) -> tuple[list[SourceDocument], list[float]]:
-    """The documents and rVSM norms of [path, class_name, resource_id_refs, rvsm_norm] rows."""
-    docs: list[SourceDocument] = []
-    norms = []
+def _document_columns(rows: list) -> tuple[list, list, list, list]:
+    """The columns of [path, class_name, resource_id_refs, rvsm_norm] rows, each refs a set."""
     for doc_id, row in enumerate(rows):
         if type(row) is not list or len(row) != 4:
             raise InputError(
@@ -497,9 +488,8 @@ def _stored_documents(
         # json reads NaN and Infinity as floats; the comparison rejects both
         if type(norm) is not float or not 0.0 <= norm < math.inf:
             raise InputError(f"document {doc_id}: rvsm_norm must be a finite number >= 0")
-        docs.append(_StoredDocument(doc_id, path, class_name, lengths[doc_id], set(refs), postings))
-        norms.append(norm)
-    return docs, norms
+    paths, class_names, refs, norms = zip(*rows) if rows else ((),) * 4
+    return list(paths), list(class_names), list(map(set, refs)), list(norms)
 
 
 _INDEX_FIELDS = {

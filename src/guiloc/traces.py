@@ -35,16 +35,6 @@ class GuiComponent:
     exercised: bool = False
     action: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "resource_id": self.resource_id,
-            "type": self.component_type,
-            "text": self.text,
-            "content_desc": self.content_desc,
-            "exercised": self.exercised,
-            "action": self.action,
-        }
-
     def term_set(self, preprocessor: Preprocessor) -> set[str]:
         """Terms of the resource id, text and content description."""
         return preprocessor.term_set(" ".join([self.resource_id, self.text, self.content_desc]))
@@ -98,13 +88,6 @@ class Screen:
 
     def exercised_components(self) -> list[GuiComponent]:
         return [c for c in self.components if c.exercised]
-
-    def to_json(self) -> dict:
-        return {
-            "activity_name": self.activity_name,
-            "window_name": self.window_name,
-            "components": [c.to_json() for c in self.components],
-        }
 
     @classmethod
     def from_json(cls, data: dict, where: str) -> "Screen":

@@ -1214,6 +1214,9 @@ SWEEP_INPUT_CHANGES = {
     ), True),
     "no-meta-file": (lambda tmp_path, out: Path(f"{out}.meta.json").unlink(), False),
     "meta-file-not-json": (_write(lambda tmp_path, out: Path(f"{out}.meta.json"), "{"), False),
+    "meta-file-nested-too-deep": (
+        _write(lambda tmp_path, out: Path(f"{out}.meta.json"), "[" * 100000), False
+    ),
     "meta-file-without-rows": (
         lambda tmp_path, out: _edit_json(Path(f"{out}.meta.json"), lambda m: m.pop("rows")), False
     ),
@@ -1295,6 +1298,16 @@ def test_lint_report_that_is_not_utf8_exits_one(tmp_path, caplog):
     assert run(["lint-report", "--report", str(path)]) == 1
     (error,) = _errors(caplog)
     assert f"cannot read {path}" in error
+
+
+def test_index_with_a_stopword_file_that_is_not_utf8_exits_one(tmp_path, caplog):
+    words, out = tmp_path / "stop.txt", tmp_path / "index.json"
+    words.write_bytes(b"save\n\xe9t\xe9\n")
+    argv = ["index", "--corpus", str(FIXTURES / "app"), "--stopwords", str(words), "--out", str(out)]
+    assert run(argv) == 1
+    (error,) = _errors(caplog)
+    assert f"cannot read stopword file {words}" in error
+    assert not out.exists()
 
 
 def _sweep_into(workspace, out):

@@ -273,6 +273,14 @@ def test_custom_stopword_file(tmp_path):
     assert pre.tokens("foo bar the baz") == ["the", "baz"]
 
 
+def test_stopword_file_that_starts_with_a_bom(tmp_path):
+    words = tmp_path / "stop.txt"
+    words.write_bytes("save\nnote\n".encode("utf-8-sig"))
+    stops = load_stopwords(words)
+    assert stops == {"save", "note"}
+    assert Preprocessor(stopwords=stops).tokens("save the note") == ["the"]
+
+
 def test_default_stopwords_cover_english_and_keywords():
     stops = default_stopwords()
     assert {"the", "should", "while", "class", "fun"} <= stops

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -468,7 +469,7 @@ def test_loaded_index_scores_rvsm_without_term_bags(tmp_path):
     loaded = _round_trip(built, tmp_path)
     query = [t for d in built.documents[:3] for t in Counter(d.terms).elements()]
     assert _scored(score_rvsm(loaded, query)) == _scored(score_rvsm(built, query)) != []
-    assert "term_bags" not in vars(loaded.postings)
+    assert "documents" not in vars(loaded)
 
 
 def _seeded_corpus(rng):
@@ -511,9 +512,24 @@ def test_localize_on_a_loaded_index_builds_no_term_bags(tmp_path):
             config = PipelineConfig(scorer=scorer, query_strategy="expand", rerank_strategy=rerank)
             for report, trace in pairs:
                 assert localize(report, trace, loaded, config).entries
-    assert "term_bags" not in vars(loaded.postings)
+    assert "documents" not in vars(loaded)
     assert loaded.documents[0].terms  # a library caller's first read rebuilds them
-    assert "term_bags" in vars(loaded.postings)
+    assert "documents" in vars(loaded)
+
+
+def test_built_index_keeps_no_scanned_document(tmp_path):
+    docs = scan_corpus(FIXTURES / "app")
+    first = weakref.ref(docs[0])
+    index = build_index(docs)
+    want = [(d.doc_id, d.path, d.class_name, dict(sorted(d.terms.items())), d.length,
+             d.resource_id_refs) for d in docs]
+    del docs
+    assert first() is None
+    assert "documents" not in vars(index)
+    # the view rebuilds each term bag from the postings, in sorted term order
+    assert [(d.doc_id, d.path, d.class_name, d.terms, d.length, d.resource_id_refs)
+            for d in index.documents] == want
+    assert [list(d.terms) for d in index.documents] == [sorted(d.terms) for d in index.documents]
 
 
 def _random_corpus(rng, vocab):
