@@ -184,19 +184,22 @@ def evaluate_config(
     config = (config or PipelineConfig()).validate()
     outcomes = []
     hit_totals = {k: 0 for k in HITS_KS}
+    # added left to right: from Python 3.12 on, sum() compensates float sums
+    rr_total = ap_total = 0.0
     for (report, trace), cache in zip(pairs, caches or [StageCache() for _ in pairs], strict=True):
         ctx, _ = score_stages(report, trace, index, config, cache)
         groups, _ = rerank_groups(ctx, config.rerank_strategy)
         truth = report.ground_truth or set()
         ranks = reranked_ranks(truth, cache.scored.positions, groups)
-        outcomes.append(
-            ReportOutcome(
-                report_id=report.report_id,
-                first_relevant_rank=ranks[0] if ranks else None,
-                reciprocal_rank=reciprocal_rank(ranks),
-                average_precision=average_precision(ranks, len(truth)),
-            )
+        outcome = ReportOutcome(
+            report_id=report.report_id,
+            first_relevant_rank=ranks[0] if ranks else None,
+            reciprocal_rank=reciprocal_rank(ranks),
+            average_precision=average_precision(ranks, len(truth)),
         )
+        outcomes.append(outcome)
+        rr_total += outcome.reciprocal_rank
+        ap_total += outcome.average_precision
         for k in HITS_KS:
             hit_totals[k] += hits_at_k(ranks, k)
     n = len(pairs)
@@ -204,8 +207,8 @@ def evaluate_config(
         config=config,
         per_report=outcomes,
         hits_at={k: hit_totals[k] / n for k in HITS_KS},
-        mrr=sum(o.reciprocal_rank for o in outcomes) / n,
-        map_score=sum(o.average_precision for o in outcomes) / n,
+        mrr=rr_total / n,
+        map_score=ap_total / n,
         report_count=n,
     )
 
@@ -290,13 +293,8 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
     ]
     digest.update(json.dumps([index.params.bm25_k1, index.params.bm25_b,
                               index.preprocessor.config(), dataset]).encode())
-    # NUL joins: no path, class name, resource id or term holds one
-    for strings in (
-        index.paths,
-        index.class_names,
-        map(" ".join, map(sorted, index.resource_id_refs)),
-        postings.terms,
-    ):
+    # NUL joins: no path, resource id or term holds one
+    for strings in (index.paths, map(" ".join, map(sorted, index.resource_id_refs)), postings.terms):
         digest.update("\0".join(strings).encode() + b"\1")
     for words in (postings.offsets, postings.gaps, postings.counts,
                   array("I", index.lengths), array("d", index.rvsm_norms)):

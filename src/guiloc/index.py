@@ -16,12 +16,12 @@ from operator import sub
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
+from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument, class_name_of
 from .errors import ConfigError, InputError, check_choice
 from .util import json_fields, load_format_file, save_format_file
 
 INDEX_FORMAT = "guiloc-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 SCORERS = ("bm25", "rvsm")
 
@@ -152,7 +152,6 @@ class CorpusIndex:
     """
 
     paths: list[str]
-    class_names: list[str]
     resource_id_refs: list[set[str]]
     lengths: list[int]
     rvsm_norms: list[float]
@@ -187,8 +186,8 @@ class CorpusIndex:
         ]
         self.files_by_class = defaultdict(list)
         self.files_by_resource_id = defaultdict(list)
-        for path, class_name, refs in zip(paths, self.class_names, self.resource_id_refs):
-            self.files_by_class[class_name].append(path)
+        for path, refs in zip(paths, self.resource_id_refs):
+            self.files_by_class[class_name_of(path)].append(path)
             for ref in refs:
                 self.files_by_resource_id[ref].append(path)
 
@@ -199,8 +198,7 @@ class CorpusIndex:
         for term in self.postings.terms:
             for doc_id, freq in zip(*self.postings._decode(term)):
                 bags[doc_id][term] = freq
-        return list(map(SourceDocument, count(), self.paths, self.class_names, bags,
-                        self.lengths, self.resource_id_refs))
+        return list(map(SourceDocument, self.paths, bags, self.resource_id_refs))
 
     @cached_property
     def path_order(self) -> list[int]:
@@ -230,21 +228,15 @@ def build_index(
 ) -> CorpusIndex:
     """Build the inverted index over already-scanned documents.
 
-    Document ids must be 0..n-1 in list order, as :func:`scan_corpus` assigns
-    them. Paths must be distinct, term counts whole numbers from 1 to
-    2**32 - 1 and lengths below 2**32. Each document's rVSM vector norm is
-    summed over ``doc.terms`` in stored order, which fixes its floating-point
-    value.
+    A document's id is its position in `documents`. Paths must be distinct,
+    term counts whole numbers from 1 to 2**32 - 1 and lengths below 2**32.
+    Each document's rVSM vector norm is summed over ``doc.terms`` in stored
+    order, which fixes its floating-point value.
     """
     docs = list(documents)
     ids_of: dict[str, list[int]] = defaultdict(list)
     counts_of: dict[str, list[int]] = defaultdict(list)
     for doc_id, doc in enumerate(docs):
-        if doc.doc_id != doc_id:
-            raise InputError(
-                f"document {doc.path!r} has id {doc.doc_id} at position {doc_id}; "
-                f"ids must be 0..{len(docs) - 1} in order"
-            )
         # rVSM takes the log of every count
         try:
             below_one = bool(doc.terms) and min(doc.terms.values()) < 1
@@ -254,8 +246,6 @@ def build_index(
             ) from None
         if below_one:
             raise InputError(f"document {doc.path!r} has a term count below 1")
-        if sum(doc.terms.values()) != doc.length:
-            raise InputError(f"document {doc.path!r} has a length other than its term total")
         for term, freq in doc.terms.items():
             ids_of[term].append(doc_id)
             counts_of[term].append(freq)
@@ -275,9 +265,9 @@ def build_index(
     if max(lengths, default=0) >= 2**32:  # index files store lengths in 32 bits
         raise InputError("document lengths must be below 2**32")
     return CorpusIndex(
-        [doc.path for doc in docs], [doc.class_name for doc in docs],
-        [doc.resource_id_refs for doc in docs], lengths, _rvsm_norms(docs, postings), postings,
-        params or ScoringParams(), preprocessor or DEFAULT_PREPROCESSOR,
+        [doc.path for doc in docs], [doc.resource_id_refs for doc in docs], lengths,
+        _rvsm_norms(docs, postings), postings, params or ScoringParams(),
+        preprocessor or DEFAULT_PREPROCESSOR,
     )
 
 
@@ -348,11 +338,13 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     if not query:
         return ScoredList(index, dots, ["empty-query"])
     q_weights: dict[str, float] = {}
+    q_norm_sq = 0.0  # added left to right: from Python 3.12 on, sum() compensates float sums
     for term, qtf in query.items():
         idf = _rvsm_idf(n, index.doc_freq.get(term, 0))
         if idf > 0.0:
-            q_weights[term] = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
-    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+            w = q_weights[term] = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
+            q_norm_sq += w * w
+    q_norm = math.sqrt(q_norm_sq)
     if q_norm == 0.0:
         return ScoredList(index, dots, ["no-discriminative-terms"])
 
@@ -389,9 +381,8 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "params": {"bm25_k1": index.params.bm25_k1, "bm25_b": index.params.bm25_b},
         "preprocess": index.preprocessor.config(),
         "documents": [
-            [path, class_name, sorted(refs), norm] for path, class_name, refs, norm in zip(
-                index.paths, index.class_names, index.resource_id_refs, index.rvsm_norms
-            )
+            [path, sorted(refs), norm]
+            for path, refs, norm in zip(index.paths, index.resource_id_refs, index.rvsm_norms)
         ],
         "terms": postings.terms,
         "postings": base64.b64encode(zlib.compress(words.tobytes(), 1)).decode("ascii"),
@@ -408,8 +399,8 @@ def load_index(path: str | Path) -> CorpusIndex:
     try:  # a setting out of range or too large for a float, or bad postings or documents
         pre = Preprocessor.from_config(preprocess)
         postings, lengths = _unpack_postings(terms, packed, len(rows))
-        paths, class_names, refs, norms = _document_columns(rows)
-        return CorpusIndex(paths, class_names, refs, lengths, norms, postings,
+        paths, refs, norms = _document_columns(rows)
+        return CorpusIndex(paths, refs, lengths, norms, postings,
                            ScoringParams(float(k1), float(b)), pre)
     except (ConfigError, InputError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -473,23 +464,21 @@ def _unpack_postings(terms: list, packed: str, doc_count: int) -> tuple[Postings
     return postings, lengths.tolist()
 
 
-def _document_columns(rows: list) -> tuple[list, list, list, list]:
-    """The columns of [path, class_name, resource_id_refs, rvsm_norm] rows, each refs a set."""
+def _document_columns(rows: list) -> tuple[list, list, list]:
+    """The columns of [path, resource_id_refs, rvsm_norm] rows, each refs a set."""
     for doc_id, row in enumerate(rows):
-        if type(row) is not list or len(row) != 4:
-            raise InputError(
-                f"document {doc_id} must be a [path, class_name, resource_id_refs, rvsm_norm] list"
-            )
-        path, class_name, refs, norm = row
-        if type(path) is not str or type(class_name) is not str:
-            raise InputError(f"document {doc_id}: path and class name must be strings")
+        if type(row) is not list or len(row) != 3:
+            raise InputError(f"document {doc_id} must be a [path, resource_id_refs, rvsm_norm] list")
+        path, refs, norm = row
+        if type(path) is not str:
+            raise InputError(f"document {doc_id}: path must be a string")
         if type(refs) is not list or not all(type(r) is str for r in refs):
             raise InputError(f"document {doc_id}: resource_id_refs must be a list of strings")
         # json reads NaN and Infinity as floats; the comparison rejects both
         if type(norm) is not float or not 0.0 <= norm < math.inf:
             raise InputError(f"document {doc_id}: rvsm_norm must be a finite number >= 0")
-    paths, class_names, refs, norms = zip(*rows) if rows else ((),) * 4
-    return list(paths), list(class_names), list(map(set, refs)), list(norms)
+    paths, refs, norms = zip(*rows) if rows else ((),) * 3
+    return list(paths), list(map(set, refs)), list(norms)
 
 
 _INDEX_FIELDS = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument
+from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument, class_name_of
 from .errors import ConfigError
 from .index import CorpusIndex
 from .traces import GuiComponent, ReproTrace, last_screens
@@ -109,7 +109,7 @@ def match_activity_files(
 ) -> set[str]:
     """Files whose class name equals an activity or window basename (case-sensitive)."""
     names = _window_class_names(trace, window)
-    return {doc.path for doc in docs if doc.class_name in names}
+    return {doc.path for doc in docs if class_name_of(doc.path) in names}
 
 
 def _exercised_in_window(trace: ReproTrace, window: int) -> list[GuiComponent]:

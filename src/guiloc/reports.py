@@ -162,7 +162,7 @@ class RemoteClassifier:
 
     Request: {"version": 1, "model": str, "sentences": [str]}
     Response: {"version": 1, "tags": [str]} with one tag per sentence.
-    Any URL, transport or schema failure raises RemoteClassifierError.
+    Any URL, transport, schema or version failure raises RemoteClassifierError.
     """
 
     def __init__(self, url: str, model: str = "default", timeout: float = 10.0):
@@ -187,12 +187,18 @@ class RemoteClassifier:
             )
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 data = json.load(resp)
-        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
+        # RecursionError: a reply nested too deep for the JSON decoder
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError,
+                RecursionError) as exc:
             raise RemoteClassifierError(f"classifier request failed: {exc}") from exc
-        tags = data.get("tags") if isinstance(data, dict) else None
-        if not isinstance(tags, list):
+        if not isinstance(data, dict) or not isinstance(data.get("tags"), list):
             raise RemoteClassifierError(f"bad classifier response: {data!r}")
-        return tags
+        version = data.get("version")
+        if type(version) is not int or version != WIRE_VERSION:  # true and 1.0 equal 1
+            raise RemoteClassifierError(
+                f"classifier replied in version {version!r}; this build reads version {WIRE_VERSION}"
+            )
+        return data["tags"]
 
 
 def classify_sentences(

@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .corpus import DEFAULT_PREPROCESSOR
-from .errors import InputError
 from .reports import S2RStep
-from .traces import ExecutionModel, GuiComponent, ModelEdge
+from .traces import ExecutionModel, ModelEdge
 
 MATCH_THRESHOLD = 0.5
 AMBIGUITY_MARGIN = 0.05
@@ -149,13 +148,3 @@ def detect_missing_steps(
         elif path:
             report.gaps.append(StepGap(i_prev, i_next, path))
     return report
-
-
-def suggest_next_steps(
-    model: ExecutionModel, fingerprint: str
-) -> list[tuple[str, GuiComponent]]:
-    """Possible interactions from a screen, sorted by (action, resource_id)."""
-    if fingerprint not in model.nodes:
-        raise InputError(f"unknown screen fingerprint: {fingerprint}")
-    outgoing = sorted(model.adjacency.get(fingerprint, ()), key=lambda e: (e.action, e.resource_id))
-    return [(e.action, e.component) for e in outgoing]

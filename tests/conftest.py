@@ -15,16 +15,8 @@ from guiloc.traces import GuiComponent, ReproTrace, Screen
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def make_doc(doc_id, path, terms, *, refs=(), class_name=None):
-    counts = Counter(terms)
-    return SourceDocument(
-        doc_id=doc_id,
-        path=path,
-        class_name=class_name or Path(path).stem,
-        terms=counts,
-        length=sum(counts.values()),
-        resource_id_refs=set(refs),
-    )
+def make_doc(path, terms, *, refs=()):
+    return SourceDocument(path=path, terms=Counter(terms), resource_id_refs=set(refs))
 
 
 def make_component(resource_id="", *, ctype="Button", text="", desc="", exercised=False, action=None):

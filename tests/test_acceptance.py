@@ -131,7 +131,7 @@ def test_criterion_2_scorer_correctness():
     vocab = ("save", "note", "edit", "view", "sync", "tag", "list", "load")
     for _ in range(30):
         docs = [
-            make_doc(i, f"f{i:02d}.java", [rng.choice(vocab) for _ in range(rng.randint(1, 15))])
+            make_doc(f"f{i:02d}.java", [rng.choice(vocab) for _ in range(rng.randint(1, 15))])
             for i in range(rng.randint(2, 10))
         ]
         query = [rng.choice(vocab + ("missing",)) for _ in range(rng.randint(1, 6))]
@@ -142,7 +142,7 @@ def test_criterion_2_scorer_correctness():
             for d in docs:
                 assert got.get(d.path, 0.0) == pytest.approx(want[d.path], abs=1e-9)
 
-    docs = [make_doc(0, "d1.java", ["a", "b"]), make_doc(1, "d2.java", ["b"])]
+    docs = [make_doc("d1.java", ["a", "b"]), make_doc("d2.java", ["b"])]
     score = rank(build_index(docs), ["a"], "bm25").entries[0].score
     assert score == pytest.approx(0.6100, abs=1e-4)
     print(f"criterion 2 PASS: both scorers match the dense reference within 1e-9; "

@@ -584,7 +584,7 @@ def _b(value):
 
 def _first_norm(value):
     def edit(data):
-        data["documents"][0][3] = value
+        data["documents"][0][2] = value
     return edit
 
 
@@ -728,7 +728,7 @@ def _old_index_exits_one(workspace, caplog, version):
     path.write_text(json.dumps(data))
     assert run(_localize_argv(workspace)) == 1
     (error,) = _errors(caplog)
-    assert f"unsupported index version {version} in {path}; this build reads version 4" in error
+    assert f"unsupported index version {version} in {path}; this build reads version 5" in error
 
 
 def test_index_min_term_len_below_one_exits_two_before_scanning(tmp_path, caplog, monkeypatch):
@@ -757,6 +757,10 @@ def test_localize_version_three_index_exits_one(workspace, caplog):
     _old_index_exits_one(workspace, caplog, 3)
 
 
+def test_localize_version_four_index_exits_one(workspace, caplog):
+    _old_index_exits_one(workspace, caplog, 4)
+
+
 @pytest.mark.parametrize("scorer", ["bm25", "rvsm"])
 def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, capsys, scorer):
     corpus = tmp_path / "corpus"
@@ -779,7 +783,7 @@ def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, ca
     assert code == 0
     assert json.loads(capsys.readouterr().out)["ranking"] == []
     data = json.loads(index.read_text())
-    assert data["documents"][0][3] == 0.0 and data["terms"] == []
+    assert data["documents"][0][2] == 0.0 and data["terms"] == []
     body = unpack_postings(data)  # only the one document's length, 0
     assert body.lengths == array("I", [0]) and not (body.dfs or body.gaps or body.counts)
 
@@ -1253,7 +1257,7 @@ def test_sweep_recomputes_every_row_when_its_inputs_change(tmp_path, caplog, cha
 
 def _scale_each_norm(data):
     for i, row in enumerate(data["documents"]):
-        row[3] *= 1 + i % 3
+        row[2] *= 1 + i % 3
 
 
 def _reverse_the_lengths(data):

@@ -4,19 +4,23 @@ import random
 import re
 import string
 from collections import Counter
+from pathlib import PurePosixPath
 
 import pytest
 
 from guiloc.corpus import (
     Preprocessor,
+    SourceDocument,
     _known_id_mentions,
     _stem,
+    class_name_of,
     default_stopwords,
-    extract_code_facets,
     load_stopwords,
+    referenced_resource_ids,
     scan_corpus,
 )
 from guiloc.errors import ConfigError, InputError
+from guiloc.index import build_index
 
 from conftest import FIXTURES
 
@@ -148,8 +152,8 @@ def test_facets_match_the_reference():
     rng = random.Random(21)
     for _ in range(20_000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
-        class_name, refs = extract_code_facets(text, "A.java")
-        assert (class_name, refs) == ("A", reference_refs(text, set())), text
+        refs = referenced_resource_ids(text)
+        assert refs == reference_refs(text, set()), text
         # the second pass of scan_corpus
         assert refs | _known_id_mentions(text, known) == reference_refs(text, known), text
 
@@ -205,17 +209,15 @@ def test_programming_keywords_are_stopwords():
 
 
 def test_extract_facets_resource_reference():
-    class_name, refs = extract_code_facets("btn = findViewById(R.id.save_button);", "a/Editor.java")
-    assert class_name == "Editor"
-    assert refs == {"save_button"}
+    assert referenced_resource_ids("btn = findViewById(R.id.save_button);") == {"save_button"}
 
 
 def test_extract_facets_no_references():
-    assert extract_code_facets("text with no resource references", "B.kt") == ("B", set())
+    assert referenced_resource_ids("text with no resource references") == set()
 
 
 def test_extract_facets_lowercases_ids():
-    _, refs = extract_code_facets("R.id.saveButton then R.id.save_button", "C.java")
+    refs = referenced_resource_ids("R.id.saveButton then R.id.save_button")
     assert refs == {"savebutton", "save_button"}
 
 
@@ -241,7 +243,7 @@ def test_scan_orders_lexicographically_and_assigns_ids(tmp_path):
     (tmp_path / "C.kt").write_text("class C {}")
     docs = scan_corpus(tmp_path, extensions=("java",))
     assert [d.path for d in docs] == ["A.java", "B.java"]
-    assert [d.doc_id for d in docs] == [0, 1]
+    assert build_index(docs).doc_ids == {"A.java": 0, "B.java": 1}
 
 
 def test_scan_missing_root_is_fatal(tmp_path):
@@ -262,6 +264,15 @@ def test_scan_document_lengths_match_term_counts(tmp_path):
     doc = scan_corpus(tmp_path)[0]
     assert doc.length == sum(doc.terms.values())
     assert doc.class_name == "A"
+
+
+@pytest.mark.parametrize("path", [
+    "a/Foo.test.java", "Foo..java", "a/.hidden.java", "a/Foo.", "a b/C D.java",
+    "ü/Ünïcødé.kt", "a/Makefile", "Main.java", ".java", "a/..java",
+])
+def test_class_name_is_the_stem_of_the_path(path):
+    assert class_name_of(path) == PurePosixPath(path).stem
+    assert SourceDocument(path, {}).class_name == class_name_of(path)
 
 
 def test_custom_stopword_file(tmp_path):

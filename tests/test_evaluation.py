@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import builtins
 import gc
 import json
 import logging
+import math
 import random
 from collections import Counter
 
 import pytest
 
 import guiloc.evaluation as evaluation
+import guiloc.index as index_module
 import guiloc.pipeline as pipeline
 from guiloc.corpus import scan_corpus
 from guiloc.errors import InputError
@@ -87,7 +90,7 @@ def test_empty_truth_is_fatal():
     with pytest.raises(InputError):
         hits_at_k([1], 0)
     report = BugReport(report_id="r0", title="crash", body="crash on save", ground_truth=set())
-    index = build_index([make_doc(0, "A.java", ["crash"])])
+    index = build_index([make_doc("A.java", ["crash"])])
     with pytest.raises(InputError, match="ground truth must be nonempty"):
         evaluate_config([(report, make_trace("r0", [make_screen("A")]))], index)
 
@@ -183,9 +186,9 @@ def test_load_dataset_missing_trace_is_fatal(tmp_path):
 def _index_for_dataset():
     return build_index(
         [
-            make_doc(0, "ui/A.java", ["save", "tap", "alpha"]),
-            make_doc(1, "ui/B.java", ["save", "beta"]),
-            make_doc(2, "ui/C.java", ["gamma"]),
+            make_doc("ui/A.java", ["save", "tap", "alpha"]),
+            make_doc("ui/B.java", ["save", "beta"]),
+            make_doc("ui/C.java", ["gamma"]),
         ]
     )
 
@@ -425,3 +428,39 @@ def test_sweep_leaves_the_collector_on_and_makes_no_cycles(fixture_data, tmp_pat
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later run it: a float total is rounded once, at the end."""
+    values = list(values)
+    if any(type(v) is float for v in values):
+        return math.fsum([start, *values])
+    return builtins.sum(values, start)
+
+
+def test_scores_and_metrics_do_not_depend_on_how_sum_adds_floats(fixture_data, monkeypatch):
+    index, pairs = fixture_data
+    # ranks 1, 3 and 7 give reciprocal ranks whose left-to-right total is one ulp off fsum's
+    docs = [make_doc(f"d{i}.java", ["crash"] * (10 - i) + ["pad"] * i) for i in range(8)]
+    small = build_index(docs)
+    trace = make_trace("t", [make_screen("com.app.MainActivity")])
+    small_pairs = [(BugReport(f"r{r}", "crash", "", {f"d{r - 1}.java"}), trace) for r in (1, 3, 7)]
+    configs = [
+        full_depth(PipelineConfig(scorer="rvsm", query_strategy=q), index)
+        for q in pipeline.QUERY_STRATEGIES
+    ]
+
+    def results():
+        scores = [
+            [(e.path, e.score) for e in localize(report, trace, index, config).entries]
+            for config in configs
+            for report, trace in pairs
+        ]
+        result = evaluate_config(small_pairs, small)
+        return scores, result.mrr, result.map_score
+
+    expected = results()
+    assert expected[1] == (1 + 1 / 3 + 1 / 7) / 3 != math.fsum([1, 1 / 3, 1 / 7]) / 3
+    for module in (index_module, evaluation):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert results() == expected

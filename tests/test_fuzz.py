@@ -154,7 +154,7 @@ BOUNDARY_MUTANTS = 10
 def _copy_a_path(index, rng: random.Random) -> str:
     docs = index["documents"]
     src, dst = rng.sample(range(len(docs)), 2)
-    docs[dst][0] = docs[src][0]  # each document is a [path, class_name, refs, norm] row
+    docs[dst][0] = docs[src][0]  # each document is a [path, refs, norm] row
     return f"copy document {src}'s path onto document {dst}"
 
 

@@ -96,12 +96,12 @@ def _random_docs(rng, max_docs=10, vocab=("save", "note", "edit", "view", "sync"
     docs = []
     for i in range(rng.randint(2, max_docs)):
         terms = [rng.choice(vocab) for _ in range(rng.randint(1, 15))]
-        docs.append(make_doc(i, f"f{i:02d}.java", terms))
+        docs.append(make_doc(f"f{i:02d}.java", terms))
     return docs
 
 
 def test_bm25_two_doc_hand_example():
-    docs = [make_doc(0, "d1.java", ["a", "b"]), make_doc(1, "d2.java", ["b"])]
+    docs = [make_doc("d1.java", ["a", "b"]), make_doc("d2.java", ["b"])]
     index = build_index(docs)
     ranked = score_bm25(index, ["a"])
     assert [e.path for e in ranked.entries] == ["d1.java"]
@@ -142,9 +142,9 @@ def test_rvsm_matches_dense_reference():
 
 def test_rvsm_length_factor_prefers_longer_on_equal_cosine():
     docs = [
-        make_doc(0, "short.java", ["save"]),
-        make_doc(1, "long.java", ["save", "save"]),
-        make_doc(2, "other.java", ["other"]),
+        make_doc("short.java", ["save"]),
+        make_doc("long.java", ["save", "save"]),
+        make_doc("other.java", ["other"]),
     ]
     ranked = score_rvsm(build_index(docs), ["save"])
     scores = {e.path: e.score for e in ranked.entries}
@@ -152,7 +152,7 @@ def test_rvsm_length_factor_prefers_longer_on_equal_cosine():
 
 
 def test_scores_nonincreasing_and_ties_by_path():
-    docs = [make_doc(0, "b.java", ["save"]), make_doc(1, "a.java", ["save"]), make_doc(2, "c.java", ["x"])]
+    docs = [make_doc("b.java", ["save"]), make_doc("a.java", ["save"]), make_doc("c.java", ["x"])]
     for scorer in (score_bm25, score_rvsm):
         ranked = scorer(build_index(docs), ["save"])
         scores = [e.score for e in ranked.entries]
@@ -161,14 +161,14 @@ def test_scores_nonincreasing_and_ties_by_path():
 
 
 def test_zero_score_documents_omitted():
-    docs = [make_doc(0, "hit.java", ["save"]), make_doc(1, "miss.java", ["other"])]
+    docs = [make_doc("hit.java", ["save"]), make_doc("miss.java", ["other"])]
     for scorer in (score_bm25, score_rvsm):
         ranked = scorer(build_index(docs), ["save"])
         assert [e.path for e in ranked.entries] == ["hit.java"]
 
 
 def test_empty_query_warns_not_errors():
-    index = build_index([make_doc(0, "a.java", ["x"])])
+    index = build_index([make_doc("a.java", ["x"])])
     for scorer in (score_bm25, score_rvsm):
         ranked = scorer(index, [])
         assert ranked.entries == []
@@ -181,7 +181,7 @@ def test_added_irrelevant_doc_keeps_relative_order_under_frozen_stats():
         docs = _random_docs(rng, max_docs=8)
         query = ["save", "note"]
         base_index = build_index(docs)
-        extra = make_doc(len(docs), "zzz_extra.java", ["unrelated", "padding"])
+        extra = make_doc("zzz_extra.java", ["unrelated", "padding"])
         grown_index = build_index(docs + [extra])
         # rescore the grown corpus against the old statistics snapshot
         grown_index.doc_freq = base_index.doc_freq
@@ -194,7 +194,7 @@ def test_added_irrelevant_doc_keeps_relative_order_under_frozen_stats():
 
 
 def test_rvsm_query_frequency_below_one_weighs_linearly():
-    docs = [make_doc(0, "a.java", ["a", "a", "b"]), make_doc(1, "b.java", ["b"]), make_doc(2, "c.java", ["c"])]
+    docs = [make_doc("a.java", ["a", "a", "b"]), make_doc("b.java", ["b"]), make_doc("c.java", ["c"])]
     index = build_index(docs)
     idf_a, idf_b = math.log(3), math.log(3 / 2)
     a_vec = ((1 + math.log(2)) * idf_a, idf_b)  # a.java's weights for a and b
@@ -215,7 +215,7 @@ def test_rvsm_query_frequency_below_one_weighs_linearly():
 
 
 def test_rank_dispatch_and_unknown_scorer():
-    index = build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["other"])])
+    index = build_index([make_doc("a.java", ["save"]), make_doc("b.java", ["other"])])
     assert rank(index, ["save"], "bm25").entries
     assert rank(index, ["save"], "rvsm").entries
     with pytest.raises(ConfigError):
@@ -223,7 +223,7 @@ def test_rank_dispatch_and_unknown_scorer():
 
 
 def test_rvsm_term_in_every_doc_carries_no_weight():
-    index = build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["save"])])
+    index = build_index([make_doc("a.java", ["save"]), make_doc("b.java", ["save"])])
     ranked = score_rvsm(index, ["save"])
     assert ranked.entries == []
     assert "no-discriminative-terms" in ranked.flags
@@ -236,8 +236,8 @@ def test_empty_corpus_is_fatal():
 
 def test_index_round_trip_is_lossless(tmp_path):
     docs = [
-        make_doc(0, "a/A.java", ["save", "note", "save"], refs={"save_button"}),
-        make_doc(1, "b/B.java", ["view", "tag"], refs=set()),
+        make_doc("a/A.java", ["save", "note", "save"], refs={"save_button"}),
+        make_doc("b/B.java", ["view", "tag"], refs=set()),
     ]
     index = build_index(docs, ScoringParams(bm25_k1=1.5, bm25_b=0.6))
     path = tmp_path / "corpus.idx.json"
@@ -249,8 +249,7 @@ def test_index_round_trip_is_lossless(tmp_path):
     assert loaded.doc_freq == index.doc_freq
     assert loaded.postings == index.postings
     for a, b in zip(index.documents, loaded.documents):
-        assert (a.doc_id, a.path, a.class_name, a.terms, a.length, a.resource_id_refs) == (
-            b.doc_id,
+        assert (a.path, a.class_name, a.terms, a.length, a.resource_id_refs) == (
             b.path,
             b.class_name,
             b.terms,
@@ -272,7 +271,7 @@ def test_index_version_gate(tmp_path):
 
 
 def test_identical_scores_across_rebuilds():
-    docs = [make_doc(i, f"f{i}.java", ["save", "note"][: 1 + i % 2] * (i + 1)) for i in range(5)]
+    docs = [make_doc(f"f{i}.java", ["save", "note"][: 1 + i % 2] * (i + 1)) for i in range(5)]
     first = score_bm25(build_index(docs), ["save", "note"])
     second = score_bm25(build_index(docs), ["save", "note"])
     assert [(e.path, e.score) for e in first.entries] == [(e.path, e.score) for e in second.entries]
@@ -280,8 +279,8 @@ def test_identical_scores_across_rebuilds():
 
 def test_index_loads_indented_files_from_older_builds(tmp_path):
     docs = [
-        make_doc(0, "a/A.java", ["save", "note", "save"], refs={"save_button"}),
-        make_doc(1, "b/B.java", ["view", "tag"]),
+        make_doc("a/A.java", ["save", "note", "save"], refs={"save_button"}),
+        make_doc("b/B.java", ["view", "tag"]),
     ]
     index = build_index(docs)
     compact = tmp_path / "compact.idx.json"
@@ -294,11 +293,9 @@ def test_index_loads_indented_files_from_older_builds(tmp_path):
 
 
 def test_doc_ids_must_run_in_list_order(tmp_path):
-    docs = [make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["save", "note"])]
-    with pytest.raises(InputError, match="ids must be"):
-        build_index(list(reversed(docs)))
-    with pytest.raises(InputError, match="ids must be"):
-        build_index([make_doc(1, "a.java", ["save"])])
+    docs = [make_doc("a.java", ["save"]), make_doc("b.java", ["save", "note"])]
+    # a document's id is its position in the list
+    assert build_index(list(reversed(docs))).doc_ids == {"b.java": 0, "a.java": 1}
     path = tmp_path / "repeated.idx.json"
     save_index(build_index(docs), path)
     data = json.loads(path.read_text())
@@ -312,14 +309,14 @@ def test_doc_ids_must_run_in_list_order(tmp_path):
 
 
 def test_build_index_rejects_a_duplicated_path():
-    docs = [make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"]), make_doc(2, "a.java", [])]
+    docs = [make_doc("a.java", ["save"]), make_doc("b.java", ["note"]), make_doc("a.java", [])]
     with pytest.raises(InputError, match="'a.java' appears more than once"):
         build_index(docs)
 
 
 def test_term_counts_below_one_are_rejected(tmp_path):
     path = tmp_path / "zero.idx.json"
-    save_index(build_index([make_doc(0, "a.java", ["save"]), make_doc(1, "b.java", ["note"])]), path)
+    save_index(build_index([make_doc("a.java", ["save"]), make_doc("b.java", ["note"])]), path)
     data = json.loads(path.read_text())
     body = unpack_postings(data)
     body.counts[1] = 0
@@ -328,13 +325,13 @@ def test_term_counts_below_one_are_rejected(tmp_path):
     with pytest.raises(InputError, match="term count below 1"):
         load_index(path)
     with pytest.raises(InputError, match="term count below 1"):
-        build_index([make_doc(0, "a.java", {"save": 0})])
+        build_index([make_doc("a.java", {"save": 0})])
 
 
 def test_postings_decode_doc_id_and_count_pairs():
     docs = [
-        make_doc(0, "a.java", ["save", "note", "tag", "save", "view"]),
-        make_doc(1, "b.java", ["save"]),
+        make_doc("a.java", ["save", "note", "tag", "save", "view"]),
+        make_doc("b.java", ["save"]),
     ]
     postings = build_index(docs).postings
     assert postings["note"] == [(0, 1)] and postings["save"] == [(0, 2), (1, 1)]
@@ -366,7 +363,7 @@ def test_columns_hold_the_pairs_of_a_lookup(tmp_path):
 @pytest.mark.parametrize("scorer", SCORERS)
 def test_scoring_a_long_posting_list_keeps_no_object_per_posting(scorer):
     # 2,000 of 2,001 files hold the term, so rVSM's idf is not 0 either
-    docs = [make_doc(i, f"f{i:04}.java", ["common"] if i else ["rare"]) for i in range(2001)]
+    docs = [make_doc(f"f{i:04}.java", ["common"] if i else ["rare"]) for i in range(2001)]
     index = build_index(docs)
     gc.disable()
     try:
@@ -409,7 +406,7 @@ def test_scores_equal_exact_references_with_duplicate_documents():
                 terms = list(Counter(rng.choice(docs).terms).elements())  # same bag, so tied scores
             else:
                 terms = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
-            docs.append(make_doc(i, f"d{rng.randrange(1000):03d}_{i}.java", terms))
+            docs.append(make_doc(f"d{rng.randrange(1000):03d}_{i}.java", terms))
         params = ScoringParams(bm25_k1=rng.choice([1.2, 0.9, 2.0]), bm25_b=rng.choice([0.75, 0.3, 1.0]))
         index = build_index(docs, params)
         for _ in range(5):
@@ -426,11 +423,11 @@ def test_scores_equal_exact_references_with_a_huge_term_count():
     vocab = [f"w{i}" for i in range(30)]
     for _ in range(10):
         docs = [
-            make_doc(i, f"f{i:02d}.java", [rng.choice(vocab) for _ in range(rng.randint(1, 30))])
+            make_doc(f"f{i:02d}.java", [rng.choice(vocab) for _ in range(rng.randint(1, 30))])
             for i in range(rng.randint(3, 15))
         ]
         big = rng.randrange(len(docs))
-        docs[big] = make_doc(big, docs[big].path, {**docs[big].terms, rng.choice(vocab): 10**6})
+        docs[big] = make_doc(docs[big].path, {**docs[big].terms, rng.choice(vocab): 10**6})
         index = build_index(docs)
         for _ in range(5):
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
@@ -448,11 +445,11 @@ def test_loaded_index_scores_exactly_like_the_built_one(tmp_path):
     """Stored rVSM norms make a saved and loaded index score == the index it was saved from."""
     rng = random.Random(53)
     seeded = [
-        make_doc(i, f"f{i:02d}.java", [f"w{rng.randrange(40)}" for _ in range(rng.randint(1, 40))])
+        make_doc(f"f{i:02d}.java", [f"w{rng.randrange(40)}" for _ in range(rng.randint(1, 40))])
         for i in range(30)
     ]
-    seeded[7] = make_doc(7, seeded[7].path, {**seeded[7].terms, "w3": 10**6})
-    seeded[11] = make_doc(11, seeded[11].path, [])
+    seeded[7] = make_doc(seeded[7].path, {**seeded[7].terms, "w3": 10**6})
+    seeded[11] = make_doc(seeded[11].path, [])
     for docs in (scan_corpus(FIXTURES / "app"), seeded):
         built = build_index(docs)
         loaded = _round_trip(built, tmp_path)
@@ -477,15 +474,15 @@ def _seeded_corpus(rng):
     docs = []
     for i in range(40):
         terms = [f"w{rng.randrange(60)}" for _ in range(rng.randint(1, 30))] + ["every"]
-        docs.append(make_doc(i, f"d{i:02d}.java", terms, refs={f"id{rng.randrange(5)}"}))
-    docs[9] = make_doc(9, docs[9].path, ["every"] * 1000)
+        docs.append(make_doc(f"d{i:02d}.java", terms, refs={f"id{rng.randrange(5)}"}))
+    docs[9] = make_doc(docs[9].path, ["every"] * 1000)
     return docs
 
 
 def test_round_trip_restores_postings_term_bags_and_scores(tmp_path):
     rng = random.Random(61)
     seeded = _seeded_corpus(rng)
-    seeded.append(make_doc(40, "empty.java", []))
+    seeded.append(make_doc("empty.java", []))
     for docs in (scan_corpus(FIXTURES / "app"), seeded):
         built = build_index(docs)
         loaded = _round_trip(built, tmp_path)
@@ -521,13 +518,13 @@ def test_built_index_keeps_no_scanned_document(tmp_path):
     docs = scan_corpus(FIXTURES / "app")
     first = weakref.ref(docs[0])
     index = build_index(docs)
-    want = [(d.doc_id, d.path, d.class_name, dict(sorted(d.terms.items())), d.length,
-             d.resource_id_refs) for d in docs]
+    want = [(d.path, d.class_name, dict(sorted(d.terms.items())), d.length, d.resource_id_refs)
+            for d in docs]
     del docs
     assert first() is None
     assert "documents" not in vars(index)
     # the view rebuilds each term bag from the postings, in sorted term order
-    assert [(d.doc_id, d.path, d.class_name, d.terms, d.length, d.resource_id_refs)
+    assert [(d.path, d.class_name, d.terms, d.length, d.resource_id_refs)
             for d in index.documents] == want
     assert [list(d.terms) for d in index.documents] == [sorted(d.terms) for d in index.documents]
 
@@ -535,17 +532,17 @@ def test_built_index_keeps_no_scanned_document(tmp_path):
 def _random_corpus(rng, vocab):
     """Up to 30 documents over `vocab` terms, one of them without terms."""
     docs = [
-        make_doc(i, f"r{i:02d}.java", [f"w{rng.randrange(vocab)}" for _ in range(rng.randint(0, 30))])
+        make_doc(f"r{i:02d}.java", [f"w{rng.randrange(vocab)}" for _ in range(rng.randint(0, 30))])
         for i in range(rng.randint(1, 30))
     ]
     empty = rng.randrange(len(docs))
-    docs[empty] = make_doc(empty, docs[empty].path, [])
+    docs[empty] = make_doc(docs[empty].path, [])
     return docs
 
 
 def test_round_trip_keeps_every_packed_array_and_every_score(tmp_path):
     rng = random.Random(71)
-    no_terms = [make_doc(i, f"e{i}.java", []) for i in range(3)]
+    no_terms = [make_doc(f"e{i}.java", []) for i in range(3)]
     corpora = [_random_corpus(rng, vocab) for vocab in (1, 5, 40, 200) for _ in range(3)]
     for docs in [no_terms] + corpora:
         built = build_index(docs)
@@ -599,7 +596,7 @@ def _length_moved_off_the_total(body):
 def test_each_v4_load_check_names_what_it_found(tmp_path, edit, message):
     path = tmp_path / "bad.idx.json"
     # moving tag's one posting onto save leaves valid ids 0 and 1 under save
-    docs = [make_doc(0, "a.java", ["save", "note", "save", "tag"]), make_doc(1, "b.java", ["note"])]
+    docs = [make_doc("a.java", ["save", "note", "save", "tag"]), make_doc("b.java", ["note"])]
     save_index(build_index(docs), path)
     data = json.loads(path.read_text())
     body = unpack_postings(data)
@@ -612,7 +609,7 @@ def test_each_v4_load_check_names_what_it_found(tmp_path, edit, message):
 
 def test_a_length_is_checked_only_through_the_total(tmp_path):
     path = tmp_path / "moved.idx.json"
-    docs = [make_doc(0, "a.java", ["save", "note", "save"]), make_doc(1, "b.java", ["note", "tag"])]
+    docs = [make_doc("a.java", ["save", "note", "save"]), make_doc("b.java", ["note", "tag"])]
     save_index(build_index(docs), path)
     data = json.loads(path.read_text())
     body = unpack_postings(data)
@@ -625,4 +622,4 @@ def test_a_length_is_checked_only_through_the_total(tmp_path):
 
 def test_build_index_rejects_a_length_that_an_index_file_cannot_store():
     with pytest.raises(InputError, match="lengths must be below 2"):
-        build_index([make_doc(0, "a.java", {"save": 2**32 - 1, "note": 1})])
+        build_index([make_doc("a.java", {"save": 2**32 - 1, "note": 1})])

@@ -41,11 +41,11 @@ def _settings_trace():
 
 def _docs():
     return [
-        make_doc(0, "ui/MainActivity.java", ["main", "activity", "toolbar"], refs={"open_settings"}),
-        make_doc(1, "ui/SettingsActivity.java", ["settings", "activity", "theme", "toggle"], refs={"theme_toggle", "font_size"}),
-        make_doc(2, "util/ThemeManager.java", ["theme", "dark", "palette"], refs={"theme_toggle"}),
-        make_doc(3, "data/NoteStore.java", ["note", "store", "database"]),
-        make_doc(4, "ui/SettingsWindow.java", ["settings", "window"]),
+        make_doc("ui/MainActivity.java", ["main", "activity", "toolbar"], refs={"open_settings"}),
+        make_doc("ui/SettingsActivity.java", ["settings", "activity", "theme", "toggle"], refs={"theme_toggle", "font_size"}),
+        make_doc("util/ThemeManager.java", ["theme", "dark", "palette"], refs={"theme_toggle"}),
+        make_doc("data/NoteStore.java", ["note", "store", "database"]),
+        make_doc("ui/SettingsWindow.java", ["settings", "window"]),
     ]
 
 
@@ -92,7 +92,7 @@ def test_activity_match_uses_basenames_case_sensitively():
         "ui/SettingsActivity.java",
         "ui/SettingsWindow.java",
     }
-    lower = [make_doc(9, "ui/settingsactivity.java", ["x"])]
+    lower = [make_doc("ui/settingsactivity.java", ["x"])]
     assert match_activity_files(trace, 1, lower) == set()
 
 
@@ -123,9 +123,9 @@ def test_component_match_threshold_is_inclusive():
             make_screen("com.app.B"),
         ],
     )
-    half = [make_doc(0, "Half.java", ["save", "unrelated"])]
+    half = [make_doc("Half.java", ["save", "unrelated"])]
     assert match_component_files(trace, 2, half, pre) == {"Half.java"}
-    below = [make_doc(0, "Below.java", ["unrelated", "words"])]
+    below = [make_doc("Below.java", ["unrelated", "words"])]
     assert match_component_files(trace, 2, below, pre) == set()
 
 
@@ -139,7 +139,7 @@ def test_component_match_skips_empty_term_components():
             make_screen("com.app.B"),
         ],
     )
-    docs = [make_doc(0, "Any.java", ["whatever"])]
+    docs = [make_doc("Any.java", ["whatever"])]
     assert match_component_files(trace, 2, docs) == set()
 
 
@@ -192,7 +192,7 @@ def test_component_match_equals_set_intersection_definition():
         ]
         trace = make_trace("t", [make_screen("com.app.A", components=comps)])
         docs = [
-            make_doc(i, f"f{i}.java", rng.sample(words, rng.randint(1, 5)))
+            make_doc(f"f{i}.java", rng.sample(words, rng.randint(1, 5)))
             for i in range(rng.randint(1, 8))
         ]
         threshold = rng.choice([0.25, 0.5, 0.5, 2 / 3, 1.0])
@@ -240,7 +240,6 @@ def test_gui_context_on_an_index_matches_the_document_matchers():
         trace = make_trace("t", screens)
         docs = [
             make_doc(
-                i,
                 f"p{i}/{rng.choice(classes)}.java",
                 rng.sample(words, rng.randint(0, 5)),
                 refs={"_".join(rng.sample(words, 2)) for _ in range(rng.randint(0, 3))},

@@ -92,7 +92,7 @@ def test_integer_weights_score_like_the_repeated_term_list(corpus):
         rng = random.Random(61)
         vocab = [f"w{i}" for i in range(30)]
         index = build_index(
-            [make_doc(i, f"f{i:02d}.java", rng.choices(vocab, k=rng.randint(1, 30))) for i in range(40)]
+            [make_doc(f"f{i:02d}.java", rng.choices(vocab, k=rng.randint(1, 30))) for i in range(40)]
         )
         gui_vocab = vocab + ["absent"]
         cases = [
@@ -189,12 +189,12 @@ def test_empty_context_degenerates_to_base():
 
 def _mini_index():
     docs = [
-        make_doc(0, "ui/EditorActivity.java",
+        make_doc("ui/EditorActivity.java",
                  ["editor", "activity", "save", "button", "note", "text"],
                  refs={"save_button"}),
-        make_doc(1, "net/SyncService.java",
+        make_doc("net/SyncService.java",
                  ["sync", "service", "cloud", "upload", "note"]),
-        make_doc(2, "data/NoteStore.java", ["note", "store", "database", "row"]),
+        make_doc("data/NoteStore.java", ["note", "store", "database", "row"]),
     ]
     return build_index(docs)
 
@@ -317,7 +317,7 @@ def test_localize_top_k_equals_the_truncated_reranked_ranking(monkeypatch):
         shared if i % 4 == 0 else ["unrelated"] if i % 7 == 3 else rng.choices(vocab, k=rng.randint(1, 6))
         for i in range(n)
     ]
-    index = build_index([make_doc(i, path, bag) for i, (path, bag) in enumerate(zip(paths, bags))])
+    index = build_index([make_doc(path, bag) for path, bag in zip(paths, bags)])
     report = BugReport(report_id="r1", title="note crash", body="save the note, sync the list; editor")
     trace = make_trace("r1", [make_screen("com.app.Main")])
     scored = [p for p, bag in zip(paths, bags) if bag != ["unrelated"]]

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from guiloc.cli import run
 from guiloc.errors import InputError
 from guiloc.reports import (
     BugReport,
@@ -89,11 +90,12 @@ class _Responder(BaseHTTPRequestHandler):
     payload: dict = {}
     requests: list = []
     missing_bytes = 0  # promised in Content-Length but never sent
+    raw: bytes | None = None  # sent instead of the payload's JSON
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).requests.append(json.loads(body))
-        data = json.dumps(type(self).payload).encode()
+        data = type(self).raw or json.dumps(type(self).payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) + type(self).missing_bytes))
@@ -111,6 +113,7 @@ def classifier_server():
     thread.start()
     yield server
     server.shutdown()
+    _Responder.raw = None
 
 
 def test_remote_classifier_round_trip(classifier_server):
@@ -144,6 +147,36 @@ def test_remote_classifier_truncated_response_falls_back(classifier_server, capl
         _Responder.missing_bytes = 0
     assert tagged == [("It crashed", "OB")]
     assert any("heuristic" in r.message for r in caplog.records)
+
+
+def _lint_with_remote(server, tmp_path, monkeypatch, caplog):
+    """lint-report --classifier remote against `server`: its exit code, tags and warnings."""
+    monkeypatch.setenv("GUILOC_CLASSIFIER_URL", f"http://127.0.0.1:{server.server_port}/classify")
+    report, out = tmp_path / "report.json", tmp_path / "lint.json"
+    report.write_text(json.dumps({"report_id": "r1", "title": "", "body": "Tap save. It crashed."}))
+    argv = ["lint-report", "--report", str(report), "--classifier", "remote", "--out", str(out)]
+    code = run(argv)
+    tags = [s["tag"] for s in json.loads(out.read_text())["sentences"]]
+    return code, tags, [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+
+def test_lint_report_falls_back_on_a_reply_nested_too_deep(
+    classifier_server, tmp_path, monkeypatch, caplog
+):
+    _Responder.raw = b"[" * 100_000
+    code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    assert (code, tags) == (0, ["S2R", "OB"])
+    assert "using heuristic" in warning
+
+
+@pytest.mark.parametrize("version", [2, 0, "1", 1.0, True, None])
+def test_lint_report_falls_back_on_a_reply_in_another_version(
+    classifier_server, tmp_path, monkeypatch, caplog, version
+):
+    _Responder.payload = {"version": version, "tags": ["OTHER", "OTHER"]}
+    code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    assert (code, tags) == (0, ["S2R", "OB"])
+    assert f"replied in version {version!r}" in warning
 
 
 def test_remote_classifier_bad_url_falls_back(caplog):

@@ -3,10 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-import pytest
-
 from guiloc.corpus import DEFAULT_PREPROCESSOR
-from guiloc.errors import InputError
 from guiloc.reports import S2RStep
 from guiloc.step_mapping import (
     AMBIGUITY_MARGIN,
@@ -14,7 +11,6 @@ from guiloc.step_mapping import (
     detect_missing_steps,
     map_steps_to_model,
     step_object_terms,
-    suggest_next_steps,
 )
 from guiloc.traces import (
     ExecutionModel,
@@ -314,32 +310,3 @@ def test_missing_edges_form_connected_subpaths():
     for gap in report.gaps:
         for prev, nxt in zip(gap.missing, gap.missing[1:]):
             assert prev.dst == nxt.src
-
-
-def test_suggest_next_steps_sorted():
-    def hub_screen(exercise, action):
-        comps = [
-            make_component(rid, exercised=(rid == exercise), action=action if rid == exercise else None)
-            for rid in ("zeta", "alpha", "beta")
-        ]
-        return make_screen("com.app.Hub", components=comps)
-
-    screens = [hub_screen("zeta", "click"), make_screen("com.app.Z")]
-    other = [hub_screen("alpha", "click"), make_screen("com.app.A2")]
-    third = [hub_screen("beta", "back"), make_screen("com.app.B2")]
-    model = build_execution_model(
-        [make_trace("t1", screens), make_trace("t2", other), make_trace("t3", third)]
-    )
-    hub = screen_fingerprint(screens[0])
-    suggestions = suggest_next_steps(model, hub)
-    assert [(a, c.resource_id) for a, c in suggestions] == [
-        ("back", "beta"),
-        ("click", "alpha"),
-        ("click", "zeta"),
-    ]
-
-
-def test_suggest_unknown_fingerprint_raises():
-    model, _ = _linear_model()
-    with pytest.raises(InputError):
-        suggest_next_steps(model, "deadbeefdeadbeef")
