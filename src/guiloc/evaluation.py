@@ -347,11 +347,13 @@ def sweep(
 ) -> SweepOutcome:
     """Evaluate every grid configuration and write a CSV.
 
-    Rows already present in the output file are reused, so an interrupted
-    sweep resumes where it stopped and a finished one is a no-op. A row is
-    reused only if ``<out>.meta.json`` lists it and holds the digest of
-    :func:`_inputs_digest`; a meta with another digest or no row list has
-    every row computed again. A grid with no configurations is a
+    The CSV and ``<out>.meta.json`` are written once, after every
+    configuration is computed, so an interrupted sweep keeps nothing. What
+    is reused is the rows of an earlier finished run: a row of the output
+    file is reused only if the meta file lists it and holds the digest of
+    :func:`_inputs_digest`, so running a finished sweep again computes no
+    row; a meta with another digest or no row list has every row computed
+    again. A grid with no configurations is a
     ConfigError; invalid configurations are logged and skipped, not fatal.
     Rows follow the grid order. Each report's GUI contexts, terms and
     scorings are computed once per call and shared by the configurations

@@ -24,6 +24,8 @@ logger = logging.getLogger(__name__)
 TAGS = ("OB", "EB", "S2R", "OTHER")
 
 WIRE_VERSION = 1
+MAX_REPLY_BYTES = 1 << 20  # a longer classifier reply is a RemoteClassifierError
+_EXCERPT_CHARS = 200  # of a bad reply, quoted in the fallback warning
 
 # maps surface verbs (and close synonyms) to the canonical action vocabulary
 VERB_SYNONYMS = {
@@ -186,19 +188,34 @@ class RemoteClassifier:
                 self.url, data=payload, headers={"Content-Type": "application/json"}
             )
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                data = json.load(resp)
+                body = resp.read(MAX_REPLY_BYTES + 1)
+                if len(body) > MAX_REPLY_BYTES:
+                    raise RemoteClassifierError(
+                        f"classifier reply is longer than {MAX_REPLY_BYTES} bytes"
+                    )
+                # read(n) hands back a body cut short of its Content-Length as
+                # if whole; the body has ended, so read() only raises IncompleteRead
+                resp.read()
+            data = json.loads(body)
         # RecursionError: a reply nested too deep for the JSON decoder
         except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError,
                 RecursionError) as exc:
             raise RemoteClassifierError(f"classifier request failed: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("tags"), list):
-            raise RemoteClassifierError(f"bad classifier response: {data!r}")
+            raise RemoteClassifierError(f"bad classifier response: {_excerpt(data)}")
         version = data.get("version")
         if type(version) is not int or version != WIRE_VERSION:  # true and 1.0 equal 1
             raise RemoteClassifierError(
-                f"classifier replied in version {version!r}; this build reads version {WIRE_VERSION}"
+                f"classifier replied in version {_excerpt(version)}; "
+                f"this build reads version {WIRE_VERSION}"
             )
         return data["tags"]
+
+
+def _excerpt(value) -> str:
+    """`repr(value)`, cut to _EXCERPT_CHARS so a bad reply makes a short warning."""
+    text = repr(value)
+    return text if len(text) <= _EXCERPT_CHARS else f"{text[:_EXCERPT_CHARS]}..."
 
 
 def classify_sentences(
@@ -215,7 +232,7 @@ def classify_sentences(
         try:
             tags = classifier.classify(segs)
             if len(tags) != len(segs) or any(t not in TAGS for t in tags):
-                raise RemoteClassifierError(f"classifier returned bad tags: {tags!r}")
+                raise RemoteClassifierError(f"classifier returned bad tags: {_excerpt(tags)}")
             return [(seg.text, tag) for seg, tag in zip(segs, tags)]
         except RemoteClassifierError as exc:
             logger.warning("classifier failed (%s); using heuristic", exc)

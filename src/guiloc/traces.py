@@ -41,30 +41,8 @@ class GuiComponent:
 
     @classmethod
     def from_json(cls, data: dict, where: str = "component") -> "GuiComponent":
-        if type(data) is not dict:
-            json_fields(data, _COMPONENT_FIELDS, where)  # raises: not an object
-        get = data.get
-        resource_id, ctype, text = get("resource_id"), get("type"), get("text")
-        desc, action, exercised = get("content_desc"), get("action"), get("exercised")
-        # checked inline because traces and models hold tens of thousands of
-        # components; json_fields runs only to name the field that failed
-        if not (
-            (type(resource_id) is str or resource_id is None)
-            and (type(ctype) is str or ctype is None)
-            and (type(text) is str or text is None)
-            and (type(desc) is str or desc is None)
-            and (action is None or type(action) is str)
-            and (type(exercised) is bool or exercised is None)
-        ):
-            json_fields(data, _COMPONENT_FIELDS, where)
-        return cls(
-            resource_id=resource_id or "",
-            component_type=ctype or "",
-            text=text or "",
-            content_desc=desc or "",
-            exercised=bool(exercised),
-            action=action,
-        )
+        rid, ctype, text, desc, action, exercised = json_fields(data, _COMPONENT_FIELDS, where)
+        return cls(rid or "", ctype or "", text or "", desc or "", bool(exercised), action)
 
 
 _TEXT = (str, NULL)
@@ -91,22 +69,12 @@ class Screen:
 
     @classmethod
     def from_json(cls, data: dict, where: str) -> "Screen":
-        if type(data) is not dict:
-            json_fields(data, _SCREEN_FIELDS, where)  # raises: not an object
-        activity_name, window_name = data.get("activity_name"), data.get("window_name")
-        components = data.get("components")
-        # inlined for speed, as in GuiComponent.from_json
-        if not (
-            (type(activity_name) is str or activity_name is None)
-            and (type(window_name) is str or window_name is None)
-            and (type(components) is list or components is None)
-        ):
-            json_fields(data, _SCREEN_FIELDS, where)
+        activity_name, window_name, components = json_fields(data, _SCREEN_FIELDS, where)
         component_where = f"{where} component"
         return cls(
-            activity_name=activity_name or "",
-            window_name=window_name or "",
-            components=[GuiComponent.from_json(c, component_where) for c in components or ()],
+            activity_name or "",
+            window_name or "",
+            [GuiComponent.from_json(c, component_where) for c in components or ()],
         )
 
 
@@ -143,10 +111,8 @@ def _validate_trace(trace: ReproTrace) -> None:
                 raise InputError(
                     f"{where}: component {comp.resource_id!r} has an action but is not exercised"
                 )
-            if comp.action is not None and comp.action not in ACTIONS:
-                raise InputError(
-                    f"{where}: unknown action {comp.action!r}; expected one of {', '.join(sorted(ACTIONS))}"
-                )
+            if comp.action is not None:
+                _check_action(comp.action, where)
         if i < last:
             if len(exercised) != 1:
                 raise InputError(
@@ -154,6 +120,12 @@ def _validate_trace(trace: ReproTrace) -> None:
                 )
             if exercised[0].action is None:
                 raise InputError(f"{where}: exercised component has no action")
+
+
+def _check_action(action: str, where: str) -> None:
+    if action not in ACTIONS:
+        expected = ", ".join(sorted(ACTIONS))
+        raise InputError(f"{where}: unknown action {action!r}; expected one of {expected}")
 
 
 def trace_from_dict(data: dict) -> ReproTrace:
@@ -183,11 +155,20 @@ def last_screens(trace: ReproTrace, window: int) -> list[Screen]:
 
 @dataclass
 class ModelEdge:
+    """A step from screen `src` to `dst` by the action on `component`, an exercised
+    component whose action is set; the edge's action and resource id are read from it."""
+
     src: str
-    action: str
-    resource_id: str
     dst: str
     component: GuiComponent
+
+    @property
+    def action(self) -> str:
+        return self.component.action
+
+    @property
+    def resource_id(self) -> str:
+        return self.component.resource_id
 
     def key(self) -> tuple[str, str, str, str]:
         return (self.src, self.action, self.resource_id, self.dst)
@@ -260,14 +241,7 @@ def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:
         fps = [screen_fingerprint(s) for s in trace.screens]
         entries.add(fps[0])
         for i in range(len(trace.screens) - 1):
-            comp = trace.screens[i].exercised_components()[0]
-            edge = ModelEdge(
-                src=fps[i],
-                action=comp.action or "",
-                resource_id=comp.resource_id,
-                dst=fps[i + 1],
-                component=comp,
-            )
+            edge = ModelEdge(fps[i], fps[i + 1], trace.screens[i].exercised_components()[0])
             if edge.key() not in seen_keys:
                 seen_keys.add(edge.key())
                 edges.append(edge)
@@ -301,17 +275,14 @@ def load_model(path: str | Path) -> ExecutionModel:
     edges = []
     keys = set()
     for i, e in enumerate(raw_edges):
-        fields = json_fields(e, _EDGE_FIELDS, f"{path} edge {i}")
-        src, action, resource_id, dst, ctype, text, desc = fields
-        if action not in ACTIONS:
-            raise InputError(
-                f"{path} edge {i}: unknown action {action!r}; expected one of {', '.join(sorted(ACTIONS))}"
-            )
+        where = f"{path} edge {i}"
+        src, action, resource_id, dst, ctype, text, desc = json_fields(e, _EDGE_FIELDS, where)
+        _check_action(action, where)
         if (src, action, resource_id, dst) in keys:
-            raise InputError(f"{path} edge {i}: repeats an earlier edge")
+            raise InputError(f"{where}: repeats an earlier edge")
         keys.add((src, action, resource_id, dst))
         component = GuiComponent(resource_id, ctype, text, desc, exercised=True, action=action)
-        edges.append(ModelEdge(src, action, resource_id, dst, component))
+        edges.append(ModelEdge(src, dst, component))
     return ExecutionModel(edges=edges, entry_fingerprints=set(entries or ()))
 
 

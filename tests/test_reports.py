@@ -12,6 +12,7 @@ from guiloc.errors import InputError
 from guiloc.reports import (
     BugReport,
     HeuristicClassifier,
+    MAX_REPLY_BYTES,
     RemoteClassifier,
     classify_sentences,
     load_report,
@@ -177,6 +178,41 @@ def test_lint_report_falls_back_on_a_reply_in_another_version(
     code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
     assert (code, tags) == (0, ["S2R", "OB"])
     assert f"replied in version {version!r}" in warning
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"version": 1, "tags": ["S2R"] * 100_000},
+        ["S2R"] * 100_000,
+        {"version": "1" * 100_000, "tags": []},
+    ],
+    ids=["too-many-tags", "not-an-object", "long-version"],
+)
+def test_a_long_bad_reply_makes_one_short_warning(
+    classifier_server, tmp_path, monkeypatch, caplog, payload
+):
+    _Responder.payload = payload
+    code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    assert (code, tags) == (0, ["S2R", "OB"])
+    assert "using heuristic" in warning and len(warning) < 1000
+
+
+@pytest.mark.parametrize("extra, used", [(0, True), (1, False)], ids=["at-the-cap", "past-the-cap"])
+def test_lint_report_falls_back_on_a_reply_past_the_size_cap(
+    classifier_server, tmp_path, monkeypatch, caplog, extra, used
+):
+    reply = json.dumps({"version": 1, "tags": ["OTHER", "OTHER"]}).encode()
+    _Responder.raw = reply.ljust(MAX_REPLY_BYTES + extra)  # JSON may end in spaces
+    code, tags, warnings = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    if used:
+        assert (code, tags, warnings) == (0, ["OTHER", "OTHER"], [])
+    else:
+        assert (code, tags) == (0, ["S2R", "OB"])
+        assert warnings == [
+            f"classifier failed (classifier reply is longer than {MAX_REPLY_BYTES} bytes); "
+            "using heuristic"
+        ]
 
 
 def test_remote_classifier_bad_url_falls_back(caplog):

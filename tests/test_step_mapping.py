@@ -104,7 +104,7 @@ WORDS = [f"zq{a}{b}" for a in "abcdefgh" for b in "abcdefgh"]
 def _click_model(*texts):
     """One click edge per text, in order; resource ids 'x1', 'x2', ... add no terms."""
     edges = [
-        ModelEdge("s", "click", f"x{i}", f"d{i}", make_component(f"x{i}", text=t, exercised=True))
+        ModelEdge("s", f"d{i}", make_component(f"x{i}", text=t, exercised=True, action="click"))
         for i, t in enumerate(texts, 1)
     ]
     return ExecutionModel(edges=edges, entry_fingerprints=set())
@@ -195,21 +195,17 @@ def test_indexed_matcher_equals_a_jaccard_over_every_same_action_edge():
     seen = Counter()
     for _ in range(300):
         base = rng.sample(vocab, rng.randint(3, 5))
-        edges = [
-            ModelEdge(
-                "s",
-                rng.choice(("click", "type")),
-                f"x{i}",
-                f"d{i}",
-                make_component(
-                    rng.choice(("", f"x{i}", rng.choice(vocab))),  # ids like "x1" add no terms
-                    text=near(base, rng.randint(1, 2)) if rng.random() < 0.7 else words(),
-                    desc=rng.choice(("", "", rng.choice(vocab))),
-                    exercised=True,
-                ),
+        edges = []
+        for i in range(rng.randint(0, 12)):
+            action = rng.choice(("click", "type"))
+            component = make_component(
+                rng.choice(("", f"x{i}", rng.choice(vocab))),  # ids like "x1" add no terms
+                text=near(base, rng.randint(1, 2)) if rng.random() < 0.7 else words(),
+                desc=rng.choice(("", "", rng.choice(vocab))),
+                exercised=True,
+                action=action,
             )
-            for i in range(rng.randint(0, 12))
-        ]
+            edges.append(ModelEdge("s", f"d{i}", component))
         model = ExecutionModel(edges=edges, entry_fingerprints=set())
         steps = [
             _step(

@@ -60,19 +60,48 @@ def test_malformed_json_reports_line(tmp_path):
         parse_trace(path)
 
 
+def _bad_component(**fields):
+    return [_screen_dict("com.app.Main", [{**_comp_dict("x"), **fields}])]
+
+
+def _bad_screen(**fields):
+    return [{**_screen_dict("com.app.Main", []), **fields}]
+
+
+_STRING = "must be a string or null, got"
+_FLAG = "must be true or false or null, got"
+
+
 @pytest.mark.parametrize(
-    "screens",
+    "screens, message",
     [
-        [7],
-        [_screen_dict("com.app.Main", [7])],
-        [_screen_dict("com.app.Main", [_comp_dict(5)])],
-        "not a list",
+        ([7], " screen 0 must be an object, got an integer"),
+        ([_screen_dict("A", [7])], " screen 0 component must be an object, got an integer"),
+        (_bad_component(resource_id=5), f" screen 0 component: 'resource_id' {_STRING} an integer"),
+        ("not a list", ": 'screens' must be a list or null, got a string"),
+        ([None], " screen 0 must be an object, got null"),
+        ([_screen_dict("A", [["x"]])], " screen 0 component must be an object, got a list"),
+        (_bad_component(type=["Button"]), f" screen 0 component: 'type' {_STRING} a list"),
+        (_bad_component(text=1.5), f" screen 0 component: 'text' {_STRING} a number"),
+        (_bad_component(content_desc={}), f" screen 0 component: 'content_desc' {_STRING} an object"),
+        (_bad_component(action=True), f" screen 0 component: 'action' {_STRING} true or false"),
+        (_bad_component(exercised="yes"), f" screen 0 component: 'exercised' {_FLAG} a string"),
+        (_bad_component(exercised=1), f" screen 0 component: 'exercised' {_FLAG} an integer"),
+        (_bad_screen(activity_name=7), f" screen 0: 'activity_name' {_STRING} an integer"),
+        (_bad_screen(window_name=False), f" screen 0: 'window_name' {_STRING} true or false"),
+        (_bad_screen(components={}), " screen 0: 'components' must be a list or null, got an object"),
     ],
-    ids=["screen-not-object", "component-not-object", "number-resource-id", "screens-not-list"],
+    ids=[
+        "screen-not-object", "component-not-object", "number-resource-id", "screens-not-list",
+        "null-screen", "list-component", "list-type", "number-text", "object-content-desc",
+        "bool-action", "string-exercised", "integer-exercised", "number-activity-name",
+        "bool-window-name", "object-components",
+    ],
 )
-def test_malformed_trace_shapes_are_input_errors(screens):
-    with pytest.raises(InputError):
+def test_malformed_trace_shapes_are_input_errors(screens, message):
+    with pytest.raises(InputError) as exc_info:
         trace_from_dict(_trace_dict(screens))
+    assert str(exc_info.value) == f"trace 't1'{message}"
 
 
 def test_screen_needs_exactly_one_exercised_before_last():
@@ -243,8 +272,41 @@ def _unknown_action(action):
     return edit
 
 
+def _edge_field(key, value, message):
+    def edit(data):
+        if value is ...:
+            del data["edges"][1][key]
+        else:
+            data["edges"][1][key] = value
+        return f" edge 1: {message}"
+    edit.__name__ = f"_edge_field_{key}_{'missing' if value is ... else type(value).__name__}"
+    return edit
+
+
+def _edge_not_an_object(value, got):
+    def edit(data):
+        data["edges"][1] = value
+        return f" edge 1 must be an object, got {got}"
+    edit.__name__ = f"_edge_{type(value).__name__}"
+    return edit
+
+
+_EDGE_KEYS = ["src", "action", "resource_id", "dst", "type", "text", "content_desc"]
+
+
 @pytest.mark.parametrize(
-    "edit", [_repeated_edge, _unknown_action("fly"), _unknown_action(""), _unknown_action("Click")]
+    "edit",
+    [
+        _repeated_edge, _unknown_action("fly"), _unknown_action(""), _unknown_action("Click"),
+        *[_edge_field(key, None, f"{key!r} must be a string, got null") for key in _EDGE_KEYS],
+        *[_edge_field(key, ..., f"missing {key!r}") for key in _EDGE_KEYS],
+        _edge_field("src", 3, "'src' must be a string, got an integer"),
+        _edge_field("action", ["click"], "'action' must be a string, got a list"),
+        _edge_field("text", True, "'text' must be a string, got true or false"),
+        _edge_not_an_object(7, "an integer"),
+        _edge_not_an_object([], "a list"),
+        _edge_not_an_object(None, "null"),
+    ],
 )
 def test_model_files_that_build_model_never_writes_are_input_errors(tmp_path, edit):
     path, data = _saved_model_data(tmp_path)
