@@ -47,6 +47,10 @@ _CONFIG_FILE_TYPES = {
     "term_sources": (str, list, NULL),
 }
 _CONFIG_FILE_KEYS = ("scorer", "query_strategy", "rerank_strategy", *_CONFIG_FILE_TYPES)
+# the config key that each of _add_config_flags' flags sets, by the flag's dest
+_FLAG_KEYS = {"scorer": "scorer", "query": "query_strategy", "rerank": "rerank_strategy",
+              "window": "window", "sources": "term_sources", "weight": "expansion_weight",
+              "top": "top_k"}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -75,8 +79,8 @@ def _numbers(value: str, kind: type, flag: str) -> list:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    """Merge --config file values with explicit flags; flags win."""
-    file_cfg = {}
+    """Merge --config file values with explicit flags; flags win, PipelineConfig has the rest."""
+    given = {}
     if getattr(args, "config", None):
         data = load_json_file(args.config)
         if not isinstance(data, dict):
@@ -92,33 +96,22 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
             json_fields(data, types, f"config file {args.config}")
         except InputError as exc:
             raise ConfigError(str(exc)) from None
-        file_cfg = data
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    rerank = pick(args.rerank, "rerank_strategy", "none")
+        given = data
+    flags = {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    rerank = given.get("rerank_strategy")
     if type(rerank) is str:  # a list from the config file is no dict key
-        rerank = _RERANK_CLI.get(rerank, rerank)
-    sources = pick(args.sources, "term_sources", None)
+        given["rerank_strategy"] = _RERANK_CLI.get(rerank, rerank)
+    sources = given.pop("term_sources", None)
     sources = _parse_sources(sources) if isinstance(sources, str) else tuple(sources or ())
-    try:
-        # an integer weight is reported as the float it is applied as
-        weight = float(pick(args.weight, "expansion_weight", 1.0))
+    if sources:  # none, or none listed, means all
+        given["term_sources"] = sources
+    try:  # an integer weight is reported as the float it is applied as
+        if "expansion_weight" in given:
+            given["expansion_weight"] = float(given["expansion_weight"])
     except OverflowError:  # an integer from the config file that no float holds
         raise ConfigError(f"config file {args.config}: 'expansion_weight' is too large") from None
-    config = PipelineConfig(
-        scorer=pick(args.scorer, "scorer", "bm25"),
-        query_strategy=pick(args.query, "query_strategy", "base"),
-        rerank_strategy=rerank,
-        window=pick(args.window, "window", 3),
-        term_sources=sources or TERM_SOURCES,
-        expansion_weight=weight,
-        top_k=pick(getattr(args, "top", None), "top_k", 10),
-    )
-    return config.validate()
+    return PipelineConfig(**given).validate()
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -253,15 +246,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_top: bool = True) -> None:
-    p.add_argument("--scorer", choices=SCORERS, default=None)
-    p.add_argument("--query", choices=QUERY_STRATEGIES, default=None)
-    p.add_argument("--rerank", choices=tuple(_RERANK_CLI), default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--sources", default=None, help="comma list of GUI term sources, or 'all'")
-    p.add_argument("--weight", type=float, default=None, help="expansion weight")
+    cfg = PipelineConfig()  # a flag left out takes --config's value, else this default
+    p.add_argument("--scorer", choices=SCORERS, help=f"default {cfg.scorer}")
+    p.add_argument("--query", choices=QUERY_STRATEGIES, help=f"default {cfg.query_strategy}")
+    p.add_argument("--rerank", choices=tuple(_RERANK_CLI), help=f"default {cfg.rerank_strategy}")
+    p.add_argument("--window", type=int, help=f"default {cfg.window}")
+    p.add_argument("--sources", help="comma list of GUI term sources, or 'all'")
+    p.add_argument("--weight", type=float, help=f"GUI term weight (default {cfg.expansion_weight})")
     if with_top:
-        p.add_argument("--top", type=int, default=None, help="entries to keep (default 10)")
-    p.add_argument("--config", default=None, help="JSON config file; flags take precedence")
+        p.add_argument("--top", type=int, help=f"entries to keep (default {cfg.top_k})")
+    p.add_argument("--config", help="JSON config file; flags take precedence")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,10 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ext", default="java,kt", help="comma list of file extensions")
     p.add_argument("--stopwords", default=None, help="replace bundled stopword lists")
-    p.add_argument("--min-term-len", type=int, default=2)
+    p.add_argument(
+        "--min-term-len", type=int, default=Preprocessor.min_term_len, help="default %(default)s"
+    )
     p.add_argument("--stem", action="store_true")
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=ScoringParams.bm25_k1, help="default %(default)s")
+    p.add_argument("--b", type=float, default=ScoringParams.bm25_b, help="default %(default)s")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("localize", help="rank source files for one bug report")

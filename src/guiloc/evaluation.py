@@ -7,14 +7,13 @@ import json
 import logging
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, InputError
 from .index import CorpusIndex
-from .mapping import TERM_SOURCES
 from .pipeline import PipelineConfig, StageCache, rerank_groups, score_stages, scoring_key
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
@@ -24,10 +23,8 @@ logger = logging.getLogger(__name__)
 
 HITS_KS = (1, 5, 10)
 
-CSV_HEADER = (
-    "scorer,query_strategy,rerank_strategy,window,term_sources,expansion_weight,"
-    "hits1,hits5,hits10,mrr,map,reports"
-)
+_CONFIG_COLUMNS = "scorer,query_strategy,rerank_strategy,window,term_sources,expansion_weight"
+CSV_HEADER = ",".join([_CONFIG_COLUMNS, *(f"hits{k}" for k in HITS_KS), "mrr,map,reports"])
 
 
 def hits_at_k(ranks: Sequence[int], k: int) -> int:
@@ -215,22 +212,22 @@ def evaluate_config(
 
 @dataclass
 class SweepGrid:
-    scorers: list[str] = field(default_factory=lambda: ["bm25"])
-    query_strategies: list[str] = field(default_factory=lambda: ["base"])
-    rerank_strategies: list[str] = field(default_factory=lambda: ["none"])
-    windows: list[int] = field(default_factory=lambda: [3])
-    term_sources: list[tuple[str, ...]] = field(default_factory=lambda: [()])
-    expansion_weights: list[float] = field(default_factory=lambda: [1.0])
+    scorers: Sequence[str] = (PipelineConfig.scorer,)
+    query_strategies: Sequence[str] = (PipelineConfig.query_strategy,)
+    rerank_strategies: Sequence[str] = (PipelineConfig.rerank_strategy,)
+    windows: Sequence[int] = (PipelineConfig.window,)
+    term_sources: Sequence[Sequence[str]] = (PipelineConfig.term_sources,)
+    expansion_weights: Sequence[float] = (PipelineConfig.expansion_weight,)
 
     def configs(self) -> list[PipelineConfig]:
-        """Grid rows in lexicographic order over field value positions."""
+        """Grid rows in lexicographic order over field value positions; empty sources mean all."""
         return [
             PipelineConfig(
                 scorer=scorer,
                 query_strategy=query,
                 rerank_strategy=rerank,
                 window=window,
-                term_sources=tuple(sources) if sources else TERM_SOURCES,
+                term_sources=tuple(sources) if sources else PipelineConfig.term_sources,
                 expansion_weight=weight,
             )
             for scorer, query, rerank, window, sources, weight in product(
@@ -256,12 +253,8 @@ def _config_key(config: PipelineConfig) -> tuple[str, ...]:
 
 
 def _result_row(config: PipelineConfig, result: EvalResult) -> str:
-    key = _config_key(config)
-    metrics = (
-        f"{result.hits_at[1]:.6f},{result.hits_at[5]:.6f},{result.hits_at[10]:.6f},"
-        f"{result.mrr:.6f},{result.map_score:.6f},{result.report_count}"
-    )
-    return ",".join(key) + "," + metrics
+    values = [*(result.hits_at[k] for k in HITS_KS), result.mrr, result.map_score]
+    return ",".join([*_config_key(config), *map("{:.6f}".format, values), str(result.report_count)])
 
 
 @dataclass

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import base64
+import heapq
 import math
 import sys
 import zlib
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, islice
@@ -69,19 +70,42 @@ class ScoredList(RankedList):
     def __init__(self, index: CorpusIndex, scores: list[float], flags: list[str] | None = None):
         self.index, self.scores, self.flags = index, scores, flags or []
 
+    def top(self, groups: list[set[str] | None], k: int) -> list[int]:
+        """Doc ids of the first k entries once re-ranked by ``pipeline.rerank_groups``' `groups`.
+
+        Each group's best files, by score and then path, come from a bounded heap over
+        its files that scored above zero, so no full ranking is sorted.
+        """
+        index, scores = self.index, self.scores
+        top: list[int] = []
+        earlier: set[str] = set()
+        for members in groups:
+            # candidates in path order, as the heap keeps the first of tied files
+            if members is None:
+                ids = index.path_order
+            else:
+                ids = map(index.doc_ids.__getitem__, sorted(members))
+            candidates = [d for d in ids if scores[d] > 0.0]
+            if earlier:  # the files that earlier groups held are placed already
+                candidates = [d for d in candidates if index.paths[d] not in earlier]
+            top += heapq.nlargest(k - len(top), candidates, key=scores.__getitem__)
+            if len(top) == k:
+                break
+            earlier = members
+        return top
+
     @cached_property
     def order(self) -> list[int]:
-        """The doc ids of the entries, in their order."""
-        scores = self.scores
-        ids = [doc_id for doc_id in self.index.path_order if scores[doc_id] > 0.0]
-        # the sort is stable, also in reverse, so tied documents stay in path order
-        ids.sort(key=scores.__getitem__, reverse=True)
-        return ids
+        """The doc ids of the entries, in their order; nlargest of them all is a stable sort."""
+        return self.top([None], self.index.doc_count)
+
+    def entries_of(self, ids: Iterable[int]) -> list[RankEntry]:
+        paths, scores = self.index.paths, self.scores
+        return [RankEntry(paths[doc_id], scores[doc_id]) for doc_id in ids]
 
     @cached_property
     def entries(self) -> list[RankEntry]:
-        paths, scores = self.index.paths, self.scores
-        return [RankEntry(paths[doc_id], scores[doc_id]) for doc_id in self.order]
+        return self.entries_of(self.order)
 
     @cached_property
     def positions(self) -> dict[str, int]:

@@ -18,14 +18,11 @@ from .errors import ConfigError
 from .index import CorpusIndex
 from .traces import GuiComponent, ReproTrace, last_screens
 
-TERM_SOURCES = (
-    "activity",
-    "window_name",
-    "component_id",
-    "component_text",
-    "content_desc",
-    "type",
-)
+# each GUI term source and the field it reads, in the order its terms are counted
+_SCREEN_SOURCES = (("activity", "activity_name"), ("window_name", "window_name"))
+_COMPONENT_SOURCES = (("component_id", "resource_id"), ("component_text", "text"),
+                      ("content_desc", "content_desc"), ("type", "component_type"))
+TERM_SOURCES = tuple(source for source, _ in _SCREEN_SOURCES + _COMPONENT_SOURCES)
 
 COMPONENT_THRESHOLD = 0.5
 
@@ -76,21 +73,15 @@ def extract_gui_terms(
     """Preprocessed terms from the selected sources, with multiplicity."""
     pre = preprocessor or DEFAULT_PREPROCESSOR
     chosen = _check_sources(sources if sources is not None else TERM_SOURCES)
+    screen_fields = [name for source, name in _SCREEN_SOURCES if source in chosen]
+    component_fields = [name for source, name in _COMPONENT_SOURCES if source in chosen]
     terms: Counter = Counter()
     for screen in last_screens(trace, window):
-        if "activity" in chosen:
-            terms.update(pre.tokens(screen.activity_name))
-        if "window_name" in chosen:
-            terms.update(pre.tokens(screen.window_name))
+        for name in screen_fields:
+            terms.update(pre.tokens(getattr(screen, name)))
         for comp in screen.components:
-            if "component_id" in chosen:
-                terms.update(pre.tokens(comp.resource_id))
-            if "component_text" in chosen:
-                terms.update(pre.tokens(comp.text))
-            if "content_desc" in chosen:
-                terms.update(pre.tokens(comp.content_desc))
-            if "type" in chosen:
-                terms.update(pre.tokens(comp.component_type))
+            for name in component_fields:
+                terms.update(pre.tokens(getattr(comp, name)))
     return terms
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -124,29 +123,6 @@ def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") ->
     return RankedList(list(entries), list(ranked.flags) + flags)
 
 
-def _top_ids(ranked: ScoredList, groups: list[set[str] | None], k: int) -> list[int]:
-    """Doc ids of the first k entries of `ranked` re-ranked by `groups`.
-
-    Each group's best files, by score and then path, come from a bounded heap
-    over its files that scored above zero, so no full ranking is sorted.
-    """
-    index, scores = ranked.index, ranked.scores
-    top: list[int] = []
-    earlier: set[str] = set()
-    for members in groups:
-        # candidates in path order, as the heap keeps the first of tied files
-        if members is None:
-            ids = index.path_order
-        else:
-            ids = map(index.doc_ids.__getitem__, sorted(members))
-        candidates = [d for d in ids if scores[d] > 0.0 and index.paths[d] not in earlier]
-        top += heapq.nlargest(k - len(top), candidates, key=scores.__getitem__)
-        if len(top) == k:
-            break
-        earlier = members
-    return top
-
-
 @dataclass
 class StageCache:
     """One report's stage results, reused across the configs of one sweep.
@@ -225,14 +201,11 @@ def localize(
     cache = StageCache()
     ctx, query_flags = score_stages(report, trace, index, config, cache)
     groups, rerank_flags = rerank_groups(ctx, config.rerank_strategy)
-    scored = cache.scored
-    paths, scores = index.paths, scored.scores
-    annotate = config.rerank_strategy != "none"
-    entries = [
-        RankEntry(paths[d], scores[d], _gui_flags(paths[d], ctx) if annotate else set())
-        for d in _top_ids(scored, groups, config.top_k)
-    ]
-    return RankedList(entries, sorted(set(scored.flags) | set(rerank_flags) | set(query_flags)))
+    entries = cache.scored.entries_of(cache.scored.top(groups, config.top_k))
+    if config.rerank_strategy != "none":
+        for entry in entries:
+            entry.gui_flags = _gui_flags(entry.path, ctx)
+    return RankedList(entries, sorted({*cache.scored.flags, *rerank_flags, *query_flags}))
 
 
 def full_depth(config: PipelineConfig, index: CorpusIndex) -> PipelineConfig:

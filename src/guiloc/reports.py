@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -164,7 +165,7 @@ class RemoteClassifier:
 
     Request: {"version": 1, "model": str, "sentences": [str]}
     Response: {"version": 1, "tags": [str]} with one tag per sentence.
-    Any URL, transport, schema or version failure raises RemoteClassifierError.
+    A URL, transport, schema, version or deadline failure raises RemoteClassifierError.
     """
 
     def __init__(self, url: str, model: str = "default", timeout: float = 10.0):
@@ -177,24 +178,28 @@ class RemoteClassifier:
         # urllib.request at import time would slow every command's start-up
         import http.client
         import urllib.error
+        import urllib.parse
         import urllib.request
 
         texts = [s.text for s in sentences]
         payload = json.dumps(
             {"version": WIRE_VERSION, "model": self.model, "sentences": texts}
         ).encode("utf-8")
+        if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
+            raise RemoteClassifierError(f"classifier URL {self.url!r} is not http or https")
+        deadline = time.monotonic() + self.timeout
         try:
             request = urllib.request.Request(
                 self.url, data=payload, headers={"Content-Type": "application/json"}
             )
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = resp.read(MAX_REPLY_BYTES + 1)
+                body = _read_body(resp, deadline)
                 if len(body) > MAX_REPLY_BYTES:
                     raise RemoteClassifierError(
                         f"classifier reply is longer than {MAX_REPLY_BYTES} bytes"
                     )
-                # read(n) hands back a body cut short of its Content-Length as
-                # if whole; the body has ended, so read() only raises IncompleteRead
+                # peek ends at a body cut short of its Content-Length as at a
+                # whole one; the body has ended, so read() only raises IncompleteRead
                 resp.read()
             data = json.loads(body)
         # RecursionError: a reply nested too deep for the JSON decoder
@@ -210,6 +215,23 @@ class RemoteClassifier:
                 f"this build reads version {WIRE_VERSION}"
             )
         return data["tags"]
+
+
+def _read_body(resp, deadline: float) -> bytearray:
+    """Up to MAX_REPLY_BYTES + 1 bytes of an HTTP reply's body; no read waits past `deadline`."""
+    sock = resp.fp.raw._sock  # under the response's buffered reader
+    body = bytearray()
+    # a response closes itself once it has read its Content-Length
+    while len(body) <= MAX_REPLY_BYTES and not resp.isclosed():
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        sock.settimeout(left)
+        chunk = resp.peek()  # at most one read from the socket; empty at the end
+        if not chunk:
+            break
+        body += resp.read(min(len(chunk), MAX_REPLY_BYTES + 1 - len(body)))
+    return body
 
 
 def _excerpt(value) -> str:

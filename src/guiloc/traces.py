@@ -70,11 +70,11 @@ class Screen:
     @classmethod
     def from_json(cls, data: dict, where: str) -> "Screen":
         activity_name, window_name, components = json_fields(data, _SCREEN_FIELDS, where)
-        component_where = f"{where} component"
         return cls(
             activity_name or "",
             window_name or "",
-            [GuiComponent.from_json(c, component_where) for c in components or ()],
+            [GuiComponent.from_json(c, f"{where} component {i}")
+             for i, c in enumerate(components or ())],
         )
 
 

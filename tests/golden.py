@@ -15,6 +15,8 @@ Usage, from the root of a checkout, with any supported Python and only the
 standard library::
 
     python tests/golden.py --check   # print each key that differs, exit 1 if any
+    python tests/golden.py --check /path/to/python3.10 /path/to/python3.13
+                                     # the same check, then again under each Python named
     python tests/golden.py --write   # record the outputs in fixtures/golden.json
 
 A change that alters an output on purpose rewrites the file and names each
@@ -29,6 +31,8 @@ import hashlib
 import io
 import json
 import logging
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -108,12 +112,31 @@ def differences(expected: dict, actual: dict) -> list[str]:
     return sorted(k for k in expected.keys() | actual.keys() if expected.get(k) != actual.get(k))
 
 
+def check_under(python: str) -> int:
+    """Run ``--check`` under the interpreter `python`, printing its output; its exit code."""
+    try:
+        done = subprocess.run(
+            [python, str(Path(__file__).resolve()), "--check"], capture_output=True, text=True
+        )
+    except OSError as exc:
+        print(f"{python}: cannot run: {exc}")
+        return 1
+    print(done.stdout, end="")
+    if done.returncode and not done.stdout:  # it failed before it compared anything
+        last = done.stderr.strip().splitlines()[-1:]
+        print(f"{python}: exit {done.returncode}: {''.join(last)}")
+    return done.returncode
+
+
 def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help=f"record the outputs in {GOLDEN.name}")
-    mode.add_argument("--check", action="store_true", help=f"compare them with {GOLDEN.name}")
+    mode.add_argument(
+        "--check", nargs="*", metavar="PYTHON",
+        help=f"compare them with {GOLDEN.name}, here and under each other Python named",
+    )
     args = ap.parse_args(argv)
     actual = outputs()
     if args.write:
@@ -123,8 +146,12 @@ def main(argv: list[str] | None = None) -> int:
     changed = differences(json.loads(GOLDEN.read_text(encoding="utf-8")), actual)
     for key in changed:
         print(f"differs: {key}")
-    print(f"{len(actual) - len(changed)} of {len(actual)} outputs match {GOLDEN.name}")
-    return 1 if changed else 0
+    print(
+        f"Python {platform.python_version()}: "
+        f"{len(actual) - len(changed)} of {len(actual)} outputs match {GOLDEN.name}"
+    )
+    codes = [check_under(python) for python in args.check]
+    return 1 if changed or any(codes) else 0
 
 
 if __name__ == "__main__":

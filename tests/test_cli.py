@@ -7,13 +7,15 @@ import shutil
 import subprocess
 import sys
 from array import array
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 import guiloc
 from guiloc.cli import _CONFIG_FILE_KEYS, run
+from guiloc.corpus import Preprocessor
+from guiloc.index import ScoringParams
 from guiloc.pipeline import PipelineConfig
 
 from conftest import FIXTURES, repack_postings, unpack_postings
@@ -251,6 +253,27 @@ def test_config_file_value_of_wrong_type_exits_two(workspace, caplog, key, value
     assert run(_localize_argv(workspace, "--config", str(cfg))) == 2
     [error] = _errors(caplog)
     assert repr(key) in error
+
+
+def test_index_without_flags_writes_the_default_settings(workspace):
+    data = json.loads((workspace / "index.json").read_text())
+    assert data["params"] == asdict(ScoringParams())
+    assert data["preprocess"] == Preprocessor().config()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [None, {}, {"term_sources": None}, {"term_sources": []}, {"term_sources": ""}],
+    ids=["no-config", "empty-config", "null-sources", "empty-list-sources", "empty-string-sources"],
+)
+def test_localize_without_settings_prints_the_default_config(workspace, capsys, config):
+    extra = []
+    if config is not None:
+        (workspace / "cfg.json").write_text(json.dumps(config))
+        extra = ["--config", str(workspace / "cfg.json")]
+    assert run(_localize_argv(workspace, *extra)) == 0
+    default = json.loads(json.dumps(PipelineConfig().to_json()))
+    assert json.loads(capsys.readouterr().out)["config"] == default
 
 
 def test_config_file_keys_are_the_settable_config_fields():

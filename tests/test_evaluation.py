@@ -218,6 +218,10 @@ def _grid():
     )
 
 
+def test_default_grid_is_the_default_config():
+    assert SweepGrid().configs() == [PipelineConfig()]
+
+
 def test_sweep_rows_follow_grid_order(tmp_path):
     reports, traces = _dataset_files(tmp_path)
     pairs = load_dataset(reports, traces)

@@ -14,6 +14,7 @@ from guiloc.errors import ConfigError, InputError
 from guiloc.evaluation import load_dataset
 from guiloc.index import (
     SCORERS,
+    ScoredList,
     ScoringParams,
     build_index,
     load_index,
@@ -158,6 +159,32 @@ def test_scores_nonincreasing_and_ties_by_path():
         scores = [e.score for e in ranked.entries]
         assert scores == sorted(scores, reverse=True)
         assert [e.path for e in ranked.entries] == ["a.java", "b.java"]
+
+
+def _random_scored(rng, n):
+    """A ScoredList over n files whose doc order is not their path order, with tied and zero scores."""
+    paths = rng.sample([f"p{i:03d}.java" for i in range(100)], n)
+    scores = [rng.choice([0.0, 0.0, 0.5, 1.0, 1.0, 2.5]) for _ in paths]
+    ranked = ScoredList(build_index([make_doc(p, ["x"]) for p in paths]), scores)
+    want = sorted((d for d in range(n) if scores[d] > 0.0), key=lambda d: (-scores[d], paths[d]))
+    return ranked, want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_order_is_the_positive_ids_by_score_then_path(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        ranked, want = _random_scored(rng, n)
+        assert ranked.order == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_top_of_one_group_is_the_head_of_order(n):
+    rng = random.Random(100 + n)
+    for _ in range(30):
+        ranked, want = _random_scored(rng, n)
+        for k in range(1, n + 1):
+            assert ranked.top([None], k) == want[:k]
 
 
 def test_zero_score_documents_omitted():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from guiloc.index import build_index
 from guiloc.mapping import (
     COMPONENT_THRESHOLD,
     GuiContext,
+    TERM_SOURCES,
     extract_gui_terms,
     gui_context,
     match_activity_files,
@@ -74,6 +76,47 @@ def test_extract_terms_window_monotone():
         assert set(t_small) <= set(t_large)
         for term, count in t_small.items():
             assert t_large[term] >= count
+
+
+def _walk_gui_terms(trace, window, sources):
+    """extract_gui_terms written out: per screen its activity, then window; per component its
+    id, text, description and type."""
+    pre, terms = Preprocessor(), []
+    for screen in trace.screens[-window:]:
+        if "activity" in sources:
+            terms += pre.tokens(screen.activity_name)
+        if "window_name" in sources:
+            terms += pre.tokens(screen.window_name)
+        for comp in screen.components:
+            if "component_id" in sources:
+                terms += pre.tokens(comp.resource_id)
+            if "component_text" in sources:
+                terms += pre.tokens(comp.text)
+            if "content_desc" in sources:
+                terms += pre.tokens(comp.content_desc)
+            if "type" in sources:
+                terms += pre.tokens(comp.component_type)
+    return list(Counter(terms).items())
+
+
+def test_extract_terms_counts_in_source_order_for_every_source_set():
+    # sources share terms ("main", "save", "note", "button"), so the order of
+    # first appearance tells the sources' order apart
+    trace = make_trace("t", [
+        make_screen("com.app.MainActivity", window="com.app.NoteWindow", components=[
+            make_component("save_button", text="Save note", desc="main button", exercised=True, action="click"),
+            make_component("note_list", ctype="ListView", text="Notes"),
+        ]),
+        make_screen("com.app.NoteActivity", components=[
+            make_component("note_title", ctype="EditText", text="Main title", desc="save"),
+        ]),
+    ])
+    for size in range(1, len(TERM_SOURCES) + 1):
+        for sources in combinations(TERM_SOURCES, size):
+            for given in (sources, sources[::-1]):
+                for window in (1, 2):
+                    want = _walk_gui_terms(trace, window, sources)
+                    assert list(extract_gui_terms(trace, window, sources=given).items()) == want
 
 
 def test_extract_terms_rejects_unknown_source():

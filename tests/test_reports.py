@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -92,6 +93,7 @@ class _Responder(BaseHTTPRequestHandler):
     requests: list = []
     missing_bytes = 0  # promised in Content-Length but never sent
     raw: bytes | None = None  # sent instead of the payload's JSON
+    trickle = 0.0  # seconds before each byte of the reply, if not 0
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
@@ -101,7 +103,15 @@ class _Responder(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) + type(self).missing_bytes))
         self.end_headers()
-        self.wfile.write(data)
+        if not type(self).trickle:
+            self.wfile.write(data)
+            return
+        for i in range(len(data)):
+            time.sleep(type(self).trickle)
+            try:
+                self.wfile.write(data[i : i + 1])
+            except OSError:  # the client hung up
+                return
 
     def log_message(self, *args):
         pass
@@ -115,6 +125,7 @@ def classifier_server():
     yield server
     server.shutdown()
     _Responder.raw = None
+    _Responder.trickle = 0.0
 
 
 def test_remote_classifier_round_trip(classifier_server):
@@ -213,6 +224,28 @@ def test_lint_report_falls_back_on_a_reply_past_the_size_cap(
             f"classifier failed (classifier reply is longer than {MAX_REPLY_BYTES} bytes); "
             "using heuristic"
         ]
+
+
+def test_lint_report_falls_back_on_a_reply_trickled_past_the_timeout(
+    classifier_server, tmp_path, monkeypatch, caplog
+):
+    # the whole reply takes about 4 s; each byte comes well within the timeout
+    _Responder.payload = {"version": 1, "tags": ["OTHER", "OTHER"]}
+    _Responder.trickle = 0.1
+    monkeypatch.setenv("GUILOC_CLASSIFIER_TIMEOUT", "0.5")
+    start = time.monotonic()
+    code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    assert time.monotonic() - start < 1.0
+    assert (code, tags) == (0, ["S2R", "OB"])
+    assert "using heuristic" in warning
+
+
+@pytest.mark.parametrize("url", ["file:///dev/null", "data:,x"])
+def test_remote_classifier_url_that_is_not_http_falls_back(caplog, url):
+    tagged = classify_sentences(["It crashed"], classifier=RemoteClassifier(url))
+    assert tagged == [("It crashed", "OB")]
+    [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert f"classifier URL {url!r} is not http or https" in warning
 
 
 def test_remote_classifier_bad_url_falls_back(caplog):

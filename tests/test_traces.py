@@ -76,26 +76,30 @@ _FLAG = "must be true or false or null, got"
     "screens, message",
     [
         ([7], " screen 0 must be an object, got an integer"),
-        ([_screen_dict("A", [7])], " screen 0 component must be an object, got an integer"),
-        (_bad_component(resource_id=5), f" screen 0 component: 'resource_id' {_STRING} an integer"),
+        ([_screen_dict("A", [7])], " screen 0 component 0 must be an object, got an integer"),
+        (_bad_component(resource_id=5), f" screen 0 component 0: 'resource_id' {_STRING} an integer"),
         ("not a list", ": 'screens' must be a list or null, got a string"),
         ([None], " screen 0 must be an object, got null"),
-        ([_screen_dict("A", [["x"]])], " screen 0 component must be an object, got a list"),
-        (_bad_component(type=["Button"]), f" screen 0 component: 'type' {_STRING} a list"),
-        (_bad_component(text=1.5), f" screen 0 component: 'text' {_STRING} a number"),
-        (_bad_component(content_desc={}), f" screen 0 component: 'content_desc' {_STRING} an object"),
-        (_bad_component(action=True), f" screen 0 component: 'action' {_STRING} true or false"),
-        (_bad_component(exercised="yes"), f" screen 0 component: 'exercised' {_FLAG} a string"),
-        (_bad_component(exercised=1), f" screen 0 component: 'exercised' {_FLAG} an integer"),
+        ([_screen_dict("A", [["x"]])], " screen 0 component 0 must be an object, got a list"),
+        (_bad_component(type=["Button"]), f" screen 0 component 0: 'type' {_STRING} a list"),
+        (_bad_component(text=1.5), f" screen 0 component 0: 'text' {_STRING} a number"),
+        (_bad_component(content_desc={}), f" screen 0 component 0: 'content_desc' {_STRING} an object"),
+        (_bad_component(action=True), f" screen 0 component 0: 'action' {_STRING} true or false"),
+        (_bad_component(exercised="yes"), f" screen 0 component 0: 'exercised' {_FLAG} a string"),
+        (_bad_component(exercised=1), f" screen 0 component 0: 'exercised' {_FLAG} an integer"),
         (_bad_screen(activity_name=7), f" screen 0: 'activity_name' {_STRING} an integer"),
         (_bad_screen(window_name=False), f" screen 0: 'window_name' {_STRING} true or false"),
         (_bad_screen(components={}), " screen 0: 'components' must be a list or null, got an object"),
+        (
+            [_screen_dict("A", [_comp_dict("x"), {**_comp_dict("y"), "type": 5}])],
+            f" screen 0 component 1: 'type' {_STRING} an integer",
+        ),
     ],
     ids=[
         "screen-not-object", "component-not-object", "number-resource-id", "screens-not-list",
         "null-screen", "list-component", "list-type", "number-text", "object-content-desc",
         "bool-action", "string-exercised", "integer-exercised", "number-activity-name",
-        "bool-window-name", "object-components",
+        "bool-window-name", "object-components", "number-type-of-second-component",
     ],
 )
 def test_malformed_trace_shapes_are_input_errors(screens, message):
