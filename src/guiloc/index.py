@@ -168,11 +168,49 @@ class Postings(Mapping):
         return dict(zip(self.terms, map(sub, self.offsets[1:], self.offsets)))
 
 
+class ContributionMemo:
+    """(scorer, term, query weight) -> the term's score contribution per posting.
+
+    A kept column is an ``array('d')`` aligned with the term's doc ids in
+    ``Postings.columns``. A key's first use only records it, so a scoring on
+    a fresh index makes no extra pass over the postings; its second use
+    builds and keeps the column. A recorded key counts 1 and a kept column
+    its length; adding an entry that would take the total past `bound`
+    clears the memo first.
+    """
+
+    def __init__(self, bound: int):
+        self.bound, self.size = bound, 0
+        self.columns: dict[tuple[str, str, float], array | None] = {}
+
+    def admits(self, key: tuple[str, str, float]) -> bool:
+        """Whether `key` was recorded before, so its column is to be kept; a first use records it."""
+        if key in self.columns:
+            return True
+        self._add(key, None, 1)
+        return False
+
+    def keep(self, key: tuple[str, str, float], column: array) -> array:
+        """Keep the column of a key that :meth:`admits` let in."""
+        self._add(key, column, len(column) - 1)
+        return column
+
+    def _add(self, key, column: array | None, size: int) -> None:
+        if self.size + size > self.bound:
+            self.columns.clear()
+            self.size, size = 0, len(column) if column is not None else 1
+        self.columns[key] = column
+        self.size += size
+
+
 @dataclass
 class CorpusIndex:
     """Postings plus per-file columns indexed by doc_id, which runs 0..n-1.
 
     The fields after `preprocessor` are derived from the ones before it.
+    `contributions` holds the scorers' per-term contribution columns (see
+    :class:`ContributionMemo`), bounded at twice the posting count; it takes
+    no part in == or repr, and scores are the same floats with it or without.
     """
 
     paths: list[str]
@@ -189,6 +227,7 @@ class CorpusIndex:
     tf_weights: dict[int, float] = field(init=False)
     files_by_class: dict[str, list[str]] = field(init=False)
     files_by_resource_id: dict[str, list[str]] = field(init=False)
+    contributions: ContributionMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         paths, postings, lengths = self.paths, self.postings, self.lengths
@@ -200,6 +239,7 @@ class CorpusIndex:
         self.doc_count = len(paths)
         self.doc_freq = postings.doc_freq()
         self.tf_weights = _rvsm_tf_weights(postings)
+        self.contributions = ContributionMemo(2 * len(postings.gaps))
         self.avg_length = sum(lengths) / len(paths)
         min_len = min(lengths)
         span = max(lengths) - min_len
@@ -320,6 +360,9 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); the term contribution is
     f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg_len)), multiplied by the
     query-side frequency of t. Documents scoring zero are omitted.
+
+    A term scored a second time with the same weight on this index adds the
+    column that ``index.contributions`` kept, which holds the same floats.
     """
     query = Counter(query)
     n = index.doc_count
@@ -331,13 +374,25 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
     # every score is bit-identical to evaluating that expression per posting
     len_norm = index.bm25_length_norms
     k1_plus_1 = index.params.bm25_k1 + 1.0
+    memo = index.contributions
     for term, qtf in query.items():
         df = index.doc_freq.get(term)
         if not df:
             continue
         weight = qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for doc_id, f in zip(*index.postings.columns(term)):
-            scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
+        ids, counts = index.postings.columns(term)
+        key = ("bm25", term, weight)
+        column = memo.columns.get(key)
+        if column is None:
+            if not memo.admits(key):
+                for doc_id, f in zip(ids, counts):
+                    scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
+                continue
+            column = memo.keep(key, array("d", [
+                weight * f * k1_plus_1 / (f + len_norm[doc_id]) for doc_id, f in zip(ids, counts)
+            ]))
+        for doc_id, part in zip(ids, column):
+            scores[doc_id] += part
     return ScoredList(index, scores)
 
 
@@ -355,18 +410,22 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     g(d) = 1 / (1 + e^(-norm_len(d))) where norm_len is the document length
     min-max normalized over the corpus, so longer files get a mild prior.
     Documents scoring zero are omitted.
+
+    A term scored a second time with the same weight on this index adds the
+    column that ``index.contributions`` kept, which holds the same floats.
     """
     query = Counter(query)
     n = index.doc_count
     dots = [0.0] * n
     if not query:
         return ScoredList(index, dots, ["empty-query"])
-    q_weights: dict[str, float] = {}
+    q_weights: dict[str, tuple[float, float]] = {}  # term -> (query weight, idf)
     q_norm_sq = 0.0  # added left to right: from Python 3.12 on, sum() compensates float sums
     for term, qtf in query.items():
         idf = _rvsm_idf(n, index.doc_freq.get(term, 0))
         if idf > 0.0:
-            w = q_weights[term] = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
+            w = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
+            q_weights[term] = w, idf
             q_norm_sq += w * w
     q_norm = math.sqrt(q_norm_sq)
     if q_norm == 0.0:
@@ -375,10 +434,19 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     # each document's dot product sums its terms in q_weights order, as a
     # per-document loop over q_weights would
     tf_weights = index.tf_weights
-    for term, qw in q_weights.items():
-        idf = _rvsm_idf(n, index.doc_freq[term])
-        for doc_id, f in zip(*index.postings.columns(term)):
-            dots[doc_id] += qw * tf_weights[f] * idf
+    memo = index.contributions
+    for term, (qw, idf) in q_weights.items():
+        ids, counts = index.postings.columns(term)
+        key = ("rvsm", term, qw)
+        column = memo.columns.get(key)
+        if column is None:
+            if not memo.admits(key):
+                for doc_id, f in zip(ids, counts):
+                    dots[doc_id] += qw * tf_weights[f] * idf
+                continue
+            column = memo.keep(key, array("d", [qw * tf_weights[f] * idf for f in counts]))
+        for doc_id, part in zip(ids, column):
+            dots[doc_id] += part
     scores = [
         prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
         for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)

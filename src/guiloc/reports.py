@@ -9,6 +9,7 @@ reproduction steps into a fixed slot structure:
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
@@ -175,36 +176,52 @@ class RemoteClassifier:
 
     def classify(self, sentences: Sequence[Segment]) -> list[str]:
         # imported here because only this classifier needs them, and loading
-        # urllib.request at import time would slow every command's start-up
+        # http.client at import time would slow every command's start-up
         import http.client
-        import urllib.error
         import urllib.parse
-        import urllib.request
 
         texts = [s.text for s in sentences]
         payload = json.dumps(
             {"version": WIRE_VERSION, "model": self.model, "sentences": texts}
         ).encode("utf-8")
-        if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
+        url = urllib.parse.urlsplit(self.url)
+        connections = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        if url.scheme not in connections:
             raise RemoteClassifierError(f"classifier URL {self.url!r} is not http or https")
+        if not url.hostname:
+            raise RemoteClassifierError(f"classifier URL {self.url!r} names no host")
         deadline = time.monotonic() + self.timeout
+
+        def respond(sock, **kwargs) -> http.client.HTTPResponse:
+            """getresponse's response, each of its reads waiting at most until the deadline."""
+            resp = http.client.HTTPResponse(sock, **kwargs)
+            resp.fp = io.BufferedReader(_DeadlineReader(resp.fp.detach(), sock, deadline))
+            return resp
+
         try:
-            request = urllib.request.Request(
-                self.url, data=payload, headers={"Content-Type": "application/json"}
-            )
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = _read_body(resp, deadline)
-                if len(body) > MAX_REPLY_BYTES:
-                    raise RemoteClassifierError(
-                        f"classifier reply is longer than {MAX_REPLY_BYTES} bytes"
-                    )
-                # peek ends at a body cut short of its Content-Length as at a
-                # whole one; the body has ended, so read() only raises IncompleteRead
-                resp.read()
+            conn = connections[url.scheme](url.hostname, url.port, timeout=self.timeout)
+            conn.response_class = respond
+            try:
+                target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+                conn.request("POST", target, payload, {"Content-Type": "application/json"})
+                with conn.getresponse() as resp:
+                    if not 200 <= resp.status < 300:
+                        raise RemoteClassifierError(
+                            f"classifier request failed: HTTP Error {resp.status}: {resp.reason}"
+                        )
+                    body = resp.read(MAX_REPLY_BYTES + 1)
+                    if len(body) > MAX_REPLY_BYTES:
+                        raise RemoteClassifierError(
+                            f"classifier reply is longer than {MAX_REPLY_BYTES} bytes"
+                        )
+                    # read(n) ends at a body cut short of its Content-Length as at a
+                    # whole one; the body has ended, so read() only raises IncompleteRead
+                    resp.read()
+            finally:
+                conn.close()
             data = json.loads(body)
         # RecursionError: a reply nested too deep for the JSON decoder
-        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError,
-                RecursionError) as exc:
+        except (http.client.HTTPException, OSError, ValueError, RecursionError) as exc:
             raise RemoteClassifierError(f"classifier request failed: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("tags"), list):
             raise RemoteClassifierError(f"bad classifier response: {_excerpt(data)}")
@@ -217,21 +234,28 @@ class RemoteClassifier:
         return data["tags"]
 
 
-def _read_body(resp, deadline: float) -> bytearray:
-    """Up to MAX_REPLY_BYTES + 1 bytes of an HTTP reply's body; no read waits past `deadline`."""
-    sock = resp.fp.raw._sock  # under the response's buffered reader
-    body = bytearray()
-    # a response closes itself once it has read its Content-Length
-    while len(body) <= MAX_REPLY_BYTES and not resp.isclosed():
-        left = deadline - time.monotonic()
+class _DeadlineReader(io.RawIOBase):
+    """A socket's raw reader whose every read waits at most until `deadline`.
+
+    Past the deadline a read raises TimeoutError; closing it closes `raw`.
+    """
+
+    def __init__(self, raw, sock, deadline: float):
+        self.raw, self.sock, self.deadline = raw, sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError("timed out")
-        sock.settimeout(left)
-        chunk = resp.peek()  # at most one read from the socket; empty at the end
-        if not chunk:
-            break
-        body += resp.read(min(len(chunk), MAX_REPLY_BYTES + 1 - len(body)))
-    return body
+        self.sock.settimeout(left)
+        return self.raw.readinto(buffer)
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
 
 
 def _excerpt(value) -> str:

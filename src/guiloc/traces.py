@@ -70,12 +70,14 @@ class Screen:
     @classmethod
     def from_json(cls, data: dict, where: str) -> "Screen":
         activity_name, window_name, components = json_fields(data, _SCREEN_FIELDS, where)
-        return cls(
-            activity_name or "",
-            window_name or "",
-            [GuiComponent.from_json(c, f"{where} component {i}")
-             for i, c in enumerate(components or ())],
-        )
+        components = components or ()
+        try:
+            parsed = [GuiComponent.from_json(c) for c in components]
+        except InputError:  # parsed again, so a position is formatted only for a bad component
+            for i, c in enumerate(components):
+                GuiComponent.from_json(c, f"{where} component {i}")
+            raise
+        return cls(activity_name or "", window_name or "", parsed)
 
 
 @dataclass

@@ -72,7 +72,8 @@ def naive_rvsm(docs, query):
         return math.sqrt(sq)
 
     qc = Counter(query)
-    qvec = {t: (1 + math.log(c)) * idf(t) for t, c in qc.items() if idf(t) > 0}
+    # a query frequency below 1 weighs linearly, as score_rvsm documents
+    qvec = {t: (1 + math.log(c) if c >= 1 else c) * idf(t) for t, c in qc.items() if idf(t) > 0}
     qnorm = norm(qvec.values())
     lengths = [d.length for d in docs]
     lo, hi = min(lengths), max(lengths)
@@ -460,6 +461,76 @@ def test_scores_equal_exact_references_with_a_huge_term_count():
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
             assert _scored(score_rvsm(index, query)) == _exact(naive_rvsm(docs, query))
             assert _scored(score_bm25(index, query)) == _exact(naive_bm25(docs, query))
+
+
+_NAIVE = {score_bm25: naive_bm25, score_rvsm: naive_rvsm}
+
+
+def _counted_total(memo):
+    """A recorded key counts 1, a kept column its length."""
+    return sum(1 if column is None else len(column) for column in memo.columns.values())
+
+
+@pytest.mark.parametrize("scorer", _NAIVE, ids=SCORERS)
+def test_repeated_queries_score_exactly_like_the_reference(scorer):
+    docs = scan_corpus(FIXTURES / "app")
+    index = build_index(docs)
+    pre = index.preprocessor
+    queries = [pre.tokens(r.full_text()) for r, _ in load_dataset(FIXTURES / "reports", FIXTURES / "traces")]
+    expanded = Counter(queries[0])
+    for term in list(docs[0].terms)[:6]:  # GUI terms at fractional expansion weights
+        expanded[term] += 0.25
+    expanded[next(iter(docs[1].terms))] += 1.75
+    queries.append(expanded)
+    for query in queries:
+        want = _exact(_NAIVE[scorer](docs, query))
+        first, second, third = (_scored(scorer(index, query)) for _ in range(3))
+        assert first == second == third == want != []
+
+
+@pytest.mark.parametrize("scorer", _NAIVE, ids=SCORERS)
+def test_a_term_column_is_kept_on_its_second_use_only(scorer):
+    index = build_index([make_doc("a.java", ["save", "save"]), make_doc("b.java", ["note", "save"]),
+                         make_doc("c.java", ["note"])])
+    memo = index.contributions
+    scorer(index, {"save": 1.5})
+    assert list(memo.columns.values()) == [None]
+    scorer(index, {"save": 1.5})
+    [column] = memo.columns.values()
+    assert len(column) == len(index.postings.columns("save")[0]) == _counted_total(memo) == 2
+    scorer(index, {"save": 1.5})
+    assert list(memo.columns.values()) == [column]
+
+
+@pytest.mark.parametrize("scorer", _NAIVE, ids=SCORERS)
+def test_many_weights_clear_the_memo_within_its_bound(scorer):
+    docs = [make_doc("a.java", ["save", "note"]), make_doc("b.java", ["save", "edit"]),
+            make_doc("c.java", ["note", "sync"])]
+    index = build_index(docs)
+    memo, bound = index.contributions, 2 * len(index.postings.gaps)
+    assert memo.bound == bound == 12
+    totals = []
+    for weight in range(1, 4 * bound):
+        query = {"save": float(weight), "note": 1 + 1 / weight}
+        for _ in range(2):
+            assert _scored(scorer(index, query)) == _exact(_NAIVE[scorer](docs, query))
+            totals.append(_counted_total(memo))
+            assert memo.size == totals[-1] <= bound
+    assert sum(map(int.__lt__, totals[1:], totals)) >= 2  # cleared more than once
+
+
+def test_the_memo_changes_neither_equality_nor_repr():
+    docs = scan_corpus(FIXTURES / "app")
+    used, fresh = build_index(docs), build_index(docs)
+    before = repr(used)
+    query = Counter(t for d in docs[:3] for t in d.terms)
+    for _ in range(2):
+        score_bm25(used, query)
+        score_rvsm(used, query)
+    assert any(column is not None for column in used.contributions.columns.values())
+    assert not fresh.contributions.columns
+    assert used == fresh
+    assert repr(used) == before and "contributions" not in before
 
 
 def _round_trip(index, tmp_path):

@@ -94,24 +94,36 @@ class _Responder(BaseHTTPRequestHandler):
     missing_bytes = 0  # promised in Content-Length but never sent
     raw: bytes | None = None  # sent instead of the payload's JSON
     trickle = 0.0  # seconds before each byte of the reply, if not 0
+    head_trickle = 0.0  # seconds before each byte of the status line and headers, if not 0
+    status = 200
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).requests.append(json.loads(body))
         data = type(self).raw or json.dumps(type(self).payload).encode()
-        self.send_response(200)
+        if type(self).head_trickle:
+            head = f"HTTP/1.0 200 OK\r\nContent-Length: {len(data)}\r\n\r\n".encode()
+            if self._send_slowly(head, type(self).head_trickle):
+                self.wfile.write(data)
+            return
+        self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) + type(self).missing_bytes))
         self.end_headers()
         if not type(self).trickle:
             self.wfile.write(data)
             return
+        self._send_slowly(data, type(self).trickle)
+
+    def _send_slowly(self, data: bytes, pause: float) -> bool:
+        """Write `data` a byte at a time, `pause` seconds before each; False if the client hung up."""
         for i in range(len(data)):
-            time.sleep(type(self).trickle)
+            time.sleep(pause)
             try:
                 self.wfile.write(data[i : i + 1])
-            except OSError:  # the client hung up
-                return
+            except OSError:
+                return False
+        return True
 
     def log_message(self, *args):
         pass
@@ -124,8 +136,10 @@ def classifier_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     _Responder.raw = None
-    _Responder.trickle = 0.0
+    _Responder.trickle = _Responder.head_trickle = 0.0
+    _Responder.status = 200
 
 
 def test_remote_classifier_round_trip(classifier_server):
@@ -238,6 +252,40 @@ def test_lint_report_falls_back_on_a_reply_trickled_past_the_timeout(
     assert time.monotonic() - start < 1.0
     assert (code, tags) == (0, ["S2R", "OB"])
     assert "using heuristic" in warning
+
+
+def test_lint_report_falls_back_on_headers_trickled_past_the_timeout(
+    classifier_server, tmp_path, monkeypatch, caplog
+):
+    # the status line and headers take about 2 s; each byte comes well within the timeout
+    _Responder.payload = {"version": 1, "tags": ["OTHER", "OTHER"]}
+    _Responder.head_trickle = 0.05
+    monkeypatch.setenv("GUILOC_CLASSIFIER_TIMEOUT", "0.2")
+    start = time.monotonic()
+    code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    assert time.monotonic() - start < 1.0
+    assert (code, tags) == (0, ["S2R", "OB"])
+    assert warning == "classifier failed (classifier request failed: timed out); using heuristic"
+
+
+def test_lint_report_falls_back_on_an_http_error_status(
+    classifier_server, tmp_path, monkeypatch, caplog
+):
+    _Responder.payload = {"version": 1, "tags": ["OTHER", "OTHER"]}
+    _Responder.status = 500
+    code, tags, [warning] = _lint_with_remote(classifier_server, tmp_path, monkeypatch, caplog)
+    assert (code, tags) == (0, ["S2R", "OB"])
+    assert warning == (
+        "classifier failed (classifier request failed: HTTP Error 500: Internal Server Error); "
+        "using heuristic"
+    )
+
+
+def test_remote_classifier_url_without_a_host_falls_back(caplog):
+    tagged = classify_sentences(["It crashed"], classifier=RemoteClassifier("http:///classify"))
+    assert tagged == [("It crashed", "OB")]
+    [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert "classifier URL 'http:///classify' names no host" in warning
 
 
 @pytest.mark.parametrize("url", ["file:///dev/null", "data:,x"])
