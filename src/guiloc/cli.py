@@ -13,7 +13,7 @@ import sys
 import threading
 from dataclasses import asdict
 
-from .corpus import Preprocessor, load_stopwords, scan_corpus
+from .corpus import SOURCE_EXTENSIONS, Preprocessor, load_stopwords, scan_corpus
 from .errors import ConfigError, GuilocError, InputError
 from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep, warn_unindexed_ground_truth
 from .index import SCORERS, ScoringParams, build_index, load_index, save_index
@@ -163,7 +163,7 @@ def _make_classifier(kind: str):
     url = os.environ.get(ENV_CLASSIFIER_URL)
     if not url:
         raise ConfigError(f"--classifier remote needs {ENV_CLASSIFIER_URL} to be set")
-    timeout = os.environ.get(ENV_CLASSIFIER_TIMEOUT, "10")
+    timeout = os.environ.get(ENV_CLASSIFIER_TIMEOUT, str(RemoteClassifier.timeout))
     try:
         seconds = float(timeout)
     except ValueError:
@@ -173,7 +173,8 @@ def _make_classifier(kind: str):
             f"{ENV_CLASSIFIER_TIMEOUT} must be a number of seconds in "
             f"(0, {threading.TIMEOUT_MAX:.0f}], got {timeout!r}"
         )
-    return RemoteClassifier(url, os.environ.get(ENV_CLASSIFIER_MODEL, "default"), seconds)
+    model = os.environ.get(ENV_CLASSIFIER_MODEL, RemoteClassifier.model)
+    return RemoteClassifier(url, model, seconds)
 
 
 def _cmd_lint_report(args: argparse.Namespace) -> int:
@@ -268,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="scan a source tree and write an index file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ext", default="java,kt", help="comma list of file extensions")
+    p.add_argument(
+        "--ext", default=",".join(SOURCE_EXTENSIONS), help="comma list of file extensions"
+    )
     p.add_argument("--stopwords", default=None, help="replace bundled stopword lists")
     p.add_argument(
         "--min-term-len", type=int, default=Preprocessor.min_term_len, help="default %(default)s"
@@ -312,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scorers", default="bm25,rvsm")
-    p.add_argument("--queries", default="base,expand,replace")
-    p.add_argument("--reranks", default="none,filter,boost,filter-boost")
+    p.add_argument("--scorers", default=",".join(SCORERS))
+    p.add_argument("--queries", default=",".join(QUERY_STRATEGIES))
+    p.add_argument("--reranks", default=",".join(_RERANK_CLI))
     p.add_argument("--windows", default="1,3")
     p.add_argument(
         "--sources-sets",

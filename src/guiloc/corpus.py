@@ -29,6 +29,8 @@ _ID_LIKE = re.compile(r"^[A-Za-z0-9_]{2,}$")
 
 _VOWELS = "aeiou"
 
+SOURCE_EXTENSIONS = ("java", "kt")  # the files a corpus scan reads by default
+
 
 def _load_stopword_file(name: str) -> frozenset[str]:
     text = resources.files("guiloc").joinpath("data", name).read_text(encoding="utf-8")
@@ -199,7 +201,7 @@ def _known_id_mentions(raw_text: str, known_ids: frozenset[str]) -> set[str]:
 
 def scan_corpus(
     root: str | Path,
-    extensions: tuple[str, ...] = ("java", "kt"),
+    extensions: tuple[str, ...] = SOURCE_EXTENSIONS,
     preprocessor: Preprocessor | None = None,
 ) -> list[SourceDocument]:
     """Walk a source tree and build SourceDocuments.

@@ -23,8 +23,10 @@ logger = logging.getLogger(__name__)
 
 HITS_KS = (1, 5, 10)
 
-_CONFIG_COLUMNS = "scorer,query_strategy,rerank_strategy,window,term_sources,expansion_weight"
-CSV_HEADER = ",".join([_CONFIG_COLUMNS, *(f"hits{k}" for k in HITS_KS), "mrr,map,reports"])
+# each swept PipelineConfig setting, in CSV column order -> its spelling in a row
+_SWEPT = {"scorer": str, "query_strategy": str, "rerank_strategy": str, "window": str,
+          "term_sources": "+".join, "expansion_weight": "{:g}".format}
+CSV_HEADER = ",".join([*_SWEPT, *(f"hits{k}" for k in HITS_KS), "mrr,map,reports"])
 
 
 def hits_at_k(ranks: Sequence[int], k: int) -> int:
@@ -242,14 +244,7 @@ class SweepGrid:
 
 
 def _config_key(config: PipelineConfig) -> tuple[str, ...]:
-    return (
-        config.scorer,
-        config.query_strategy,
-        config.rerank_strategy,
-        str(config.window),
-        "+".join(config.term_sources),
-        f"{config.expansion_weight:g}",
-    )
+    return tuple(spell(getattr(config, name)) for name, spell in _SWEPT.items())
 
 
 def _result_row(config: PipelineConfig, result: EvalResult) -> str:
@@ -327,7 +322,7 @@ def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
         cells = line.split(",")
         # a row the meta does not list may come from another sweep into the same file
         if len(cells) == len(CSV_HEADER.split(",")) and line in vouched:
-            existing[tuple(cells[:6])] = line
+            existing[tuple(cells[: len(_SWEPT)])] = line
     return existing
 
 

@@ -157,11 +157,11 @@ class Postings(Mapping):
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Postings):
-            return (self.terms, self.offsets, self.gaps, self.counts) == (
-                other.terms, other.offsets, other.gaps, other.counts
-            )
-        return super().__eq__(other)
+        if not isinstance(other, Postings):
+            return NotImplemented
+        return (self.terms, self.offsets, self.gaps, self.counts) == (
+            other.terms, other.offsets, other.gaps, other.counts
+        )
 
     def doc_freq(self) -> dict[str, int]:
         """term -> the number of documents that hold it."""
@@ -172,33 +172,24 @@ class ContributionMemo:
     """(scorer, term, query weight) -> the term's score contribution per posting.
 
     A kept column is an ``array('d')`` aligned with the term's doc ids in
-    ``Postings.columns``. A key's first use only records it, so a scoring on
-    a fresh index makes no extra pass over the postings; its second use
-    builds and keeps the column. A recorded key counts 1 and a kept column
-    its length; adding an entry that would take the total past `bound`
-    clears the memo first.
+    ``Postings.columns``, holding the floats the scorer would compute, so
+    scores are the same with the memo or without. A key's first use only
+    records it, so a scoring on a fresh index makes no extra pass over the
+    postings; its second use builds and keeps the column. A recorded key
+    counts 1 and a kept column its length; adding an entry that would take
+    the total past `bound` clears the memo first.
     """
 
     def __init__(self, bound: int):
         self.bound, self.size = bound, 0
         self.columns: dict[tuple[str, str, float], array | None] = {}
 
-    def admits(self, key: tuple[str, str, float]) -> bool:
-        """Whether `key` was recorded before, so its column is to be kept; a first use records it."""
-        if key in self.columns:
-            return True
-        self._add(key, None, 1)
-        return False
-
-    def keep(self, key: tuple[str, str, float], column: array) -> array:
-        """Keep the column of a key that :meth:`admits` let in."""
-        self._add(key, column, len(column) - 1)
-        return column
-
-    def _add(self, key, column: array | None, size: int) -> None:
+    def add(self, key: tuple[str, str, float], column: array | None = None) -> None:
+        """Record `key`'s first use, or keep the column of a key already recorded."""
+        size = 1 if column is None else len(column) - 1  # the column replaces the key's 1
         if self.size + size > self.bound:
             self.columns.clear()
-            self.size, size = 0, len(column) if column is not None else 1
+            self.size, size = 0, size + (column is not None)
         self.columns[key] = column
         self.size += size
 
@@ -208,9 +199,8 @@ class CorpusIndex:
     """Postings plus per-file columns indexed by doc_id, which runs 0..n-1.
 
     The fields after `preprocessor` are derived from the ones before it.
-    `contributions` holds the scorers' per-term contribution columns (see
-    :class:`ContributionMemo`), bounded at twice the posting count; it takes
-    no part in == or repr, and scores are the same floats with it or without.
+    `contributions` is the scorers' :class:`ContributionMemo`, bounded at
+    twice the posting count; it takes no part in == or repr.
     """
 
     paths: list[str]
@@ -221,6 +211,7 @@ class CorpusIndex:
     params: ScoringParams
     preprocessor: Preprocessor
     doc_count: int = field(init=False)
+    doc_ids: dict[str, int] = field(init=False)  # path -> doc id
     doc_freq: dict[str, int] = field(init=False)
     avg_length: float = field(init=False)
     length_prior: list[float] = field(init=False)
@@ -233,10 +224,10 @@ class CorpusIndex:
         paths, postings, lengths = self.paths, self.postings, self.lengths
         if not paths:
             raise InputError("cannot index an empty corpus")
-        if len(set(paths)) < len(paths):
+        self.doc_count, self.doc_ids = len(paths), dict(zip(paths, count()))
+        if len(self.doc_ids) < len(paths):
             ((duplicate, _),) = Counter(paths).most_common(1)
             raise InputError(f"document path {duplicate!r} appears more than once")
-        self.doc_count = len(paths)
         self.doc_freq = postings.doc_freq()
         self.tf_weights = _rvsm_tf_weights(postings)
         self.contributions = ContributionMemo(2 * len(postings.gaps))
@@ -268,11 +259,6 @@ class CorpusIndex:
     def path_order(self) -> list[int]:
         """Doc ids in path order, the order of every ranking's ties."""
         return sorted(range(self.doc_count), key=self.paths.__getitem__)
-
-    @cached_property
-    def doc_ids(self) -> dict[str, int]:
-        """path -> doc id."""
-        return dict(zip(self.paths, count()))
 
     @cached_property
     def bm25_length_norms(self) -> list[float]:
@@ -359,10 +345,9 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); the term contribution is
     f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg_len)), multiplied by the
-    query-side frequency of t. Documents scoring zero are omitted.
-
-    A term scored a second time with the same weight on this index adds the
-    column that ``index.contributions`` kept, which holds the same floats.
+    query-side frequency of t. Documents scoring zero are omitted. Each
+    term's contributions go through ``index.contributions`` (see
+    :class:`ContributionMemo`).
     """
     query = Counter(query)
     n = index.doc_count
@@ -384,13 +369,15 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
         key = ("bm25", term, weight)
         column = memo.columns.get(key)
         if column is None:
-            if not memo.admits(key):
+            if key not in memo.columns:
+                memo.add(key)
                 for doc_id, f in zip(ids, counts):
                     scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
                 continue
-            column = memo.keep(key, array("d", [
+            column = array("d", [
                 weight * f * k1_plus_1 / (f + len_norm[doc_id]) for doc_id, f in zip(ids, counts)
-            ]))
+            ])
+            memo.add(key, column)
         for doc_id, part in zip(ids, column):
             scores[doc_id] += part
     return ScoredList(index, scores)
@@ -409,10 +396,8 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     it at 1 and stays positive. The cosine is multiplied by
     g(d) = 1 / (1 + e^(-norm_len(d))) where norm_len is the document length
     min-max normalized over the corpus, so longer files get a mild prior.
-    Documents scoring zero are omitted.
-
-    A term scored a second time with the same weight on this index adds the
-    column that ``index.contributions`` kept, which holds the same floats.
+    Documents scoring zero are omitted. Each term's contributions go
+    through ``index.contributions`` (see :class:`ContributionMemo`).
     """
     query = Counter(query)
     n = index.doc_count
@@ -440,11 +425,13 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
         key = ("rvsm", term, qw)
         column = memo.columns.get(key)
         if column is None:
-            if not memo.admits(key):
+            if key not in memo.columns:
+                memo.add(key)
                 for doc_id, f in zip(ids, counts):
                     dots[doc_id] += qw * tf_weights[f] * idf
                 continue
-            column = memo.keep(key, array("d", [qw * tf_weights[f] * idf for f in counts]))
+            column = array("d", [qw * tf_weights[f] * idf for f in counts])
+            memo.add(key, column)
         for doc_id, part in zip(ids, column):
             dots[doc_id] += part
     scores = [

@@ -161,6 +161,7 @@ class HeuristicClassifier:
         return "OTHER"
 
 
+@dataclass
 class RemoteClassifier:
     """POSTs sentences to an external tagging service.
 
@@ -169,10 +170,9 @@ class RemoteClassifier:
     A URL, transport, schema, version or deadline failure raises RemoteClassifierError.
     """
 
-    def __init__(self, url: str, model: str = "default", timeout: float = 10.0):
-        self.url = url
-        self.model = model
-        self.timeout = timeout
+    url: str
+    model: str = "default"
+    timeout: float = 10.0  # seconds for the whole request
 
     def classify(self, sentences: Sequence[Segment]) -> list[str]:
         # imported here because only this classifier needs them, and loading

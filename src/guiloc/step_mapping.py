@@ -101,9 +101,7 @@ def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[Step
 def _shortest_edge_path(
     model: ExecutionModel, src: str, dst: str
 ) -> list[ModelEdge] | None:
-    """BFS over edges in insertion order; None when dst is unreachable."""
-    if src == dst:
-        return []
+    """BFS over edges in insertion order to a `dst` other than `src`; None if unreachable."""
     adjacency = model.adjacency
     queue = deque([src])
     parent: dict[str, ModelEdge] = {}
@@ -145,6 +143,6 @@ def detect_missing_steps(
         path = _shortest_edge_path(model, prev.matched_edge.dst, nxt.matched_edge.src)
         if path is None:
             report.gaps.append(StepGap(i_prev, i_next, [], infeasible=True))
-        elif path:
+        else:
             report.gaps.append(StepGap(i_prev, i_next, path))
     return report

@@ -784,6 +784,72 @@ def test_localize_version_four_index_exits_one(workspace, caplog):
     _old_index_exits_one(workspace, caplog, 4)
 
 
+def _index_argv(workspace, *extra):
+    corpus, out = workspace / "corpus", workspace / "other.json"
+    return ["index", "--corpus", str(corpus), "--out", str(out), *extra]
+
+
+def test_index_with_a_missing_stopword_file_exits_one(workspace, caplog):
+    missing = workspace / "missing.txt"
+    assert run(_index_argv(workspace, "--stopwords", str(missing))) == 1
+    assert _errors(caplog) == [f"stopword file not found: {missing}"]
+    assert not (workspace / "other.json").exists()
+
+
+def test_index_with_no_file_extension_exits_one(workspace, caplog):
+    assert run(_index_argv(workspace, "--ext", "")) == 1
+    assert _errors(caplog) == ["at least one file extension is required"]
+    assert not (workspace / "other.json").exists()
+
+
+def _first_row_cell(cell, value):
+    def edit(data):
+        data["documents"][0][cell] = value
+    return edit
+
+
+INDEX_VALUES_OF_THE_WRONG_TYPE = {
+    "stopword-not-string": (lambda data: data["preprocess"]["stopwords"].__setitem__(0, 7),
+                            "preprocess: 'stopwords' must be a list of strings"),
+    "path-not-string": (_first_row_cell(0, 7), "document 0: path must be a string"),
+    "ref-not-string": (_first_row_cell(1, [7]),
+                       "document 0: resource_id_refs must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("edit, message", INDEX_VALUES_OF_THE_WRONG_TYPE.values(),
+                         ids=INDEX_VALUES_OF_THE_WRONG_TYPE)
+def test_localize_index_value_of_the_wrong_type_exits_one(workspace, caplog, edit, message):
+    path = workspace / "index.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert run(_localize_argv(workspace)) == 1
+    assert _errors(caplog) == [f"{path}: {message}"]
+
+
+@pytest.mark.parametrize("missing", ["reports", "traces"])
+def test_evaluate_without_a_dataset_directory_exits_one(workspace, caplog, missing):
+    dirs = {"reports": workspace / "reports", "traces": workspace / "traces"}
+    dirs[missing] = workspace / "absent"
+    argv = ["evaluate", "--index", str(workspace / "index.json"),
+            "--reports", str(dirs["reports"]), "--traces", str(dirs["traces"])]
+    assert run(argv) == 1
+    assert _errors(caplog) == [f"{missing} directory not found: {workspace / 'absent'}"]
+
+
+def test_sweep_into_a_csv_with_another_header_recomputes_every_row(workspace, caplog):
+    grid = ("--scorers", "bm25", "--queries", "base", "--reranks", "none,boost", "--windows", "1")
+    fresh = workspace / "fresh.csv"
+    assert run(_sweep_argv(workspace, *grid, "--out", str(fresh))) == 0  # the last --out wins
+    out = workspace / "sweep.csv"
+    out.write_text("scorer,hits1\n" + fresh.read_text().splitlines()[1] + "\n")
+    assert run(_sweep_argv(workspace, *grid)) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"existing sweep file {out} has a different header; recomputing all rows"]
+    assert out.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize("scorer", ["bm25", "rvsm"])
 def test_localize_on_a_corpus_without_terms_prints_an_empty_ranking(tmp_path, capsys, scorer):
     corpus = tmp_path / "corpus"

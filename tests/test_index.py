@@ -373,7 +373,8 @@ def test_a_pass_over_every_posting_keeps_no_decoded_copy():
     docs = scan_corpus(FIXTURES / "app")
     built, rebuilt = build_index(docs).postings, build_index(docs).postings
     assert sum(len(plist) for plist in built.values()) == sum(len(d.terms) for d in docs)
-    assert built == rebuilt and dict(built.items()) == rebuilt
+    assert built == rebuilt and dict(built.items()) == dict(rebuilt.items())
+    assert built != dict(built.items())  # a Postings equals only a Postings
     assert built._columns == {} and rebuilt._columns == {}
     assert built.columns("note") is built.columns("note")  # decoded once and kept
     assert list(built._columns) == ["note"]
@@ -716,6 +717,16 @@ def test_a_length_is_checked_only_through_the_total(tmp_path):
     repack_postings(data, body)
     path.write_text(json.dumps(data))
     assert load_index(path).lengths == [4, 1]
+
+
+@pytest.mark.parametrize("count, message", [
+    ("2", "document 'a.java' has a term count that is not a number"),
+    (2**32, "term counts must be whole numbers below 2**32"),
+], ids=["string", "2**32"])
+def test_build_index_rejects_a_count_that_an_index_file_cannot_store(count, message):
+    with pytest.raises(InputError) as exc:
+        build_index([make_doc("a.java", {"save": count})])
+    assert str(exc.value) == message
 
 
 def test_build_index_rejects_a_length_that_an_index_file_cannot_store():

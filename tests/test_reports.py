@@ -81,6 +81,16 @@ def test_expected_beats_observed_on_plain_sentences():
     assert tags["I expected a note but the app crashed"] == "EB"
 
 
+def test_a_leading_filler_is_skipped_before_the_verb():
+    assert classify_sentences(["Then tap save"]) == [("Then tap save", "S2R")]
+
+
+def test_a_verb_after_three_fillers_is_not_read():
+    """Only the first three words can hold the lead verb, fillers counted."""
+    sentence = "Please then now tap save"
+    assert classify_sentences([sentence]) == [(sentence, "OTHER")]
+
+
 def test_list_items_default_to_s2r_unless_marked():
     segs = segment_with_markers("1. Go to the editor 2. Crash")
     tags = dict(classify_sentences(segs))

@@ -268,6 +268,36 @@ def test_missing_middle_edge_is_reported_exactly():
     assert [e.resource_id for e in gap.missing] == ["open_editor"]
 
 
+_COMPONENTS = {"A": ["start_button"], "B": ["open_editor"],
+               "C": ["close_button", "settings_button"], "D": ["save_button"], "E": ["done"]}
+
+
+def _screen(name, exercised=None):
+    """Screen `name` of _COMPONENTS, the component `exercised` clicked on it."""
+    return make_screen(f"com.app.{name}", components=[
+        make_component(i, exercised=i == exercised, action="click" if i == exercised else None)
+        for i in _COMPONENTS[name]
+    ])
+
+
+def test_a_gap_of_two_edges_past_an_edge_back_to_a_seen_screen():
+    """The search from B meets C's edge back to B before C's edge on to D."""
+    back = make_trace("back", [_screen("B", "open_editor"), _screen("C", "close_button"),
+                               _screen("B")])
+    on = make_trace("on", [_screen("A", "start_button"), _screen("B", "open_editor"),
+                           _screen("C", "settings_button"), _screen("D", "save_button"),
+                           _screen("E")])
+    model = build_execution_model([back, on])
+    c_edges = model.adjacency[screen_fingerprint(_screen("C"))]
+    assert [e.resource_id for e in c_edges] == ["close_button", "settings_button"]
+    steps = [_step("click", "start button"), _step("click", "save button")]
+    matches = map_steps_to_model(steps, model)
+    assert [m.status for m in matches] == ["matched", "matched"]
+    [gap] = detect_missing_steps(matches, model).gaps
+    assert (gap.after_step, gap.before_step, gap.infeasible) == (0, 1, False)
+    assert [e.resource_id for e in gap.missing] == ["open_editor", "settings_button"]
+
+
 def test_adjacent_matches_produce_no_gap():
     model, _ = _linear_model()
     steps = [_step("click", "go list"), _step("click", "open editor")]
