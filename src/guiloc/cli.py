@@ -12,10 +12,12 @@ import os
 import sys
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
-from .corpus import SOURCE_EXTENSIONS, Preprocessor, load_stopwords, scan_corpus
+from .corpus import SOURCE_EXTENSIONS, Preprocessor, has_extension, load_stopwords, scan_corpus
 from .errors import ConfigError, GuilocError, InputError
-from .evaluation import SweepGrid, evaluate_config, load_dataset, sweep, warn_unindexed_ground_truth
+from .evaluation import (SweepGrid, evaluate_config, load_dataset, meta_path, sweep,
+                         warn_unindexed_ground_truth)
 from .index import SCORERS, ScoringParams, build_index, load_index, save_index
 from .mapping import TERM_SOURCES, gui_context
 from .pipeline import PipelineConfig, QUERY_STRATEGIES, localize, ranking_to_json
@@ -51,6 +53,8 @@ _CONFIG_FILE_KEYS = ("scorer", "query_strategy", "rerank_strategy", *_CONFIG_FIL
 _FLAG_KEYS = {"scorer": "scorer", "query": "query_strategy", "rerank": "rerank_strategy",
               "window": "window", "sources": "term_sources", "weight": "expansion_weight",
               "top": "top_k"}
+# input flags that name a directory -> how many levels below it files are read, None for all
+_INPUT_DIRS = {"corpus": None, "reports": 1, "traces": 1}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -59,6 +63,37 @@ def _emit(text: str, out: str | None) -> None:
         logger.info("wrote %s", out)
     else:
         sys.stdout.write(text)
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output that would write over one of the command's inputs, before any work.
+
+    An output is refused if it is an input file, links included, or if an
+    input directory would read it: a file with a scanned extension anywhere
+    under --corpus, or a JSON file directly in --reports or --traces.
+    """
+    outputs = {"--out": args.out, "--dump-context": getattr(args, "dump_context", None)}
+    if args.command == "sweep":  # --out itself holds the rows that a sweep reuses
+        outputs["--out's meta file"] = str(meta_path(Path(args.out)))
+    outputs = {flag: out for flag, out in outputs.items() if out}
+    for dest in args.reads:
+        given = getattr(args, dest) or []
+        for source in given if isinstance(given, list) else [given]:
+            for flag, out in outputs.items():
+                if dest in _INPUT_DIRS:
+                    target, root = Path(os.path.realpath(out)), Path(os.path.realpath(source))
+                    read = has_extension(_split_csv(args.ext) if dest == "corpus" else ("json",))
+                    if read(target) and root in target.parents[: _INPUT_DIRS[dest]]:
+                        raise InputError(f"{flag} {out} is read from the input --{dest} {source}")
+                elif _same_file(out, source):
+                    raise InputError(f"{flag} {out} would write over the input --{dest} {source}")
 
 
 def _split_csv(value: str) -> list[str]:
@@ -279,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stem", action="store_true")
     p.add_argument("--k1", type=float, default=ScoringParams.bm25_k1, help="default %(default)s")
     p.add_argument("--b", type=float, default=ScoringParams.bm25_b, help="default %(default)s")
-    p.set_defaults(func=_cmd_index)
+    p.set_defaults(func=_cmd_index, reads=("stopwords", "corpus"))
 
     p = sub.add_parser("localize", help="rank source files for one bug report")
     p.add_argument("--index", required=True)
@@ -288,19 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--dump-context", default=None, help="also write the GUI context JSON here")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_localize)
+    p.set_defaults(func=_cmd_localize, reads=("index", "report", "trace", "config"))
 
     p = sub.add_parser("build-model", help="fold traces into an execution model")
     p.add_argument("--trace", action="append", required=True, help="repeatable")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_model)
+    p.set_defaults(func=_cmd_build_model, reads=("trace",))
 
     p = sub.add_parser("lint-report", help="tag sentences, parse steps, find missing ones")
     p.add_argument("--report", required=True)
     p.add_argument("--model", default=None, help="execution model for step matching")
     p.add_argument("--classifier", choices=("heuristic", "remote"), default="heuristic")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_lint_report)
+    p.set_defaults(func=_cmd_lint_report, reads=("report", "model"))
 
     p = sub.add_parser("evaluate", help="metrics for one configuration over a dataset")
     p.add_argument("--index", required=True)
@@ -308,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--out", default=None)
     _add_config_flags(p, with_top=False)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, reads=("index", "reports", "traces", "config"))
 
     p = sub.add_parser("sweep", help="evaluate a configuration grid, writing CSV")
     p.add_argument("--index", required=True)
@@ -328,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted for old scripts; the sweep runs in one thread"
     )
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, reads=("index", "reports", "traces"))
 
     return parser
 
@@ -343,6 +378,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         logger.error("%s", exc)

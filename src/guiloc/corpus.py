@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -199,6 +200,12 @@ def _known_id_mentions(raw_text: str, known_ids: frozenset[str]) -> set[str]:
     return found
 
 
+def has_extension(extensions: Sequence[str]) -> Callable[[Path], bool]:
+    """Whether a path's extension is one of `extensions`, ignoring case and a leading dot."""
+    wanted = {e.lower().lstrip(".") for e in extensions}
+    return lambda path: path.suffix.lstrip(".").lower() in wanted
+
+
 def scan_corpus(
     root: str | Path,
     extensions: tuple[str, ...] = SOURCE_EXTENSIONS,
@@ -217,12 +224,10 @@ def scan_corpus(
     if not extensions:
         raise InputError("at least one file extension is required")
     pre = preprocessor or DEFAULT_PREPROCESSOR
-    wanted = {e.lower().lstrip(".") for e in extensions}
+    wanted = has_extension(extensions)
 
     rel_paths = sorted(
-        p.relative_to(root).as_posix()
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix.lstrip(".").lower() in wanted
+        p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file() and wanted(p)
     )
 
     raws: list[tuple[str, str, set[str]]] = []

@@ -6,7 +6,6 @@ import hashlib
 import json
 import logging
 from array import array
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -52,36 +51,6 @@ def average_precision(ranks: Sequence[int], relevant: int) -> float:
     for hits, r in enumerate(ranks, 1):
         total += hits / r
     return total / relevant
-
-
-def reranked_ranks(
-    truth: set[str], positions: dict[str, int], groups: list[set[str] | None]
-) -> list[int]:
-    """The ascending 1-based ranks of `truth`'s files once a ranking is re-ranked by `groups`.
-
-    `positions` maps each ranked path to its 0-based position before
-    re-ranking, and `groups` are :func:`rerank_groups`' nested groups. A file
-    whose first group is g follows the files of group g - 1, then the ones
-    that g adds before it, which bisecting the groups' sorted positions counts.
-    """
-    group_positions = [
-        None if members is None else sorted(positions[p] for p in members if p in positions)
-        for members in groups
-    ]
-    ranks = []
-    for path in truth:
-        p = positions.get(path)
-        if p is None:
-            continue
-        ahead = before = 0  # files in the previous group, and those of them above p
-        for members, sorted_positions in zip(groups, group_positions):
-            above = p if members is None else bisect_left(sorted_positions, p)
-            if members is None or path in members:
-                ranks.append(ahead + above - before + 1)
-                break
-            ahead, before = len(sorted_positions), above
-    ranks.sort()
-    return ranks
 
 
 @dataclass
@@ -172,13 +141,13 @@ def evaluate_config(
     config: PipelineConfig | None = None,
     caches: Sequence[StageCache] | None = None,
 ) -> EvalResult:
-    """Rank every pair at full depth and aggregate metrics.
+    """Aggregate metrics over every pair at full depth.
 
     The ground-truth files' ranks are those that :func:`localize` would give
-    them at full depth, worked out from their positions in the scoring by
-    :func:`reranked_ranks`. `caches`, one :class:`StageCache` per pair, lets a
-    series of calls on the same pairs and index reuse each report's stage
-    results.
+    them at full depth, counted over the scoring by :meth:`ScoredList.ranks`,
+    so no ranking of the corpus is built. `caches`, one :class:`StageCache`
+    per pair, lets a series of calls on the same pairs and index reuse each
+    report's stage results.
     """
     config = (config or PipelineConfig()).validate()
     outcomes = []
@@ -189,7 +158,7 @@ def evaluate_config(
         ctx, _ = score_stages(report, trace, index, config, cache)
         groups, _ = rerank_groups(ctx, config.rerank_strategy)
         truth = report.ground_truth or set()
-        ranks = reranked_ranks(truth, cache.scored.positions, groups)
+        ranks = cache.scored.ranks(truth, groups)
         outcome = ReportOutcome(
             report_id=report.report_id,
             first_relevant_rank=ranks[0] if ranks else None,
@@ -222,7 +191,7 @@ class SweepGrid:
     expansion_weights: Sequence[float] = (PipelineConfig.expansion_weight,)
 
     def configs(self) -> list[PipelineConfig]:
-        """Grid rows in lexicographic order over field value positions; empty sources mean all."""
+        """Grid rows in lexicographic order over each axis' value order; empty sources mean all."""
         return [
             PipelineConfig(
                 scorer=scorer,
@@ -260,7 +229,7 @@ class SweepOutcome:
     skipped: int
 
 
-def _meta_path(out_path: Path) -> Path:
+def meta_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".meta.json")
 
 
@@ -305,7 +274,7 @@ def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
         logger.warning("existing sweep file %s has a different header; recomputing all rows", path)
         return {}
     try:
-        meta = load_json_file(_meta_path(path))
+        meta = load_json_file(meta_path(path))
     except InputError:  # missing, unreadable or not JSON
         meta = None
     vouched = meta.get("rows") if isinstance(meta, dict) and meta.get("inputs") == digest else None
@@ -386,7 +355,7 @@ def sweep(
     ordered = [rows[_config_key(c)] for c in valid]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")
     # written after the rows, so a run cut in between leaves a mismatch, never stale rows
-    atomic_write_text(_meta_path(out_path), json.dumps({"inputs": digest, "rows": ordered}) + "\n")
+    atomic_write_text(meta_path(out_path), json.dumps({"inputs": digest, "rows": ordered}) + "\n")
     return SweepOutcome(
         rows=ordered, computed=len(to_compute), reused=reused, skipped=len(configs) - len(valid)
     )

@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, count, islice
+from itertools import accumulate, compress, count, islice
 from operator import sub
 from pathlib import Path
 from typing import Sequence
@@ -94,10 +94,36 @@ class ScoredList(RankedList):
             earlier = members
         return top
 
-    @cached_property
-    def order(self) -> list[int]:
-        """The doc ids of the entries, in their order; nlargest of them all is a stable sort."""
-        return self.top([None], self.index.doc_count)
+    def ranks(self, paths: Iterable[str], groups: list[set[str] | None]) -> list[int]:
+        """The ascending 1-based ranks that :meth:`top` gives `paths` at full depth.
+
+        A file that is not indexed, scored zero or is in no group has none. A
+        file whose first group is g follows the files of group g - 1 that
+        scored above zero, then the files that g adds and that rank above it,
+        counted over the scores, so no ranking is sorted.
+        """
+        doc_ids, scores = self.index.doc_ids, self.scores
+        ranks = []
+        for path in filter(doc_ids.__contains__, paths):
+            score, earlier = scores[doc_ids[path]], set()
+            for members in groups if score > 0.0 else ():
+                if members is None or path in members:
+                    ahead = sum(scores[doc_ids[p]] > 0.0 for p in earlier)
+                    added = self._above(members, score, path) - self._above(earlier, score, path)
+                    ranks.append(ahead + added + 1)
+                    break
+                earlier = members
+        return sorted(ranks)
+
+    def _above(self, members: set[str] | None, score: float, path: str) -> int:
+        """How many of `members`' files (None: all) score above `score` or tie it before `path`."""
+        index = self.index
+        paths = index.paths if members is None else list(members)
+        scores = self.scores if members is None else [self.scores[index.doc_ids[p]] for p in paths]
+        above = sum(map(score.__lt__, scores))
+        if scores.count(score) > (members is None or path in members):  # another file ties
+            above += sum(map(path.__gt__, compress(paths, map(score.__eq__, scores))))
+        return above
 
     def entries_of(self, ids: Iterable[int]) -> list[RankEntry]:
         paths, scores = self.index.paths, self.scores
@@ -105,12 +131,7 @@ class ScoredList(RankedList):
 
     @cached_property
     def entries(self) -> list[RankEntry]:
-        return self.entries_of(self.order)
-
-    @cached_property
-    def positions(self) -> dict[str, int]:
-        """Each entry's path -> its 0-based position."""
-        return dict(zip(map(self.index.paths.__getitem__, self.order), count()))
+        return self.entries_of(self.top([None], self.index.doc_count))
 
 
 class Postings(Mapping):

@@ -189,7 +189,7 @@ class ActionEdges(NamedTuple):
 
     edges: list[ModelEdge]  # in insertion order
     sizes: list[int]  # each edge's component term count
-    holders: dict[str, list[int]]  # term -> ascending positions in `edges`
+    holders: dict[str, list[int]]  # term -> ascending indexes into `edges`
 
 
 @dataclass

@@ -380,6 +380,72 @@ def test_missing_input_exits_one(workspace):
     assert code == 1
 
 
+_LOCALIZE = ["localize", "--index", "index.json", "--report", "reports/r1.json", "--trace", "traces/r1.json"]
+_DATASET = ["--index", "index.json", "--reports", "reports", "--traces", "traces"]
+# an argv run in the workspace, whose output is one of its inputs -> the one error it logs
+_OVERWRITES = {
+    "index": (
+        ["index", "--corpus", "corpus", "--out", "corpus/net/Index.java"],
+        "--out corpus/net/Index.java is read from the input --corpus corpus",
+    ),
+    "localize": (
+        [*_LOCALIZE, "--out", "index.json"],
+        "--out index.json would write over the input --index index.json",
+    ),
+    "localize-link": (
+        [*_LOCALIZE, "--out", "link.json"],
+        "--out link.json would write over the input --index index.json",
+    ),
+    "localize-dump-context": (
+        [*_LOCALIZE, "--dump-context", "traces/r1.json"],
+        "--dump-context traces/r1.json would write over the input --trace traces/r1.json",
+    ),
+    "build-model": (
+        ["build-model", "--trace", "traces/r1.json", "--out", "traces/r1.json"],
+        "--out traces/r1.json would write over the input --trace traces/r1.json",
+    ),
+    "lint-report": (
+        ["lint-report", "--report", "reports/r1.json", "--out", "reports/r1.json"],
+        "--out reports/r1.json would write over the input --report reports/r1.json",
+    ),
+    "evaluate": (
+        ["evaluate", *_DATASET, "--out", "reports/r2.json"],
+        "--out reports/r2.json is read from the input --reports reports",
+    ),
+    "sweep": (
+        ["sweep", *_DATASET, "--out", "index.json"],
+        "--out index.json would write over the input --index index.json",
+    ),
+    "sweep-meta": (
+        ["sweep", "--index", "sweep.csv.meta.json", "--reports", "reports", "--traces", "traces",
+         "--out", "sweep.csv"],
+        "--out's meta file sweep.csv.meta.json would write over the input --index sweep.csv.meta.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERWRITES))
+def test_an_output_that_is_an_input_exits_one_before_any_work(workspace, caplog, monkeypatch, case):
+    monkeypatch.chdir(workspace)
+    (workspace / "link.json").symlink_to("index.json")
+    shutil.copy("index.json", "sweep.csv.meta.json")
+    before = {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()}
+    argv, error = _OVERWRITES[case]
+    assert run(argv) == 1
+    assert _errors(caplog) == [error]
+    assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
+
+
+def test_an_output_beside_an_input_directory_is_written(workspace, monkeypatch):
+    monkeypatch.chdir(workspace)
+    (workspace / "reports" / "nested").mkdir()
+    assert run(["index", "--corpus", "corpus", "--out", "corpus/index.json"]) == 0  # not scanned
+    assert run(["index", "--corpus", "corpus", "--out", "corpus.java"]) == 0
+    assert run(["evaluate", *_DATASET, "--out", "reports/nested/metrics.json"]) == 0
+    assert run(["sweep", *_DATASET, "--out", "traces.csv"]) == 0
+    assert run(["index", "--corpus", "corpus", "--out", "index.json"]) == 0  # the old index
+
+
 def test_build_model_and_lint_report(workspace):
     model_path = workspace / "model.json"
     code = run(

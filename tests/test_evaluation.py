@@ -27,12 +27,19 @@ from guiloc.evaluation import (
     hits_at_k,
     load_dataset,
     reciprocal_rank,
-    reranked_ranks,
     sweep,
 )
-from guiloc.index import RankEntry, RankedList, ScoringParams, build_index
+from guiloc.index import SCORERS, RankEntry, RankedList, ScoredList, ScoringParams, build_index
 from guiloc.mapping import GuiContext
-from guiloc.pipeline import PipelineConfig, full_depth, localize
+from guiloc.pipeline import (
+    RERANK_STRATEGIES,
+    PipelineConfig,
+    StageCache,
+    full_depth,
+    localize,
+    rerank_groups,
+    score_stages,
+)
 from guiloc.reports import BugReport
 
 from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
@@ -76,7 +83,7 @@ def test_miss_conventions():
     assert reciprocal_rank([]) == 0.0
     assert hits_at_k([], 5) == 0
     assert average_precision([], 1) == 0.0
-    assert reranked_ranks({"d2"}, {"d1": 0}, [None]) == []
+    assert ScoredList(build_index([make_doc("d1", ["x"])]), [1.0]).ranks({"d2"}, [None]) == []
 
 
 def test_unranked_relevant_contributes_zero():
@@ -108,20 +115,21 @@ def test_metrics_match_oracle_on_random_instances():
         assert average_precision(ranks, len(truth)) == pytest.approx(oracle_ap(ranking, truth))
 
 
-def test_reranked_ranks_match_the_walk_of_the_reranked_list():
-    """Ranks from score-order positions equal the ranks in apply_rerank's list.
+def test_ranks_match_the_walk_of_the_reranked_list():
+    """ScoredList.ranks equals the ranks in apply_rerank's list of the full ranking.
 
-    Ground truth includes files that the scoring left out and files that no
-    ranking holds; contexts include empty ones (the filter fallback) and
-    gui-related files of which none scored.
+    Scores tie and are often zero, and doc ids are not in path order. Ground
+    truth includes files that scored zero and files that no index holds;
+    contexts, drawn from indexed files as gui_context's are, include empty
+    ones (the filter fallback) and gui-related files of which none scored.
     """
     rng = random.Random(83)
     pool = [f"f{i:02d}" for i in range(30)]
-    strategies = ("none", "filter", "boost", "filter_boost")
+    index = build_index([make_doc(p, ["x"]) for p in rng.sample(pool, len(pool))])
     for _ in range(300):
-        ranking = rng.sample(pool, rng.randint(0, 20))
-        unranked = [f for f in pool if f not in ranking] + ["missing.java"]
-        ranked = RankedList([RankEntry(p, float(len(ranking) - i)) for i, p in enumerate(ranking)])
+        scored = ScoredList(index, [rng.choice([0.0, 0.0, 0.0, 0.5, 1.0, 2.5]) for _ in pool])
+        ranking = scored.paths()
+        unranked = [f for f in pool if f not in ranking]
         source = ranking if rng.random() < 0.8 else unranked
         ctx = GuiContext(
             Counter(),
@@ -130,12 +138,59 @@ def test_reranked_ranks_match_the_walk_of_the_reranked_list():
             {f for f in source if rng.random() < 0.3},
             3,
         )
-        truth = set(rng.sample(ranking + unranked, rng.randint(1, 5)))
-        positions = dict(zip(ranking, range(len(ranking))))
-        for strategy in strategies:
-            walked = ranks_of(pipeline.apply_rerank(ranked, ctx, strategy).paths(), truth)
-            groups, _ = pipeline.rerank_groups(ctx, strategy)
-            assert reranked_ranks(truth, positions, groups) == walked, strategy
+        truth = set(rng.sample(pool + ["missing.java"], rng.randint(1, 5)))
+        for strategy in RERANK_STRATEGIES:
+            walked = ranks_of(pipeline.apply_rerank(scored, ctx, strategy).paths(), truth)
+            groups, _ = rerank_groups(ctx, strategy)
+            assert scored.ranks(truth, groups) == walked, strategy
+
+
+def test_ranks_match_a_full_depth_localize_on_tied_scores():
+    """Counted ranks equal the ranks in a full-depth localize, on real scorings with ties.
+
+    Each term bag is indexed under two or three paths, so tied scores are
+    common; bags without a query term score zero, some traces match no file
+    (the filter fallback), and the ground truth names an unindexed file too.
+    """
+    rng = random.Random(7)
+    vocab = ["save", "note", "photo", "camera", "delete", "share", "title", "sync"]
+    classes = ["Main", "Edit", "List", "View", "Sync"]
+    seen = set()
+    for trial in range(40):
+        docs = []
+        for b in range(rng.randint(3, 8)):
+            bag = rng.choices(vocab if rng.random() < 0.8 else ["zzz"], k=rng.randint(1, 6))
+            refs = rng.sample(["btn_save", "btn_share", "list"], rng.randint(0, 1))
+            for folder in rng.sample(["ui", "net", "db"], rng.randint(2, 3)):
+                docs.append(make_doc(f"{folder}/{rng.choice(classes)}{b}.java", bag, refs=refs))
+        index = build_index(docs)
+        screens = [
+            make_screen(f"com.app.{rng.choice(classes)}{rng.randrange(8)}", components=[
+                make_component(rng.choice(["btn_save", "btn_share", "none"]),
+                               text=" ".join(rng.sample(vocab, 2)), exercised=True, action="click")
+            ])
+            if rng.random() < 0.7 else make_screen("com.app.Nowhere")
+            for _ in range(rng.randint(1, 3))
+        ]
+        trace = make_trace(f"r{trial}", screens)
+        truth = set(rng.sample(index.paths, rng.randint(1, 4))) | {"gone/Missing.java"}
+        report = BugReport(f"r{trial}", "bug", " ".join(rng.choices(vocab, k=5)), truth)
+        for scorer in SCORERS:
+            for strategy in RERANK_STRATEGIES:
+                config = full_depth(PipelineConfig(scorer, "expand", strategy), index)
+                ranked = localize(report, trace, index, config)
+                cache = StageCache()
+                ctx, _ = score_stages(report, trace, index, config.validate(), cache)
+                groups, _ = rerank_groups(ctx, strategy)
+                assert cache.scored.ranks(truth, groups) == ranks_of(ranked.paths(), truth)
+                scores = [e.score for e in ranked.entries]
+                if len(set(scores)) < len(scores):
+                    seen.add("tie")
+                if len(cache.scored.entries) < index.doc_count:
+                    seen.add("zero")
+                if "filter-fallback" in ranked.flags:
+                    seen.add("fallback")
+    assert seen == {"tie", "zero", "fallback"}
 
 
 def _dataset_files(tmp_path, *, with_truthless=False):

@@ -176,7 +176,8 @@ def test_order_is_the_positive_ids_by_score_then_path(n):
     rng = random.Random(n)
     for _ in range(30):
         ranked, want = _random_scored(rng, n)
-        assert ranked.order == want
+        assert ranked.top([None], n) == want
+        assert ranked.paths() == [ranked.index.paths[d] for d in want]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
@@ -401,7 +402,7 @@ def test_scoring_a_long_posting_list_keeps_no_object_per_posting(scorer):
         grown = gc.get_count()[0] - before
     finally:
         gc.enable()
-    assert len(ranked.order) == 2000
+    assert len(ranked.top([None], index.doc_count)) == 2000
     assert grown < 100
 
 

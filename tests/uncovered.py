@@ -11,7 +11,8 @@ Usage, from the root of a checkout; any arguments go to pytest::
     python tests/uncovered.py                       # the whole suite
     python tests/uncovered.py tests/test_index.py   # one file's tests
 
-The exit code is pytest's.
+The exit code is pytest's. When it is neither 0 nor 1, as on a collection
+error, some tests never ran, so the listing is incomplete and nothing is listed.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    if code not in (0, 1):
+        print(f"pytest exited with {int(code)}: some tests never ran, so the listing is incomplete")
+        return int(code)
 
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
