@@ -12,13 +12,15 @@ import os
 import sys
 import threading
 from dataclasses import asdict
+from itertools import combinations
 from pathlib import Path
 
-from .corpus import SOURCE_EXTENSIONS, Preprocessor, has_extension, load_stopwords, scan_corpus
+from .corpus import (SOURCE_EXTENSIONS, Preprocessor, default_stopwords, has_extension,
+                     load_stopwords, scan_corpus)
 from .errors import ConfigError, GuilocError, InputError
 from .evaluation import (SweepGrid, evaluate_config, load_dataset, meta_path, sweep,
                          warn_unindexed_ground_truth)
-from .index import SCORERS, ScoringParams, build_index, load_index, save_index
+from .index import SCORERS, CorpusIndex, ScoringParams, build_index, load_index, save_index
 from .mapping import TERM_SOURCES, gui_context
 from .pipeline import PipelineConfig, QUERY_STRATEGIES, localize, ranking_to_json
 from .reports import (
@@ -73,16 +75,20 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output that would write over one of the command's inputs, before any work.
+    """Refuse an output that would write over an input or another output, before any work.
 
-    An output is refused if it is an input file, links included, or if an
-    input directory would read it: a file with a scanned extension anywhere
-    under --corpus, or a JSON file directly in --reports or --traces.
+    An output is refused if it is an input file or another output, links
+    included, or if an input directory would read it: a file with a scanned
+    extension anywhere under --corpus, or a JSON file directly in --reports
+    or --traces.
     """
     outputs = {"--out": args.out, "--dump-context": getattr(args, "dump_context", None)}
     if args.command == "sweep":  # --out itself holds the rows that a sweep reuses
         outputs["--out's meta file"] = str(meta_path(Path(args.out)))
     outputs = {flag: out for flag, out in outputs.items() if out}
+    for (flag, out), (other, taken) in combinations(outputs.items(), 2):
+        if _same_file(out, taken):
+            raise InputError(f"{other} {taken} would write over the output {flag} {out}")
     for dest in args.reads:
         given = getattr(args, dest) or []
         for source in given if isinstance(given, list) else [given]:
@@ -150,12 +156,8 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    pre = Preprocessor(
-        **({"stopwords": stopwords} if stopwords is not None else {}),
-        min_term_len=args.min_term_len,
-        stem=args.stem,
-    )
+    stopwords = load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
+    pre = Preprocessor(stopwords, args.min_term_len, args.stem)
     params = ScoringParams(bm25_k1=args.k1, bm25_b=args.b)
     docs = scan_corpus(args.corpus, tuple(_split_csv(args.ext)), pre)
     index = build_index(docs, params, pre)
@@ -245,20 +247,21 @@ def _cmd_lint_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _index_and_dataset(args: argparse.Namespace) -> tuple[CorpusIndex, list]:
+    index, pairs = load_index(args.index), load_dataset(args.reports, args.traces)
+    warn_unindexed_ground_truth(pairs, index)
+    return index, pairs
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = load_index(args.index)
-    pairs = load_dataset(args.reports, args.traces)
-    warn_unindexed_ground_truth(pairs, index)
-    result = evaluate_config(pairs, index, config)
-    _emit(stable_json_dumps(result.to_json()), args.out)
+    index, pairs = _index_and_dataset(args)
+    _emit(stable_json_dumps(evaluate_config(pairs, index, config).to_json()), args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
-    pairs = load_dataset(args.reports, args.traces)
-    warn_unindexed_ground_truth(pairs, index)
+    index, pairs = _index_and_dataset(args)
     grid = SweepGrid(
         scorers=_split_csv(args.scorers),
         query_strategies=_split_csv(args.queries),

@@ -6,7 +6,7 @@ import hashlib
 import json
 import logging
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -155,7 +155,7 @@ def evaluate_config(
     # added left to right: from Python 3.12 on, sum() compensates float sums
     rr_total = ap_total = 0.0
     for (report, trace), cache in zip(pairs, caches or [StageCache() for _ in pairs], strict=True):
-        ctx, _ = score_stages(report, trace, index, config, cache)
+        ctx = score_stages(report, trace, index, config, cache)
         groups, _ = rerank_groups(ctx, config.rerank_strategy)
         truth = report.ground_truth or set()
         ranks = cache.scored.ranks(truth, groups)
@@ -191,25 +191,13 @@ class SweepGrid:
     expansion_weights: Sequence[float] = (PipelineConfig.expansion_weight,)
 
     def configs(self) -> list[PipelineConfig]:
-        """Grid rows in lexicographic order over each axis' value order; empty sources mean all."""
-        return [
-            PipelineConfig(
-                scorer=scorer,
-                query_strategy=query,
-                rerank_strategy=rerank,
-                window=window,
-                term_sources=tuple(sources) if sources else PipelineConfig.term_sources,
-                expansion_weight=weight,
-            )
-            for scorer, query, rerank, window, sources, weight in product(
-                self.scorers,
-                self.query_strategies,
-                self.rerank_strategies,
-                self.windows,
-                self.term_sources,
-                self.expansion_weights,
-            )
-        ]
+        """Grid rows in lexicographic order over each axis' value order; empty sources mean all.
+
+        The axes are PipelineConfig's first six fields, in the same order.
+        """
+        axes = {f.name: getattr(self, f.name) for f in fields(self)}
+        axes["term_sources"] = [tuple(s or PipelineConfig.term_sources) for s in self.term_sources]
+        return [PipelineConfig(*row) for row in product(*axes.values())]
 
 
 def _config_key(config: PipelineConfig) -> tuple[str, ...]:

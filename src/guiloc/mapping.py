@@ -116,8 +116,6 @@ def match_listener_files(
 ) -> set[str]:
     """Files whose resource references intersect the exercised component ids."""
     ids = _exercised_ids(trace, window)
-    if not ids:
-        return set()
     return {doc.path for doc in docs if doc.resource_id_refs & ids}
 
 
@@ -157,8 +155,6 @@ def match_component_files(
     Components with no terms are skipped.
     """
     term_sets = _component_term_sets(trace, window, preprocessor or DEFAULT_PREPROCESSOR)
-    if not term_sets:
-        return set()
     wanted = set().union(*term_sets)
     docs = list(docs)
     holders = defaultdict(list)

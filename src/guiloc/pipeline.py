@@ -128,18 +128,17 @@ class StageCache:
     """One report's stage results, reused across the configs of one sweep.
 
     Valid for one report, its trace and one index. GUI contexts are kept per
-    :func:`context_key`. Only the latest scoring is kept, with its query's
-    fallback flags, keyed on :func:`scoring_key`, so a caller that visits
-    configs in :func:`scoring_key` order scores each query once while
-    holding one scoring. Cached scorings are never mutated: re-ranking only
-    reads them.
+    :func:`context_key`. Only the latest scoring is kept, keyed on
+    :func:`scoring_key`, so a caller that visits configs in
+    :func:`scoring_key` order scores each query once while holding one
+    scoring. Once its query's flags are added, a cached scoring is never
+    mutated: re-ranking only reads it.
     """
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
     scored_key: tuple | None = None
     scored: ScoredList | None = None
-    query_flags: list[str] = field(default_factory=list)
 
 
 def context_key(config: PipelineConfig) -> tuple:
@@ -160,11 +159,11 @@ def score_stages(
     index: CorpusIndex,
     config: PipelineConfig,
     cache: StageCache,
-) -> tuple[GuiContext, list[str]]:
+) -> GuiContext:
     """Run the stages up to scoring for a validated `config`, through `cache`.
 
-    Returns the GUI context and the query's fallback flags; leaves the
-    scoring in `cache.scored`.
+    Returns the GUI context; leaves the scoring in `cache.scored`, its flags
+    the scorer's and then the query's fallbacks.
     """
     if config.query_strategy == "base" and config.rerank_strategy == "none":
         # neither step reads the GUI context, so skip the matchers
@@ -180,11 +179,12 @@ def score_stages(
     if cache.scored_key != key:
         if cache.report_terms is None:
             cache.report_terms = index.preprocessor.tokens(report.full_text())
-        query, cache.query_flags = build_query(
+        query, query_flags = build_query(
             cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
         )
         cache.scored_key, cache.scored = key, rank(index, query, config.scorer)
-    return ctx, cache.query_flags
+        cache.scored.flags += query_flags
+    return ctx
 
 
 def localize(
@@ -199,13 +199,13 @@ def localize(
     """
     config = (config or PipelineConfig()).validate()
     cache = StageCache()
-    ctx, query_flags = score_stages(report, trace, index, config, cache)
+    ctx = score_stages(report, trace, index, config, cache)
     groups, rerank_flags = rerank_groups(ctx, config.rerank_strategy)
     entries = cache.scored.entries_of(cache.scored.top(groups, config.top_k))
     if config.rerank_strategy != "none":
         for entry in entries:
             entry.gui_flags = _gui_flags(entry.path, ctx)
-    return RankedList(entries, sorted({*cache.scored.flags, *rerank_flags, *query_flags}))
+    return RankedList(entries, sorted({*cache.scored.flags, *rerank_flags}))
 
 
 def full_depth(config: PipelineConfig, index: CorpusIndex) -> PipelineConfig:

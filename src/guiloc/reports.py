@@ -307,43 +307,26 @@ def parse_s2r(sentence: str) -> S2RStep:
     as phrasal ("click on X" acts on X), and the first later preposition
     splits object from object2. Articles are dropped from every slot.
     """
-    raw_tokens = sentence.split()
-    verb_idx = None
-    action = None
-    for i, token in enumerate(raw_tokens):
-        action = normalize_verb(token)
+    # normalize_verb strips a superset of these characters, so a word and its token
+    # agree, and a word that strips to nothing is no verb and fills no slot
+    words = [w for w in (t.strip(".,!?;:") for t in sentence.split()) if w]
+    for verb, word in enumerate(words):
+        action = normalize_verb(word)
         if action is not None:
-            verb_idx = i
             break
-    if verb_idx is None or action is None:
+    else:
         raise InputError(f"cannot parse step {sentence!r}: no action verb found")
-
-    tokens = [t.strip(".,!?;:") for t in raw_tokens]
-    subject_tokens = [
-        t for t in _strip_articles(tokens[:verb_idx]) if t.lower() not in _LEADING_FILLERS
-    ]
-    subject = " ".join(subject_tokens) if subject_tokens else "user"
-
-    rest = tokens[verb_idx + 1 :]
+    subject = [t for t in _strip_articles(words[:verb]) if t.lower() not in _LEADING_FILLERS]
+    rest = words[verb + 1 :]
     if rest and rest[0].lower() in PREPOSITIONS:
         rest = rest[1:]
-
-    prep_idx = None
-    for i, token in enumerate(rest):
-        if token.lower() in PREPOSITIONS:
-            prep_idx = i
-            break
-
-    if prep_idx is None or prep_idx == len(rest) - 1:
-        obj_tokens = _strip_articles(rest if prep_idx is None else rest[:prep_idx])
-        return S2RStep(subject=subject, action=action, object=" ".join(obj_tokens))
-
-    obj_tokens = _strip_articles(rest[:prep_idx])
-    obj2_tokens = _strip_articles(rest[prep_idx + 1 :])
+    # object2 starts after the first preposition; one that ends the sentence starts none
+    prep = next((i for i, t in enumerate(rest) if t.lower() in PREPOSITIONS), len(rest))
+    object2 = _strip_articles(rest[prep + 1 :])
     return S2RStep(
-        subject=subject,
+        subject=" ".join(subject) or "user",
         action=action,
-        object=" ".join(obj_tokens),
-        preposition=rest[prep_idx].lower(),
-        object2=" ".join(obj2_tokens) if obj2_tokens else None,
+        object=" ".join(_strip_articles(rest[:prep])),
+        preposition=rest[prep].lower() if prep < len(rest) - 1 else None,
+        object2=" ".join(object2) or None,
     )

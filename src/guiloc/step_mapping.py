@@ -90,11 +90,10 @@ def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[Step
                 else:
                     runner_up = max(runner_up, sim)
         if best_sim < MATCH_THRESHOLD:
-            matches.append(StepMatch(step, None, best_sim, "unmatched"))
-        elif runner_up >= best_sim - AMBIGUITY_MARGIN:
-            matches.append(StepMatch(step, best, best_sim, "ambiguous"))
+            best, status = None, "unmatched"
         else:
-            matches.append(StepMatch(step, best, best_sim, "matched"))
+            status = "ambiguous" if runner_up >= best_sim - AMBIGUITY_MARGIN else "matched"
+        matches.append(StepMatch(step, best, best_sim, status))
     return matches
 
 

@@ -236,18 +236,15 @@ def build_execution_model(traces: list[ReproTrace]) -> ExecutionModel:
     a node: all but a trace's last are the `src` of an edge, the last of a
     longer trace is a `dst`, and the screen of a one-screen trace is an entry.
     """
-    edges: list[ModelEdge] = []
-    seen_keys: set[tuple[str, str, str, str]] = set()
+    edges: dict[tuple[str, str, str, str], ModelEdge] = {}  # by key, the first one kept
     entries: set[str] = set()
     for trace in traces:
         fps = [screen_fingerprint(s) for s in trace.screens]
         entries.add(fps[0])
         for i in range(len(trace.screens) - 1):
             edge = ModelEdge(fps[i], fps[i + 1], trace.screens[i].exercised_components()[0])
-            if edge.key() not in seen_keys:
-                seen_keys.add(edge.key())
-                edges.append(edge)
-    return ExecutionModel(edges=edges, entry_fingerprints=entries)
+            edges.setdefault(edge.key(), edge)
+    return ExecutionModel(edges=list(edges.values()), entry_fingerprints=entries)
 
 
 def save_model(model: ExecutionModel, path: str | Path) -> None:
@@ -274,18 +271,16 @@ def load_model(path: str | Path) -> ExecutionModel:
     raw_edges, entries = load_format_file(path, MODEL_FORMAT, MODEL_VERSION, _MODEL_FIELDS)
     if not all(type(fp) is str for fp in entries or ()):
         raise InputError(f"{path}: 'entries' must be a list of strings")
-    edges = []
-    keys = set()
+    edges: dict[tuple[str, str, str, str], ModelEdge] = {}
     for i, e in enumerate(raw_edges):
         where = f"{path} edge {i}"
         src, action, resource_id, dst, ctype, text, desc = json_fields(e, _EDGE_FIELDS, where)
         _check_action(action, where)
-        if (src, action, resource_id, dst) in keys:
-            raise InputError(f"{where}: repeats an earlier edge")
-        keys.add((src, action, resource_id, dst))
         component = GuiComponent(resource_id, ctype, text, desc, exercised=True, action=action)
-        edges.append(ModelEdge(src, dst, component))
-    return ExecutionModel(edges=edges, entry_fingerprints=set(entries or ()))
+        edge = ModelEdge(src, dst, component)
+        if edges.setdefault(edge.key(), edge) is not edge:
+            raise InputError(f"{where}: repeats an earlier edge")
+    return ExecutionModel(edges=list(edges.values()), entry_fingerprints=set(entries or ()))
 
 
 _MODEL_FIELDS = {"edges": (list,), "entries": (list, NULL)}

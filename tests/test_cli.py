@@ -400,6 +400,14 @@ _OVERWRITES = {
         [*_LOCALIZE, "--dump-context", "traces/r1.json"],
         "--dump-context traces/r1.json would write over the input --trace traces/r1.json",
     ),
+    "localize-two-outputs": (
+        [*_LOCALIZE, "--out", "ranking.json", "--dump-context", "ranking.json"],
+        "--dump-context ranking.json would write over the output --out ranking.json",
+    ),
+    "localize-two-outputs-spelled-apart": (
+        [*_LOCALIZE, "--out", "ranking.json", "--dump-context", "reports/../ranking.json"],
+        "--dump-context reports/../ranking.json would write over the output --out ranking.json",
+    ),
     "build-model": (
         ["build-model", "--trace", "traces/r1.json", "--out", "traces/r1.json"],
         "--out traces/r1.json would write over the input --trace traces/r1.json",

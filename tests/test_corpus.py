@@ -4,7 +4,7 @@ import random
 import re
 import string
 from collections import Counter
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -249,6 +249,26 @@ def test_scan_orders_lexicographically_and_assigns_ids(tmp_path):
 def test_scan_missing_root_is_fatal(tmp_path):
     with pytest.raises(InputError):
         scan_corpus(tmp_path / "missing")
+
+
+def test_scan_skips_an_unreadable_file_with_a_warning(tmp_path, monkeypatch, caplog):
+    (tmp_path / "A.java").write_text("class A {}")
+    (tmp_path / "B.java").write_text("class B {}")
+    read_text = Path.read_text
+
+    def read_or_refuse(path, *args, **kwargs):
+        # a chmod does not stop a read by root, so the refusal is simulated
+        if path.name == "B.java":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_or_refuse)
+    docs = scan_corpus(tmp_path)
+    assert [d.path for d in docs] == ["A.java"]
+    assert any(
+        r.levelname == "WARNING" and r.getMessage().startswith("skipping unreadable file B.java: ")
+        for r in caplog.records
+    )
 
 
 def test_scan_propagates_known_ids_across_files(tmp_path):

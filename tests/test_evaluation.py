@@ -180,7 +180,7 @@ def test_ranks_match_a_full_depth_localize_on_tied_scores():
                 config = full_depth(PipelineConfig(scorer, "expand", strategy), index)
                 ranked = localize(report, trace, index, config)
                 cache = StageCache()
-                ctx, _ = score_stages(report, trace, index, config.validate(), cache)
+                ctx = score_stages(report, trace, index, config.validate(), cache)
                 groups, _ = rerank_groups(ctx, strategy)
                 assert cache.scored.ranks(truth, groups) == ranks_of(ranked.paths(), truth)
                 scores = [e.score for e in ranked.entries]

@@ -15,6 +15,7 @@ from guiloc.reports import (
     HeuristicClassifier,
     MAX_REPLY_BYTES,
     RemoteClassifier,
+    _DeadlineReader,
     classify_sentences,
     load_report,
     parse_s2r,
@@ -142,7 +143,8 @@ class _Responder(BaseHTTPRequestHandler):
 @pytest.fixture
 def classifier_server():
     server = HTTPServer(("127.0.0.1", 0), _Responder)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so that shutdown() waits milliseconds, not half a second
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
@@ -319,6 +321,25 @@ def test_remote_classifier_unreachable_falls_back(caplog):
     assert any("heuristic" in r.message for r in caplog.records)
 
 
+def test_a_read_past_the_deadline_times_out_before_touching_the_socket():
+    calls = []
+
+    class Recorder:
+        def readinto(self, buffer):
+            calls.append("readinto")
+
+        def settimeout(self, seconds):
+            calls.append("settimeout")
+
+        def close(self):
+            pass
+
+    reader = _DeadlineReader(Recorder(), Recorder(), time.monotonic() - 1.0)
+    with pytest.raises(TimeoutError, match="timed out"):
+        reader.readinto(bytearray(8))
+    assert calls == []
+
+
 SLOT_SUITE = [
     ("Click the save button", ("user", "click", "save button", None, None)),
     ("Click on the save button", ("user", "click", "save button", None, None)),
@@ -335,6 +356,11 @@ SLOT_SUITE = [
     ("The user clicks save in the toolbar", ("user", "click", "save", "in", "toolbar")),
     ("Input the password at the login prompt", ("user", "type", "password", "at", "login prompt")),
     ("Then tap the sync icon on the main screen", ("user", "click", "sync icon", "on", "main screen")),
+    # a word of punctuation alone fills no slot
+    ("Then , click save", ("user", "click", "save", None, None)),
+    ("click save , now", ("user", "click", "save now", None, None)),
+    ("tap the ; button", ("user", "click", "button", None, None)),
+    ("click save on ,", ("user", "click", "save", None, None)),
 ]
 
 
