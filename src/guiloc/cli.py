@@ -22,7 +22,8 @@ from .evaluation import (SweepGrid, evaluate_config, load_dataset, meta_path, sw
                          warn_unindexed_ground_truth)
 from .index import SCORERS, CorpusIndex, ScoringParams, build_index, load_index, save_index
 from .mapping import TERM_SOURCES, gui_context
-from .pipeline import PipelineConfig, QUERY_STRATEGIES, localize, ranking_to_json
+from .pipeline import (PipelineConfig, QUERY_STRATEGIES, StageCache, context_key, localize,
+                       ranking_to_json)
 from .reports import (
     HeuristicClassifier,
     RemoteClassifier,
@@ -171,11 +172,13 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     report = load_report(args.report)
     trace = parse_trace(args.trace)
+    cache = StageCache()
     if args.dump_context:
         ctx = gui_context(trace, config.window, index, sources=config.term_sources)
+        cache.contexts[context_key(config)] = ctx
         atomic_write_text(args.dump_context, stable_json_dumps(ctx.to_json()))
         logger.info("wrote GUI context to %s", args.dump_context)
-    ranked = localize(report, trace, index, config)
+    ranked = localize(report, trace, index, config, cache)
     _emit(stable_json_dumps(ranking_to_json(report, config, ranked)), args.out)
     return 0
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument, class_name_of
@@ -75,14 +74,13 @@ def extract_gui_terms(
     chosen = _check_sources(sources if sources is not None else TERM_SOURCES)
     screen_fields = [name for source, name in _SCREEN_SOURCES if source in chosen]
     component_fields = [name for source, name in _COMPONENT_SOURCES if source in chosen]
-    terms: Counter = Counter()
+    fields: list[str] = []
     for screen in last_screens(trace, window):
-        for name in screen_fields:
-            terms.update(pre.tokens(getattr(screen, name)))
+        fields += [getattr(screen, name) for name in screen_fields]
         for comp in screen.components:
-            for name in component_fields:
-                terms.update(pre.tokens(getattr(comp, name)))
-    return terms
+            fields += [getattr(comp, name) for name in component_fields]
+    # no term spans a space: one pass counts the terms in the per-field order
+    return Counter(pre.tokens(" ".join(fields)))
 
 
 def _window_class_names(trace: ReproTrace, window: int) -> set[str]:
@@ -134,12 +132,22 @@ def _component_matches(
 
     The fraction is |file terms ∩ component terms| / |component terms| and the
     boundary counts as a match. `holders(term)` gives the ids of the
-    documents that hold `term`.
+    documents that hold `term`. A set of n terms needs the least k with
+    k / n >= threshold, and without one (NaN, or above 1) matches nothing.
     """
     matched = set()
     for terms in term_sets:
-        shared = Counter(chain.from_iterable(map(holders, terms)))
-        matched.update(d for d, k in shared.items() if k / len(terms) >= threshold)
+        n = len(terms)
+        need = next((k for k in range(1, n + 1) if k / n >= threshold), None)
+        if need is None:
+            continue
+        # at_least[j]: the docs holding at least j + 1 of the terms seen so far
+        at_least = [set() for _ in range(need)]
+        for ids in map(holders, terms):
+            for j in range(need - 1, 0, -1):
+                at_least[j] |= at_least[j - 1].intersection(ids)
+            at_least[0].update(ids)
+        matched |= at_least[-1]
     return matched
 
 
@@ -185,6 +193,6 @@ def gui_context(
         terms=extract_gui_terms(trace, window, index.preprocessor, sources),
         activity_files={p for name in names for p in by_class.get(name, ())},
         listener_files={p for rid in ids for p in by_id.get(rid, ())},
-        component_files={paths[d] for d in components},
+        component_files=set(map(paths.__getitem__, components)),
         window_used=window,
     )

@@ -192,13 +192,15 @@ def localize(
     trace: ReproTrace,
     index: CorpusIndex,
     config: PipelineConfig | None = None,
+    cache: StageCache | None = None,
 ) -> RankedList:
     """Rank the indexed corpus for one report and its reproduction trace.
 
-    Only the top k files of the re-ranked list get entries.
+    Only the top k files of the re-ranked list get entries. `cache` may hold
+    stages already run for this report, trace and index.
     """
     config = (config or PipelineConfig()).validate()
-    cache = StageCache()
+    cache = cache or StageCache()
     ctx = score_stages(report, trace, index, config, cache)
     groups, rerank_flags = rerank_groups(ctx, config.rerank_strategy)
     entries = cache.scored.entries_of(cache.scored.top(groups, config.top_k))

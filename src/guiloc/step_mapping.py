@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 from .corpus import DEFAULT_PREPROCESSOR
 from .reports import S2RStep
@@ -64,8 +65,10 @@ def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[Step
 
     Similarity is the Jaccard overlap of the step's object terms and the
     edge component's terms. Below MATCH_THRESHOLD a step is unmatched; a
-    runner-up within AMBIGUITY_MARGIN of the best makes it ambiguous. Ties
-    keep the earliest edge in model insertion order.
+    runner-up within AMBIGUITY_MARGIN of the best makes it ambiguous. The
+    best and the runner-up are the two largest of one list of similarities,
+    so two edges that tie make the runner-up equal the best; the matched
+    edge is the earliest of the best in model insertion order.
 
     Only edges that share a term with the step are scored: the rest score
     0.0, which neither matches nor raises the runner-up. With k shared terms
@@ -75,23 +78,17 @@ def map_steps_to_model(steps: list[S2RStep], model: ExecutionModel) -> list[Step
     matches = []
     for step in steps:
         step_terms = step_object_terms(step)
-        best: ModelEdge | None = None
-        best_sim = 0.0
-        runner_up = 0.0
         group = by_action.get(step.action)
+        shared, sims = Counter(), []
         if group is not None:
             holders, sizes, n = group.holders, group.sizes, len(step_terms)
             shared = Counter(chain.from_iterable(holders.get(t, ()) for t in step_terms))
-            for position, k in sorted(shared.items()):
-                sim = k / (n + sizes[position] - k)
-                if sim > best_sim:
-                    runner_up = max(runner_up, best_sim)
-                    best, best_sim = group.edges[position], sim
-                else:
-                    runner_up = max(runner_up, sim)
+            sims = [k / (n + sizes[p] - k) for p, k in shared.items()]
+        best_sim, runner_up = heapq.nlargest(2, sims + [0.0, 0.0])
         if best_sim < MATCH_THRESHOLD:
             best, status = None, "unmatched"
         else:
+            best = group.edges[min(compress(shared, map(best_sim.__eq__, sims)))]
             status = "ambiguous" if runner_up >= best_sim - AMBIGUITY_MARGIN else "matched"
         matches.append(StepMatch(step, best, best_sim, status))
     return matches

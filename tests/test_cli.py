@@ -159,6 +159,37 @@ def test_localize_dump_context(workspace):
     assert "ui/EditorActivity.java" in ctx["listener_files"]
 
 
+def test_localize_dump_context_computes_the_context_once(workspace, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def inner(*args, **kwargs):
+            calls.append(args[:2])
+            return fn(*args, **kwargs)
+        return inner
+
+    monkeypatch.setattr(guiloc.cli, "gui_context", counted(guiloc.cli.gui_context))
+    monkeypatch.setattr(guiloc.pipeline, "gui_context", counted(guiloc.pipeline.gui_context))
+    argv = [
+        "localize",
+        "--index", str(workspace / "index.json"),
+        "--report", str(workspace / "reports" / "r1.json"),
+        "--trace", str(workspace / "traces" / "r1.json"),
+        "--query", "expand", "--rerank", "boost",
+        "--out", str(workspace / "plain.json"),
+    ]
+    assert run(argv) == 0
+    assert len(calls) == 1
+    calls.clear()
+    argv[-1] = str(workspace / "dumped.json")
+    assert run([*argv, "--dump-context", str(workspace / "context.json")]) == 0
+    assert len(calls) == 1
+    # the dumped context is the one the ranking used, and the ranking is the same
+    assert (workspace / "dumped.json").read_bytes() == (workspace / "plain.json").read_bytes()
+    ctx = json.loads((workspace / "context.json").read_text())
+    assert ctx["window_used"] == 3 and "ui/EditorActivity.java" in ctx["boosted"]
+
+
 def test_config_file_with_flag_precedence(workspace, capsys):
     cfg = workspace / "cfg.json"
     cfg.write_text(

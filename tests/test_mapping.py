@@ -78,10 +78,10 @@ def test_extract_terms_window_monotone():
             assert t_large[term] >= count
 
 
-def _walk_gui_terms(trace, window, sources):
-    """extract_gui_terms written out: per screen its activity, then window; per component its
-    id, text, description and type."""
-    pre, terms = Preprocessor(), []
+def _walk_gui_terms(trace, window, sources, pre=None):
+    """extract_gui_terms written out, one tokenization per field: per screen its activity,
+    then window; per component its id, text, description and type."""
+    pre, terms = pre or Preprocessor(), []
     for screen in trace.screens[-window:]:
         if "activity" in sources:
             terms += pre.tokens(screen.activity_name)
@@ -117,6 +117,26 @@ def test_extract_terms_counts_in_source_order_for_every_source_set():
                 for window in (1, 2):
                     want = _walk_gui_terms(trace, window, sources)
                     assert list(extract_gui_terms(trace, window, sources=given).items()) == want
+
+
+def test_extract_terms_from_joined_fields_equal_one_pass_per_field():
+    trace = make_trace("t", [
+        make_screen("com.app.SaveURL", window="Window2", components=[
+            make_component("saveURL", ctype="ImageView", text="cd", desc="", exercised=True, action="click"),
+            make_component("", ctype="", text="Größe der Schrift", desc="notes42"),
+            make_component("tab3", ctype="TextView", text="settings tabs", desc="Café naïve ÜBER"),
+        ]),
+        make_screen("com.app.HTTPClient", components=[
+            make_component("item_42", ctype="EditText", text="日本語 saving", desc="loadedXML"),
+        ]),
+    ])
+    pre_stem = Preprocessor(stem=True)
+    # without a separator between fields, "saveURL" and "cd" would run together
+    assert pre_stem.tokens("saveURLcd") != pre_stem.tokens("saveURL") + pre_stem.tokens("cd")
+    for pre in (Preprocessor(), pre_stem, Preprocessor(min_term_len=1)):
+        for window in (1, 2):
+            want = _walk_gui_terms(trace, window, TERM_SOURCES, pre)
+            assert list(extract_gui_terms(trace, window, pre).items()) == want
 
 
 def test_extract_terms_rejects_unknown_source():
@@ -170,6 +190,30 @@ def test_component_match_threshold_is_inclusive():
     assert match_component_files(trace, 2, half, pre) == {"Half.java"}
     below = [make_doc("Below.java", ["unrelated", "words"])]
     assert match_component_files(trace, 2, below, pre) == set()
+
+
+def _one_component_trace(words):
+    component = make_component("_".join(words), exercised=True, action="click")
+    return make_trace("t", [make_screen("com.app.A", components=[component])])
+
+
+def test_component_match_is_empty_above_one_and_at_nan():
+    words = ["zqa", "zqb", "zqc"]
+    docs = [make_doc("All.java", words), make_doc("One.java", words[:1])]
+    trace = _one_component_trace(words)
+    assert match_component_files(trace, 1, docs, Preprocessor(), 1.0) == {"All.java"}
+    for threshold in (1.5, float("nan")):
+        assert match_component_files(trace, 1, docs, Preprocessor(), threshold) == set()
+
+
+def test_component_match_holds_at_every_boundary_k_over_n():
+    words = [f"zq{c}" for c in "abcdef"]
+    for n in range(1, 7):
+        trace = _one_component_trace(words[:n])
+        docs = [make_doc(f"Holds{k}.java", words[:k] + ["other"]) for k in range(n + 1)]
+        for k in range(1, n + 1):
+            matched = match_component_files(trace, 1, docs, Preprocessor(), k / n)
+            assert matched == {f"Holds{j}.java" for j in range(k, n + 1)}, (n, k)
 
 
 def test_component_match_skips_empty_term_components():

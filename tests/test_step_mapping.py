@@ -133,6 +133,32 @@ def test_runner_up_within_the_ambiguity_margin_makes_a_step_ambiguous():
     assert ambiguous.matched_edge is inside.edges[0] and matched.matched_edge is outside.edges[0]
 
 
+def test_a_tie_goes_to_the_earliest_edge_whatever_the_order_terms_are_met():
+    # the step's first term, in the order the matcher walks its set, is held
+    # only by the later edge, so the later edge is the first one counted
+    step = _step("click", " ".join(WORDS[:3]))
+    first, *rest = step_object_terms(step)
+    model = _click_model(" ".join(rest), f"{first} {rest[0]}")
+    (match,) = map_steps_to_model([step], model)
+    assert next(iter(step_object_terms(step))) == first
+    assert (match.status, match.similarity) == ("ambiguous", 2 / 3)
+    assert match.matched_edge is model.edges[0]
+
+
+def test_the_runner_up_of_a_single_shared_edge_is_zero():
+    # only the first edge shares a term; 1 / 2 is the threshold, and a
+    # runner-up of 0.0 is outside the ambiguity margin
+    model = _click_model(WORDS[0], WORDS[1], WORDS[2])
+    alone, none_shared = map_steps_to_model(
+        [_step("click", " ".join(WORDS[0:4:3])), _step("click", WORDS[3])], model
+    )
+    assert (alone.status, alone.similarity) == ("matched", MATCH_THRESHOLD)
+    assert alone.matched_edge is model.edges[0]
+    assert (none_shared.status, none_shared.similarity, none_shared.matched_edge) == (
+        "unmatched", 0.0, None
+    )
+
+
 def test_edges_by_action_is_built_once_per_model():
     model, _ = _linear_model()
     first = model.edges_by_action
