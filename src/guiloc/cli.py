@@ -21,9 +21,8 @@ from .errors import ConfigError, GuilocError, InputError
 from .evaluation import (SweepGrid, evaluate_config, load_dataset, meta_path, sweep,
                          warn_unindexed_ground_truth)
 from .index import SCORERS, CorpusIndex, ScoringParams, build_index, load_index, save_index
-from .mapping import TERM_SOURCES, gui_context
-from .pipeline import (PipelineConfig, QUERY_STRATEGIES, StageCache, context_key, localize,
-                       ranking_to_json)
+from .mapping import TERM_SOURCES
+from .pipeline import PipelineConfig, QUERY_STRATEGIES, StageCache, localize, ranking_to_json
 from .reports import (
     HeuristicClassifier,
     RemoteClassifier,
@@ -174,8 +173,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     trace = parse_trace(args.trace)
     cache = StageCache()
     if args.dump_context:
-        ctx = gui_context(trace, config.window, index, sources=config.term_sources)
-        cache.contexts[context_key(config)] = ctx
+        ctx = cache.context(trace, index, config)
         atomic_write_text(args.dump_context, stable_json_dumps(ctx.to_json()))
         logger.info("wrote GUI context to %s", args.dump_context)
     ranked = localize(report, trace, index, config, cache)

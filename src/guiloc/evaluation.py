@@ -204,9 +204,9 @@ def _config_key(config: PipelineConfig) -> tuple[str, ...]:
     return tuple(spell(getattr(config, name)) for name, spell in _SWEPT.items())
 
 
-def _result_row(config: PipelineConfig, result: EvalResult) -> str:
+def _result_row(key: tuple[str, ...], result: EvalResult) -> str:
     values = [*(result.hits_at[k] for k in HITS_KS), result.mrr, result.map_score]
-    return ",".join([*_config_key(config), *map("{:.6f}".format, values), str(result.report_count)])
+    return ",".join([*key, *map("{:.6f}".format, values), str(result.report_count)])
 
 
 @dataclass
@@ -226,7 +226,8 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
 
     It covers the index's parameters, preprocessing, documents, terms, packed
     postings, lengths and rVSM norms, and each report's id, text, ground truth
-    and trace.
+    and trace. The encoding is unambiguous: two inputs that differ in any of
+    these give different bytes to hash.
     """
     postings = index.postings
     digest = hashlib.sha256()
@@ -238,10 +239,13 @@ def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex
     ]
     digest.update(json.dumps([index.params.bm25_k1, index.params.bm25_b,
                               index.preprocessor.config(), dataset]).encode())
-    # NUL joins: no path, resource id or term holds one
-    for strings in (index.paths, map(" ".join, map(sorted, index.resource_id_refs)), postings.terms):
-        digest.update("\0".join(strings).encode() + b"\1")
-    for words in (postings.offsets, postings.gaps, postings.counts,
+    # a string column's count and each string's length let its UTF-8 text split one way only
+    refs = [sorted(doc_refs) for doc_refs in index.resource_id_refs]
+    for strings in (index.paths, [ref for doc_refs in refs for ref in doc_refs], postings.terms):
+        digest.update(array("I", [len(strings), *map(len, strings)]))
+        digest.update("".join(strings).encode())
+    # the lengths of these follow from the counts framed above and the last offset
+    for words in (array("I", map(len, refs)), postings.offsets, postings.gaps, postings.counts,
                   array("I", index.lengths), array("d", index.rvsm_norms)):
         digest.update(words)
     return digest.hexdigest()
@@ -311,7 +315,7 @@ def sweep(
         raise ConfigError(f"the sweep grid is empty: no {', '.join(empty)} given")
     out_path = Path(out_path)
     digest = _inputs_digest(pairs, index)
-    existing = _load_existing_rows(out_path, digest)
+    rows = _load_existing_rows(out_path, digest)
 
     valid: list[PipelineConfig] = []
     for config in configs:
@@ -320,27 +324,19 @@ def sweep(
         except ConfigError as exc:
             logger.warning("skipping invalid configuration %s: %s", _config_key(config), exc)
 
-    rows: dict[tuple[str, ...], str] = {}
-    to_compute = []
-    reused = 0
-    for config in valid:
-        key = _config_key(config)
-        if key in existing:
-            rows[key] = existing[key]
-            reused += 1
-        else:
-            to_compute.append(config)
+    keys = [_config_key(config) for config in valid]
+    to_compute = [(key, config) for key, config in zip(keys, valid) if key not in rows]
+    reused = len(keys) - len(to_compute)
 
     if to_compute:
         logger.info("computing %d configurations (%d reused)", len(to_compute), reused)
         # grouping configs that share a scoring lets each report's cache hold
         # one ranking yet compute every scoring once
         caches = [StageCache() for _ in pairs]
-        for config in sorted(to_compute, key=scoring_key):
-            result = evaluate_config(pairs, index, config, caches)
-            rows[_config_key(config)] = _result_row(config, result)
+        for key, config in sorted(to_compute, key=lambda item: scoring_key(item[1])):
+            rows[key] = _result_row(key, evaluate_config(pairs, index, config, caches))
 
-    ordered = [rows[_config_key(c)] for c in valid]
+    ordered = [rows[key] for key in keys]
     atomic_write_text(out_path, "\n".join([CSV_HEADER] + ordered) + "\n")
     # written after the rows, so a run cut in between leaves a mismatch, never stale rows
     atomic_write_text(meta_path(out_path), json.dumps({"inputs": digest, "rows": ordered}) + "\n")

@@ -418,30 +418,26 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     g(d) = 1 / (1 + e^(-norm_len(d))) where norm_len is the document length
     min-max normalized over the corpus, so longer files get a mild prior.
     Documents scoring zero are omitted. Each term's contributions go
-    through ``index.contributions`` (see :class:`ContributionMemo`).
+    through ``index.contributions`` (see :class:`ContributionMemo`). A query
+    with no term in some documents but not all, or whose weights all square
+    to 0.0, has norm zero and scores 0.0 everywhere: ``no-discriminative-terms``.
     """
     query = Counter(query)
     n = index.doc_count
     dots = [0.0] * n
     if not query:
         return ScoredList(index, dots, ["empty-query"])
-    q_weights: dict[str, tuple[float, float]] = {}  # term -> (query weight, idf)
+    # each document's dot product sums its terms in query order, as a
+    # per-document loop over the query would
+    tf_weights = index.tf_weights
+    memo = index.contributions
     q_norm_sq = 0.0  # added left to right: from Python 3.12 on, sum() compensates float sums
     for term, qtf in query.items():
         idf = _rvsm_idf(n, index.doc_freq.get(term, 0))
-        if idf > 0.0:
-            w = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
-            q_weights[term] = w, idf
-            q_norm_sq += w * w
-    q_norm = math.sqrt(q_norm_sq)
-    if q_norm == 0.0:
-        return ScoredList(index, dots, ["no-discriminative-terms"])
-
-    # each document's dot product sums its terms in q_weights order, as a
-    # per-document loop over q_weights would
-    tf_weights = index.tf_weights
-    memo = index.contributions
-    for term, (qw, idf) in q_weights.items():
+        if idf <= 0.0:
+            continue
+        qw = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
+        q_norm_sq += qw * qw
         ids, counts = index.postings.columns(term)
         key = ("rvsm", term, qw)
         column = memo.columns.get(key)
@@ -455,6 +451,9 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
             memo.add(key, column)
         for doc_id, part in zip(ids, column):
             dots[doc_id] += part
+    q_norm = math.sqrt(q_norm_sq)
+    if q_norm == 0.0:  # an underflowing weight may still have added a tiny part to dots
+        return ScoredList(index, [0.0] * n, ["no-discriminative-terms"])
     scores = [
         prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
         for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)

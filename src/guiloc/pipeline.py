@@ -127,9 +127,9 @@ def apply_rerank(ranked: RankedList, ctx: GuiContext, strategy: str = "none") ->
 class StageCache:
     """One report's stage results, reused across the configs of one sweep.
 
-    Valid for one report, its trace and one index. GUI contexts are kept per
-    :func:`context_key`. Only the latest scoring is kept, keyed on
-    :func:`scoring_key`, so a caller that visits configs in
+    Valid for one report, its trace and one index. :meth:`context` looks GUI
+    contexts up per :func:`context_key`. Only the latest scoring is kept,
+    keyed on :func:`scoring_key`, so a caller that visits configs in
     :func:`scoring_key` order scores each query once while holding one
     scoring. Once its query's flags are added, a cached scoring is never
     mutated: re-ranking only reads it.
@@ -139,6 +139,13 @@ class StageCache:
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
     scored_key: tuple | None = None
     scored: ScoredList | None = None
+
+    def context(self, trace: ReproTrace, index: CorpusIndex, config: PipelineConfig) -> GuiContext:
+        """The GUI context `config` asks for, computed on the first call for its key."""
+        contexts, key = self.contexts, context_key(config)
+        if key not in contexts:
+            contexts[key] = gui_context(trace, config.window, index, sources=config.term_sources)
+        return contexts[key]
 
 
 def context_key(config: PipelineConfig) -> tuple:
@@ -169,12 +176,7 @@ def score_stages(
         # neither step reads the GUI context, so skip the matchers
         ctx = GuiContext(Counter(), set(), set(), set(), config.window)
     else:
-        ctx_key = context_key(config)
-        ctx = cache.contexts.get(ctx_key)
-        if ctx is None:
-            ctx = cache.contexts[ctx_key] = gui_context(
-                trace, config.window, index, sources=config.term_sources
-            )
+        ctx = cache.context(trace, index, config)
     key = scoring_key(config)
     if cache.scored_key != key:
         if cache.report_terms is None:

@@ -137,8 +137,5 @@ def detect_missing_steps(
         if prev.matched_edge.dst == nxt.matched_edge.src:
             continue
         path = _shortest_edge_path(model, prev.matched_edge.dst, nxt.matched_edge.src)
-        if path is None:
-            report.gaps.append(StepGap(i_prev, i_next, [], infeasible=True))
-        else:
-            report.gaps.append(StepGap(i_prev, i_next, path))
+        report.gaps.append(StepGap(i_prev, i_next, path or [], infeasible=path is None))
     return report

@@ -3,9 +3,11 @@ from __future__ import annotations
 import base64
 import json
 import re
+import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from array import array
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import guiloc
-from guiloc.cli import _CONFIG_FILE_KEYS, run
+from guiloc.cli import _CONFIG_FILE_KEYS, main, run
 from guiloc.corpus import Preprocessor
 from guiloc.index import ScoringParams
 from guiloc.pipeline import PipelineConfig
@@ -168,7 +170,6 @@ def test_localize_dump_context_computes_the_context_once(workspace, monkeypatch)
             return fn(*args, **kwargs)
         return inner
 
-    monkeypatch.setattr(guiloc.cli, "gui_context", counted(guiloc.cli.gui_context))
     monkeypatch.setattr(guiloc.pipeline, "gui_context", counted(guiloc.pipeline.gui_context))
     argv = [
         "localize",
@@ -1078,6 +1079,20 @@ def test_lint_report_version_two_model_exits_one(workspace, caplog):
     _lint_with_model_version(workspace, caplog, 2)
 
 
+def test_main_and_the_module_entry_point_exit_with_the_code_of_run(tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(sys, "argv", ["guiloc", "index", "--corpus", missing, "--out", missing + ".json"])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == 1
+    report = str(FIXTURES / "reports" / "r01.json")
+    monkeypatch.setattr(sys, "argv", ["guiloc", "lint-report", "--report", report])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+        warnings.simplefilter("ignore", RuntimeWarning)  # guiloc.cli is imported already
+        runpy.run_module("guiloc.cli", run_name="__main__")
+    assert exited.value.code == 0
+
+
 def test_cli_import_leaves_out_urllib_request():
     src = str(Path(guiloc.__file__).resolve().parent.parent)
     probe = "import sys, guiloc.cli; print('urllib.request' in sys.modules)"
@@ -1488,6 +1503,26 @@ def test_sweep_recomputes_its_rows_when_stored_norms_or_lengths_change(tmp_path,
     shutil.copy(tmp_path / "first.csv.meta.json", tmp_path / "resumed.csv.meta.json")
     assert sweep(out) == after
     assert "(1 computed, 0 reused, 0 skipped)" in caplog.text
+
+
+def test_sweep_of_a_grid_listing_a_configuration_twice_writes_and_reuses_two_rows(tmp_path, caplog):
+    index, out = tmp_path / "index.json", tmp_path / "sweep.csv"
+    assert run(["index", "--corpus", str(FIXTURES / "app"), "--out", str(index)]) == 0
+    argv = [
+        "sweep", "--index", str(index), "--out", str(out),
+        "--reports", str(FIXTURES / "reports"), "--traces", str(FIXTURES / "traces"),
+        "--scorers", "bm25", "--queries", "base", "--reranks", "none", "--windows", "1,1",
+    ]
+    caplog.set_level("INFO")
+    assert run(argv) == 0
+    assert "(2 computed, 0 reused, 0 skipped)" in caplog.text
+    first = out.read_bytes()
+    header, row, again = first.decode().splitlines()
+    assert row == again and row.startswith("bm25,base,none,1,")
+    caplog.clear()
+    assert run(argv) == 0
+    assert "(0 computed, 2 reused, 0 skipped)" in caplog.text
+    assert out.read_bytes() == first
 
 
 def test_lint_report_that_is_not_utf8_exits_one(tmp_path, caplog):

@@ -18,6 +18,8 @@ from guiloc.errors import InputError
 from guiloc.evaluation import (
     CSV_HEADER,
     HITS_KS,
+    _config_key,
+    _inputs_digest,
     _result_row,
     EvalResult,
     ReportOutcome,
@@ -29,7 +31,8 @@ from guiloc.evaluation import (
     reciprocal_rank,
     sweep,
 )
-from guiloc.index import SCORERS, RankEntry, RankedList, ScoredList, ScoringParams, build_index
+from guiloc.index import (SCORERS, RankEntry, RankedList, ScoredList, ScoringParams, build_index,
+                          load_index, save_index)
 from guiloc.mapping import GuiContext
 from guiloc.pipeline import (
     RERANK_STRATEGIES,
@@ -373,6 +376,33 @@ def test_sweep_reuses_no_row_of_another_sweep_under_its_meta_file(fixture_data, 
     assert outcome.computed == 8 - outcome.reused
 
 
+def test_inputs_digest_tells_apart_string_columns_that_join_alike(fixture_data, tmp_path):
+    """Paths, resource ids and terms may hold any character, so no separator frames them."""
+    index, _ = fixture_data
+    path = tmp_path / "index.json"
+    save_index(index, path)
+    saved = json.loads(path.read_text())
+    digests = []
+    for refs in (["license_button version_label"], ["license_button", "version_label"]):
+        (row,) = [row for row in saved["documents"] if row[0] == "ui/AboutActivity.java"]
+        row[1] = refs
+        path.write_text(json.dumps(saved))
+        digests.append(_inputs_digest([], load_index(path)))
+    assert digests[0] != digests[1]
+
+    def digest_of(docs):
+        return _inputs_digest([], build_index(docs))
+
+    # as paths and as terms: a separator inside a string, and one text split in two places
+    for a, b in ((["a\0b", "c"], ["a", "b\0c"]), (["ab", "c"], ["a", "bc"])):
+        assert digest_of([make_doc(p, ["s"]) for p in a]) != digest_of([make_doc(p, ["s"]) for p in b])
+        assert digest_of([make_doc("a.java", a)]) != digest_of([make_doc("a.java", b)])
+    # a resource id moved to another document
+    assert digest_of([make_doc("a", ["s"], refs=["x"]), make_doc("b", ["s"])]) != digest_of(
+        [make_doc("a", ["s"]), make_doc("b", ["s"], refs=["x"])]
+    )
+
+
 def test_sweep_rows_equal_uncached_evaluation(fixture_data, tmp_path):
     index, pairs = fixture_data
     grid = SweepGrid(
@@ -387,7 +417,7 @@ def test_sweep_rows_equal_uncached_evaluation(fixture_data, tmp_path):
     configs = grid.configs()
     assert len(outcome.rows) == len(configs) == 192
     for config, row in zip(configs, outcome.rows):
-        assert row == _result_row(config, evaluate_config(pairs, index, config))
+        assert row == _result_row(_config_key(config), evaluate_config(pairs, index, config))
 
 
 def test_rows_equal_metrics_of_full_depth_localize_rankings(fixture_data, tmp_path):
@@ -428,7 +458,7 @@ def test_rows_equal_metrics_of_full_depth_localize_rankings(fixture_data, tmp_pa
             n,
         )
         assert evaluate_config(pairs, index, config) == want
-        assert row == _result_row(config, want)
+        assert row == _result_row(_config_key(config), want)
 
 
 def test_default_grid_sweep_computes_each_stage_once_per_report(

@@ -6,9 +6,11 @@ import math
 import random
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import guiloc.index as index_module
 from guiloc.corpus import scan_corpus
 from guiloc.errors import ConfigError, InputError
 from guiloc.evaluation import load_dataset
@@ -256,6 +258,15 @@ def test_rvsm_term_in_every_doc_carries_no_weight():
     ranked = score_rvsm(index, ["save"])
     assert ranked.entries == []
     assert "no-discriminative-terms" in ranked.flags
+
+
+def test_rvsm_query_whose_weights_square_to_zero_scores_nothing():
+    """1e-200 squared underflows: the query norm is zero though the dot products are not."""
+    index = build_index(scan_corpus(FIXTURES / "app"))
+    assert 0 < index.doc_freq["save"] < index.doc_count
+    ranked = score_rvsm(index, {"save": 1e-200})
+    assert ranked.scores == [0.0] * index.doc_count
+    assert ranked.flags == ["no-discriminative-terms"]
 
 
 def test_empty_corpus_is_fatal():
@@ -658,6 +669,21 @@ def test_round_trip_keeps_every_packed_array_and_every_score(tmp_path):
     save_index(build_index(no_terms), tmp_path / "corpus.idx.json")
     body = unpack_postings(json.loads((tmp_path / "corpus.idx.json").read_text()))
     assert list(body.lengths) == [0, 0, 0] and not (body.dfs or body.gaps or body.counts)
+
+
+def test_a_big_endian_host_swaps_the_body_words_both_ways(tmp_path, monkeypatch):
+    """The body is little-endian words on any host, so the two byte orders write different bodies."""
+    built = build_index(scan_corpus(FIXTURES / "app"))
+    bodies = []
+    for order in ("little", "big"):
+        monkeypatch.setattr(index_module, "sys", SimpleNamespace(byteorder=order))
+        path = tmp_path / f"{order}.json"
+        save_index(built, path)
+        loaded = load_index(path)
+        assert loaded.postings == built.postings and loaded.doc_freq == built.doc_freq
+        assert loaded.lengths == built.lengths and loaded.rvsm_norms == built.rvsm_norms
+        bodies.append(json.loads(path.read_text())["postings"])
+    assert bodies[0] != bodies[1]
 
 
 def test_saving_the_fixture_index_twice_writes_the_same_bytes(tmp_path):
