@@ -23,14 +23,8 @@ from .evaluation import (SweepGrid, evaluate_config, load_dataset, meta_path, sw
 from .index import SCORERS, CorpusIndex, ScoringParams, build_index, load_index, save_index
 from .mapping import TERM_SOURCES
 from .pipeline import PipelineConfig, QUERY_STRATEGIES, StageCache, localize, ranking_to_json
-from .reports import (
-    HeuristicClassifier,
-    RemoteClassifier,
-    classify_sentences,
-    load_report,
-    parse_s2r,
-    segment_with_markers,
-)
+from .reports import (RemoteClassifier, classify_sentences, load_report, parse_s2r,
+                      segment_with_markers)
 from .step_mapping import detect_missing_steps, map_steps_to_model
 from .traces import build_execution_model, load_model, parse_trace, save_model
 from .util import NULL, atomic_write_text, json_fields, load_json_file, stable_json_dumps
@@ -51,10 +45,6 @@ _CONFIG_FILE_TYPES = {
     "term_sources": (str, list, NULL),
 }
 _CONFIG_FILE_KEYS = ("scorer", "query_strategy", "rerank_strategy", *_CONFIG_FILE_TYPES)
-# the config key that each of _add_config_flags' flags sets, by the flag's dest
-_FLAG_KEYS = {"scorer": "scorer", "query": "query_strategy", "rerank": "rerank_strategy",
-              "window": "window", "sources": "term_sources", "weight": "expansion_weight",
-              "top": "top_k"}
 # input flags that name a directory -> how many levels below it files are read, None for all
 _INPUT_DIRS = {"corpus": None, "reports": 1, "traces": 1}
 
@@ -138,7 +128,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         except InputError as exc:
             raise ConfigError(str(exc)) from None
         given = data
-    flags = {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
+    flags = {key: getattr(args, key, None) for key in _CONFIG_FILE_KEYS}
     given.update((key, value) for key, value in flags.items() if value is not None)
     rerank = given.get("rerank_strategy")
     if type(rerank) is str:  # a list from the config file is no dict key
@@ -155,7 +145,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**given).validate()
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
+def _cmd_index(args: argparse.Namespace) -> None:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
     pre = Preprocessor(stopwords, args.min_term_len, args.stem)
     params = ScoringParams(bm25_k1=args.k1, bm25_b=args.b)
@@ -163,10 +153,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
     index = build_index(docs, params, pre)
     save_index(index, args.out)
     logger.info("indexed %d files into %s", index.doc_count, args.out)
-    return 0
 
 
-def _cmd_localize(args: argparse.Namespace) -> int:
+def _cmd_localize(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     index = load_index(args.index)
     report = load_report(args.report)
@@ -178,10 +167,9 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         logger.info("wrote GUI context to %s", args.dump_context)
     ranked = localize(report, trace, index, config, cache)
     _emit(stable_json_dumps(ranking_to_json(report, config, ranked)), args.out)
-    return 0
 
 
-def _cmd_build_model(args: argparse.Namespace) -> int:
+def _cmd_build_model(args: argparse.Namespace) -> None:
     traces = [parse_trace(p) for p in args.trace]
     model = build_execution_model(traces)
     save_model(model, args.out)
@@ -192,12 +180,11 @@ def _cmd_build_model(args: argparse.Namespace) -> int:
         len(model.entry_fingerprints),
         args.out,
     )
-    return 0
 
 
 def _make_classifier(kind: str):
-    if kind == "heuristic":
-        return HeuristicClassifier()
+    if kind == "heuristic":  # classify_sentences runs the heuristic itself
+        return None
     url = os.environ.get(ENV_CLASSIFIER_URL)
     if not url:
         raise ConfigError(f"--classifier remote needs {ENV_CLASSIFIER_URL} to be set")
@@ -215,7 +202,7 @@ def _make_classifier(kind: str):
     return RemoteClassifier(url, model, seconds)
 
 
-def _cmd_lint_report(args: argparse.Namespace) -> int:
+def _cmd_lint_report(args: argparse.Namespace) -> None:
     report = load_report(args.report)
     segments = segment_with_markers(report.body)
     tagged = classify_sentences(segments, _make_classifier(args.classifier))
@@ -245,7 +232,6 @@ def _cmd_lint_report(args: argparse.Namespace) -> int:
         payload["missing_steps"] = [g.to_json() for g in missing.gaps]
 
     _emit(stable_json_dumps(payload), args.out)
-    return 0
 
 
 def _index_and_dataset(args: argparse.Namespace) -> tuple[CorpusIndex, list]:
@@ -254,14 +240,13 @@ def _index_and_dataset(args: argparse.Namespace) -> tuple[CorpusIndex, list]:
     return index, pairs
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     index, pairs = _index_and_dataset(args)
     _emit(stable_json_dumps(evaluate_config(pairs, index, config).to_json()), args.out)
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     index, pairs = _index_and_dataset(args)
     grid = SweepGrid(
         scorers=_split_csv(args.scorers),
@@ -282,19 +267,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         outcome.skipped,
         args.out,
     )
-    return 0
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_top: bool = True) -> None:
+    """Each flag's dest is the config key that _config_from_args reads it as."""
     cfg = PipelineConfig()  # a flag left out takes --config's value, else this default
     p.add_argument("--scorer", choices=SCORERS, help=f"default {cfg.scorer}")
-    p.add_argument("--query", choices=QUERY_STRATEGIES, help=f"default {cfg.query_strategy}")
-    p.add_argument("--rerank", choices=tuple(_RERANK_CLI), help=f"default {cfg.rerank_strategy}")
+    p.add_argument("--query", dest="query_strategy", choices=QUERY_STRATEGIES,
+                   help=f"default {cfg.query_strategy}")
+    p.add_argument("--rerank", dest="rerank_strategy", choices=tuple(_RERANK_CLI),
+                   help=f"default {cfg.rerank_strategy}")
     p.add_argument("--window", type=int, help=f"default {cfg.window}")
-    p.add_argument("--sources", help="comma list of GUI term sources, or 'all'")
-    p.add_argument("--weight", type=float, help=f"GUI term weight (default {cfg.expansion_weight})")
+    p.add_argument("--sources", dest="term_sources", metavar="SOURCES",
+                   help="comma list of GUI term sources, or 'all'")
+    p.add_argument("--weight", dest="expansion_weight", metavar="WEIGHT", type=float,
+                   help=f"GUI term weight (default {cfg.expansion_weight})")
     if with_top:
-        p.add_argument("--top", type=int, help=f"entries to keep (default {cfg.top_k})")
+        p.add_argument("--top", dest="top_k", metavar="TOP", type=int,
+                       help=f"entries to keep (default {cfg.top_k})")
     p.add_argument("--config", help="JSON config file; flags take precedence")
 
 
@@ -383,13 +373,14 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_outputs(args)
-        return args.func(args)
+        args.func(args)
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
     except (GuilocError, OSError) as exc:
         logger.error("%s", exc)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -147,8 +147,10 @@ def evaluate_config(
     them at full depth, counted over the scoring by :meth:`ScoredList.ranks`,
     so no ranking of the corpus is built. `caches`, one :class:`StageCache`
     per pair, lets a series of calls on the same pairs and index reuse each
-    report's stage results.
+    report's stage results. An empty dataset is an InputError.
     """
+    if not pairs:
+        raise InputError("cannot evaluate an empty dataset: no (report, trace) pairs given")
     config = (config or PipelineConfig()).validate()
     outcomes = []
     hit_totals = {k: 0 for k in HITS_KS}

@@ -74,9 +74,8 @@ class Screen:
         try:
             parsed = [GuiComponent.from_json(c) for c in components]
         except InputError:  # parsed again, so a position is formatted only for a bad component
-            for i, c in enumerate(components):
-                GuiComponent.from_json(c, f"{where} component {i}")
-            raise
+            parsed = [GuiComponent.from_json(c, f"{where} component {i}")
+                      for i, c in enumerate(components)]
         return cls(activity_name or "", window_name or "", parsed)
 
 

@@ -308,6 +308,18 @@ def test_localize_without_settings_prints_the_default_config(workspace, capsys, 
     assert json.loads(capsys.readouterr().out)["config"] == default
 
 
+@pytest.mark.parametrize("command, with_top", [("localize", True), ("evaluate", False)])
+def test_help_names_each_config_flags_value_by_the_flag(command, with_top, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"]) == 0
+    listed = [re.split(r"\s{2,}", line.strip())[0]
+              for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
+    want = ["--query {base,expand,replace}", "--rerank {none,filter,boost,filter-boost}",
+            "--sources SOURCES", "--weight WEIGHT"] + ["--top TOP"] * with_top
+    assert [flag for flag in listed if flag.split()[0] in ("--query", "--rerank", "--sources",
+                                                           "--weight", "--top")] == want
+
+
 def test_config_file_keys_are_the_settable_config_fields():
     assert {f.name for f in fields(PipelineConfig) if f.init} == set(_CONFIG_FILE_KEYS)
 

@@ -267,6 +267,18 @@ def test_evaluate_config_aggregates(tmp_path):
     assert result.mrr == pytest.approx((1.0 + 0.5) / 2)
 
 
+def test_evaluate_config_on_an_empty_dataset_is_an_input_error():
+    with pytest.raises(InputError, match="empty dataset"):
+        evaluate_config([], _index_for_dataset(), PipelineConfig())
+
+
+def test_sweep_on_an_empty_dataset_is_an_input_error_and_writes_nothing(tmp_path):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(InputError, match="empty dataset"):
+        sweep(_grid(), [], _index_for_dataset(), out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _grid():
     return SweepGrid(
         scorers=["bm25", "rvsm"],

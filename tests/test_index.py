@@ -5,6 +5,7 @@ import json
 import math
 import random
 import weakref
+from array import array
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from guiloc.errors import ConfigError, InputError
 from guiloc.evaluation import load_dataset
 from guiloc.index import (
     SCORERS,
+    ContributionMemo,
     ScoredList,
     ScoringParams,
     build_index,
@@ -499,6 +501,26 @@ def test_repeated_queries_score_exactly_like_the_reference(scorer):
         want = _exact(_NAIVE[scorer](docs, query))
         first, second, third = (_scored(scorer(index, query)) for _ in range(3))
         assert first == second == third == want != []
+
+
+def test_the_memo_builds_a_keys_column_on_its_second_use_only():
+    memo, calls = ContributionMemo(bound=5), []
+
+    def build():
+        calls.append(len(calls))
+        return array("d", [0.5, 1.5, 2.5])
+
+    save, note = ("bm25", "save", 1.5), ("rvsm", "note", 0.25)
+    assert memo.column(save, build) is None
+    assert calls == [] and memo.columns == {save: None} and memo.size == 1
+    column = memo.column(save, build)
+    assert calls == [0] and column == array("d", [0.5, 1.5, 2.5])
+    assert memo.columns == {save: column} and memo.size == 3  # the column replaces the key's 1
+    assert memo.column(save, build) is column and memo.column(save, build) is column
+    assert calls == [0] and memo.size == 3
+    assert memo.column(note, build) is None and memo.size == 4
+    kept = memo.column(note, build)  # 4 + 2 would pass the bound of 5
+    assert calls == [0, 1] and memo.columns == {note: kept} and memo.size == 3
 
 
 @pytest.mark.parametrize("scorer", _NAIVE, ids=SCORERS)
