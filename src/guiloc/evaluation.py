@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
@@ -13,7 +13,8 @@ from typing import Sequence
 
 from .errors import ConfigError, InputError
 from .index import CorpusIndex
-from .pipeline import PipelineConfig, StageCache, rerank_groups, score_stages, scoring_key
+from .pipeline import (PipelineConfig, StageCache, rerank_groups, score_stages, scope_key,
+                       scoring_key)
 from .reports import BugReport, load_report
 from .traces import ReproTrace, parse_trace
 from .util import atomic_write_text, load_json_file
@@ -224,33 +225,12 @@ def meta_path(out_path: Path) -> Path:
 
 
 def _inputs_digest(pairs: list[tuple[BugReport, ReproTrace]], index: CorpusIndex) -> str:
-    """A digest of the index and the dataset, which every sweep row is computed from.
-
-    It covers the index's parameters, preprocessing, documents, terms, packed
-    postings, lengths and rVSM norms, and each report's id, text, ground truth
-    and trace. The encoding is unambiguous: two inputs that differ in any of
-    these give different bytes to hash.
-    """
-    postings = index.postings
-    digest = hashlib.sha256()
+    """A digest of what every sweep row is computed from: :attr:`CorpusIndex.digest`, hashed
+    once per index, and each report's id, text, ground truth and trace, in JSON."""
     # a dataclass repr names every field and quotes every string, so it tells screens apart
-    dataset = [
-        [report.report_id, report.full_text(), sorted(report.ground_truth or ()),
-         repr(trace.screens)]
-        for report, trace in pairs
-    ]
-    digest.update(json.dumps([index.params.bm25_k1, index.params.bm25_b,
-                              index.preprocessor.config(), dataset]).encode())
-    # a string column's count and each string's length let its UTF-8 text split one way only
-    refs = [sorted(doc_refs) for doc_refs in index.resource_id_refs]
-    for strings in (index.paths, [ref for doc_refs in refs for ref in doc_refs], postings.terms):
-        digest.update(array("I", [len(strings), *map(len, strings)]))
-        digest.update("".join(strings).encode())
-    # the lengths of these follow from the counts framed above and the last offset
-    for words in (array("I", map(len, refs)), postings.offsets, postings.gaps, postings.counts,
-                  array("I", index.lengths), array("d", index.rvsm_norms)):
-        digest.update(words)
-    return digest.hexdigest()
+    dataset = [[report.report_id, report.full_text(), sorted(report.ground_truth or ()),
+                repr(trace.screens)] for report, trace in pairs]
+    return hashlib.sha256(index.digest + json.dumps(dataset).encode()).hexdigest()
 
 
 def _load_existing_rows(path: Path, digest: str) -> dict[tuple[str, ...], str]:
@@ -332,9 +312,11 @@ def sweep(
 
     if to_compute:
         logger.info("computing %d configurations (%d reused)", len(to_compute), reused)
-        # grouping configs that share a scoring lets each report's cache hold
-        # one ranking yet compute every scoring once
-        caches = [StageCache() for _ in pairs]
+        # in scoring_key order each report's cache holds one scoring yet computes each once;
+        # one that configs of two scopes share is made in full
+        kinds = Counter(key for key, _ in {(scoring_key(c), scope_key(c)) for _, c in to_compute})
+        unscoped = {key for key, n in kinds.items() if n > 1}
+        caches = [StageCache(unscoped=unscoped) for _ in pairs]
         for key, config in sorted(to_compute, key=lambda item: scoring_key(item[1])):
             rows[key] = _result_row(key, evaluate_config(pairs, index, config, caches))
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import heapq
+import json
 import math
 import sys
 import zlib
@@ -19,7 +21,7 @@ from typing import Sequence
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor, SourceDocument, class_name_of
 from .errors import ConfigError, InputError, check_choice
-from .util import json_fields, load_format_file, save_format_file
+from .util import json_fields, load_format_file, save_format_file, utf8
 
 INDEX_FORMAT = "guiloc-index"
 INDEX_VERSION = 5
@@ -65,6 +67,8 @@ class ScoredList(RankedList):
     """A scorer's ranking: each doc id's score, with entries made on first read.
 
     The entries are the files scoring above zero, best first, ties in path order.
+    A scoring `within` some files gives each the bits of a full scoring, its
+    parts added in the same query-term order, and every other file 0.0.
     """
 
     def __init__(self, index: CorpusIndex, scores: list[float], flags: list[str] | None = None):
@@ -140,10 +144,10 @@ class Postings(Mapping):
     Term i, in sorted term order, owns entries offsets[i] to offsets[i + 1]
     of `gaps` and `counts`. A gap is a doc id minus the one before it in the
     term's list, the first counted from -1, so every gap is at least 1. The
-    scorers read :meth:`columns`, which decodes a term once and keeps it; a
-    lookup builds a fresh pair list and keeps nothing, so a pass over every
-    term leaves no decoded copy behind, and == between two of these compares
-    the packed arrays.
+    scorers read :meth:`columns` and :meth:`dense`, which decode a term once
+    and keep it; a lookup builds a fresh pair list and keeps nothing, so a
+    pass over every term leaves no decoded copy behind, and == between two of
+    these compares the packed arrays.
     """
 
     def __init__(self, terms: list[str], offsets: array, gaps: array, counts: array):
@@ -151,6 +155,7 @@ class Postings(Mapping):
         self.distinct_counts = set(counts)
         self._position = dict(zip(terms, range(len(terms))))
         self._columns: dict[str, tuple[list[int], array]] = {}
+        self._dense: dict[str, list[int]] = {}
 
     def _decode(self, term: str) -> tuple[Iterator[int], array]:
         i = self._position[term]
@@ -164,6 +169,15 @@ class Postings(Mapping):
             ids, counts = self._decode(term)
             cols = self._columns[term] = (list(ids), counts)
         return cols
+
+    def dense(self, term: str, n: int) -> list[int]:
+        """The term's count per doc id, 0 if absent, from the kept :meth:`columns` if any; kept."""
+        counts = self._dense.get(term)
+        if counts is None:
+            counts = self._dense[term] = [0] * n
+            for doc_id, f in zip(*(self._columns.get(term) or self._decode(term))):
+                counts[doc_id] = f
+        return counts
 
     def __getitem__(self, term: str) -> list[tuple[int, int]]:
         return list(zip(*self._decode(term)))
@@ -292,6 +306,21 @@ class CorpusIndex:
         return sorted(range(self.doc_count), key=self.paths.__getitem__)
 
     @cached_property
+    def digest(self) -> bytes:
+        """A sha256 of the fields before `preprocessor` and its settings, made on first use."""
+        postings, refs = self.postings, [sorted(doc_refs) for doc_refs in self.resource_id_refs]
+        sha = hashlib.sha256(json.dumps([vars(self.params), self.preprocessor.config()]).encode())
+        # a string column's count and each string's length let its UTF-8 text split one way only
+        for strings in (self.paths, [ref for doc_refs in refs for ref in doc_refs], postings.terms):
+            sha.update(array("I", [len(strings), *map(len, strings)]))
+            sha.update(utf8("".join(strings)))
+        # the lengths of these follow from the counts framed above and the last offset
+        for words in (array("I", map(len, refs)), postings.offsets, postings.gaps, postings.counts,
+                      array("I", self.lengths), array("d", self.rvsm_norms)):
+            sha.update(words)
+        return sha.digest()
+
+    @cached_property
     def bm25_length_norms(self) -> list[float]:
         """BM25's k1 * (1 - b + b * len / avg_len) per doc id.
 
@@ -371,14 +400,15 @@ def _rvsm_norms(docs: list[SourceDocument], postings: Postings) -> list[float]:
     return norms
 
 
-def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
+def score_bm25(index: CorpusIndex, query: Query, within: Sequence[int] | None = None) -> ScoredList:
     """Okapi BM25.
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); the term contribution is
     f * (k1 + 1) / (f + k1 * (1 - b + b * len / avg_len)), multiplied by the
     query-side frequency of t. Documents scoring zero are omitted. Each
     term's contributions go through ``index.contributions`` (see
-    :class:`ContributionMemo`).
+    :class:`ContributionMemo`). Given `within`, sorted doc ids, only those files are
+    scored; a term that half the files hold reads their counts from :meth:`Postings.dense`.
     """
     query = Counter(query)
     n = index.doc_count
@@ -396,6 +426,12 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
         if not df:
             continue
         weight = qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        if within is not None and 2 * df >= n:
+            dense = index.postings.dense(term, n)
+            for doc_id in within:
+                if f := dense[doc_id]:
+                    scores[doc_id] += weight * f * k1_plus_1 / (f + len_norm[doc_id])
+            continue
         ids, counts = index.postings.columns(term)
         column = memo.column(("bm25", term, weight), lambda: array("d", [
             weight * f * k1_plus_1 / (f + len_norm[doc_id]) for doc_id, f in zip(ids, counts)
@@ -406,6 +442,10 @@ def score_bm25(index: CorpusIndex, query: Query) -> ScoredList:
             continue
         for doc_id, part in zip(ids, column):
             scores[doc_id] += part
+    if within is not None:  # every other file scores 0.0
+        kept, scores = scores, [0.0] * n
+        for doc_id in within:
+            scores[doc_id] = kept[doc_id]
     return ScoredList(index, scores)
 
 
@@ -413,7 +453,7 @@ def _rvsm_idf(n: int, df: int) -> float:
     return math.log(n / df) if df > 0 else 0.0
 
 
-def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
+def score_rvsm(index: CorpusIndex, query: Query, within: Sequence[int] | None = None) -> ScoredList:
     """Length-regularized vector-space cosine.
 
     Term weights are (1 + ln f) * ln(N / df) on both sides. A query-term
@@ -426,6 +466,7 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     through ``index.contributions`` (see :class:`ContributionMemo`). A query
     with no term in some documents but not all, or whose weights all square
     to 0.0, has norm zero and scores 0.0 everywhere: ``no-discriminative-terms``.
+    `within` is as in :func:`score_bm25`, and the cosine is taken over its files only.
     """
     query = Counter(query)
     n = index.doc_count
@@ -443,6 +484,12 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
             continue
         qw = (1.0 + math.log(qtf) if qtf >= 1 else qtf) * idf
         q_norm_sq += qw * qw
+        if within is not None and 2 * index.doc_freq[term] >= n:
+            dense = index.postings.dense(term, n)
+            for doc_id in within:
+                if f := dense[doc_id]:
+                    dots[doc_id] += qw * tf_weights[f] * idf
+            continue
         ids, counts = index.postings.columns(term)
         column = memo.column(("rvsm", term, qw),
                              lambda: array("d", [qw * tf_weights[f] * idf for f in counts]))
@@ -455,20 +502,25 @@ def score_rvsm(index: CorpusIndex, query: Query) -> ScoredList:
     q_norm = math.sqrt(q_norm_sq)
     if q_norm == 0.0:  # an underflowing weight may still have added a tiny part to dots
         return ScoredList(index, [0.0] * n, ["no-discriminative-terms"])
-    scores = [
-        prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
-        for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)
-    ]
+    if within is None:
+        return ScoredList(index, [
+            prior * dot / (q_norm * d_norm) if dot > 0.0 and d_norm != 0.0 else 0.0
+            for prior, dot, d_norm in zip(index.length_prior, dots, index.rvsm_norms)
+        ])
+    scores, prior, d_norms = [0.0] * n, index.length_prior, index.rvsm_norms
+    for doc_id in within:
+        if (dot := dots[doc_id]) > 0.0 and (d_norm := d_norms[doc_id]) != 0.0:
+            scores[doc_id] = prior[doc_id] * dot / (q_norm * d_norm)
     return ScoredList(index, scores)
 
 
-_SCORER_FUNCS = {"bm25": score_bm25, "rvsm": score_rvsm}
+SCORER_FUNCS = {"bm25": score_bm25, "rvsm": score_rvsm}
 
 
 def rank(index: CorpusIndex, query: Query, scorer: str = "bm25") -> ScoredList:
     """Score the corpus against a query with the named scorer."""
     check_choice("scorer", scorer, SCORERS)
-    return _SCORER_FUNCS[scorer](index, query)
+    return SCORER_FUNCS[scorer](index, query)
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:

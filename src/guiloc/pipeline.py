@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import ConfigError, check_choice
-from .index import CorpusIndex, RankEntry, RankedList, SCORERS, ScoredList, rank
+from .index import SCORER_FUNCS, SCORERS, CorpusIndex, RankEntry, RankedList, ScoredList, rank
 from .mapping import COMPONENT_THRESHOLD, GuiContext, TERM_SOURCES, _check_sources, gui_context
 from .reports import BugReport
 from .traces import ReproTrace
@@ -131,14 +131,17 @@ class StageCache:
     contexts up per :func:`context_key`. Only the latest scoring is kept,
     keyed on :func:`scoring_key`, so a caller that visits configs in
     :func:`scoring_key` order scores each query once while holding one
-    scoring. Once its query's flags are added, a cached scoring is never
-    mutated: re-ranking only reads it.
+    scoring. That scores every file or, unless its key is `unscoped`, the `scope` that its
+    config's re-rank can keep, and serves each config of its key whose re-rank keeps only
+    files it scored. Once its query's flags are added, it is never mutated.
     """
 
     report_terms: list[str] | None = None
     contexts: dict[tuple, GuiContext] = field(default_factory=dict)
     scored_key: tuple | None = None
     scored: ScoredList | None = None
+    scope: set[str] | None = None
+    unscoped: set[tuple] = field(default_factory=set)
 
     def context(self, trace: ReproTrace, index: CorpusIndex, config: PipelineConfig) -> GuiContext:
         """The GUI context `config` asks for, computed on the first call for its key."""
@@ -160,13 +163,13 @@ def scoring_key(config: PipelineConfig) -> tuple:
     return (config.scorer, config.query_strategy, context_key(config), config.expansion_weight)
 
 
-def score_stages(
-    report: BugReport,
-    trace: ReproTrace,
-    index: CorpusIndex,
-    config: PipelineConfig,
-    cache: StageCache,
-) -> GuiContext:
+def scope_key(config: PipelineConfig) -> tuple | None:
+    """What the files that `config`'s re-rank can keep depend on; None if it may keep all."""
+    return context_key(config) if config.rerank_strategy in ("filter", "filter_boost") else None
+
+
+def score_stages(report: BugReport, trace: ReproTrace, index: CorpusIndex, config: PipelineConfig,
+                 cache: StageCache) -> GuiContext:
     """Run the stages up to scoring for a validated `config`, through `cache`.
 
     Returns the GUI context; leaves the scoring in `cache.scored`, its flags
@@ -177,24 +180,29 @@ def score_stages(
         ctx = GuiContext(Counter(), set(), set(), set(), config.window)
     else:
         ctx = cache.context(trace, index, config)
-    key = scoring_key(config)
-    if cache.scored_key != key:
+    key, strategy = scoring_key(config), config.rerank_strategy
+    # the files a re-rank can keep are its last group, found only if a cached scoring may not serve
+    stale = cache.scope and cache.scope != rerank_groups(ctx, strategy)[0][-1]
+    if cache.scored_key != key or stale:
         if cache.report_terms is None:
             cache.report_terms = index.preprocessor.tokens(report.full_text())
         query, query_flags = build_query(
             cache.report_terms, ctx.terms, config.query_strategy, config.expansion_weight
         )
-        cache.scored_key, cache.scored = key, rank(index, query, config.scorer)
+        scope = None if key in cache.unscoped else rerank_groups(ctx, strategy)[0][-1]
+        if scope is None:
+            cache.scored = rank(index, query, config.scorer)
+        else:  # not through rank, which a 3-argument wrapper may replace to count full scorings
+            within = sorted(map(index.doc_ids.__getitem__, scope))
+            cache.scored = SCORER_FUNCS[config.scorer](index, query, within)
+        cache.scored_key, cache.scope = key, scope
         cache.scored.flags += query_flags
     return ctx
 
 
 def localize(
-    report: BugReport,
-    trace: ReproTrace,
-    index: CorpusIndex,
-    config: PipelineConfig | None = None,
-    cache: StageCache | None = None,
+    report: BugReport, trace: ReproTrace, index: CorpusIndex,
+    config: PipelineConfig | None = None, cache: StageCache | None = None,
 ) -> RankedList:
     """Rank the indexed corpus for one report and its reproduction trace.
 

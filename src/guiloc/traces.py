@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .corpus import DEFAULT_PREPROCESSOR, Preprocessor
 from .errors import ConfigError, InputError
-from .util import NULL, json_fields, load_format_file, load_json_file, save_format_file
+from .util import NULL, json_fields, load_format_file, load_json_file, save_format_file, utf8
 
 MODEL_FORMAT = "guiloc-model"
 MODEL_VERSION = 3
@@ -93,7 +93,7 @@ def screen_fingerprint(screen: Screen) -> str:
     """
     ids = sorted(c.resource_id for c in screen.components if c.resource_id)
     raw = "\x1f".join([screen.activity_name, screen.window_name, ",".join(ids)])
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(utf8(raw)).hexdigest()[:16]
 
 
 def _validate_trace(trace: ReproTrace) -> None:

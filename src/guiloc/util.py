@@ -38,6 +38,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def utf8(text: str) -> bytes:
+    """`text` as UTF-8, a lone surrogate (from a JSON escape or a non-UTF-8 file name) included."""
+    return text.encode("utf-8", "surrogatepass")
+
+
 def stable_json_dumps(data: Any) -> str:
     """Serialize with sorted keys so repeated runs produce identical bytes."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -15,6 +15,19 @@ from guiloc.traces import GuiComponent, ReproTrace, Screen
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+def counted_scorings(monkeypatch) -> list:
+    """A list that gets each later scoring's `within` (None for a full scoring), in order."""
+    import guiloc.index as index_module
+
+    seen = []
+    for name, score in list(index_module.SCORER_FUNCS.items()):
+        def counted(index, query, within=None, score=score):
+            seen.append(None if within is None else list(within))
+            return score(index, query, within)
+        monkeypatch.setitem(index_module.SCORER_FUNCS, name, counted)
+    return seen
+
+
 def make_doc(path, terms, *, refs=()):
     return SourceDocument(path=path, terms=Counter(terms), resource_id_refs=set(refs))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import re
 import runpy
 import shutil
@@ -17,8 +18,9 @@ import pytest
 import guiloc
 from guiloc.cli import _CONFIG_FILE_KEYS, main, run
 from guiloc.corpus import Preprocessor
-from guiloc.index import ScoringParams
+from guiloc.index import ScoringParams, load_index
 from guiloc.pipeline import PipelineConfig
+from guiloc.traces import load_model
 
 from conftest import FIXTURES, repack_postings, unpack_postings
 
@@ -534,6 +536,27 @@ def test_build_model_and_lint_report(workspace):
     assert statuses[0] == "matched"
     assert payload["step_matches"][0]["edge"]["resource_id"] == "open_editor"
     assert "missing_steps" in payload
+
+
+def test_sweep_over_a_file_name_that_is_not_utf8_exits_zero(workspace):
+    """The scan keeps the name's byte 0xE9 as the lone surrogate U+DCE9, which the digest hashes."""
+    corpus = workspace / "corpus"
+    Path(os.fsdecode(bytes(corpus / "ui") + b"/Caf\xe9Activity.java")).write_text(
+        "public class CafeActivity { void save() {} }\n"
+    )
+    assert run(["index", "--corpus", str(corpus), "--out", str(workspace / "index.json")]) == 0
+    assert "ui/Caf\udce9Activity.java" in load_index(workspace / "index.json").paths
+    assert run(_sweep_argv(workspace, "--scorers", "bm25", "--queries", "base")) == 0
+    assert len((workspace / "sweep.csv").read_text().splitlines()) == 1 + 8
+
+
+def test_build_model_on_an_activity_name_with_a_lone_surrogate_exits_zero(workspace):
+    trace = json.loads(json.dumps(TRACE))
+    trace["screens"][0]["activity_name"] = "\ud800"
+    path, model = workspace / "odd_trace.json", workspace / "model.json"
+    path.write_text(json.dumps(trace))  # as the escape \ud800
+    assert run(["build-model", "--trace", str(path), "--out", str(model)]) == 0
+    assert len(load_model(model).edges) == 1
 
 
 def test_lint_report_remote_without_url_exits_two(workspace, monkeypatch):

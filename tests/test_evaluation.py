@@ -42,10 +42,11 @@ from guiloc.pipeline import (
     localize,
     rerank_groups,
     score_stages,
+    scoring_key,
 )
 from guiloc.reports import BugReport
 
-from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
+from conftest import FIXTURES, counted_scorings, make_component, make_doc, make_screen, make_trace
 
 
 # enumeration-style references, no shared code with the implementation
@@ -500,6 +501,40 @@ def test_default_grid_sweep_computes_each_stage_once_per_report(
     assert outcome.computed == 48
     assert contexts == {trace.trace_id: 2 for _, trace in pairs}
     assert scorings["all"] == 10 * len(pairs)
+
+
+def test_sweep_scores_no_grid_more_often_than_one_full_scoring_per_key(fixture_data, tmp_path, monkeypatch):
+    """A scoring key's configs share one scoring, made within the kept files only when they all
+    keep the same files; the rows are those of full scorings."""
+    index, pairs = fixture_data[0], fixture_data[1][:5]
+    scorings = counted_scorings(monkeypatch)
+    runs = 0
+
+    def scored(**axes):
+        nonlocal runs
+        runs += 1
+        scorings.clear()
+        grid = SweepGrid(**{"scorers": ["bm25", "rvsm"], "windows": [1, 3], **axes})
+        rows = sweep(grid, pairs, index, tmp_path / f"sweep{runs}.csv").rows
+        return len(scorings), sum(within is not None for within in scorings), rows
+
+    every = ["base", "expand", "replace"]
+    default = scored(query_strategies=every, rerank_strategies=["none", "filter", "boost", "filter_boost"])
+    assert default[:2] == (50, 0)
+    first, last = (scored(query_strategies=every, rerank_strategies=order)
+                   for order in (["filter_boost", "none"], ["none", "filter_boost"]))
+    assert first[:2] == last[:2] == (50, 0)
+    # the base query's filter configs keep the files of two windows' contexts: one full scoring
+    assert scored(query_strategies=["base"], rerank_strategies=["filter"])[:2] == (10, 0)
+    # each expanded query's filter config has a key of its own, scored within its files
+    count, scoped, rows = scored(query_strategies=["expand"], rerank_strategies=["filter", "filter_boost"])
+    assert count == 20 and scoped > 0
+    monkeypatch.undo()
+    grid = SweepGrid(["bm25", "rvsm"], ["expand"], ["filter", "filter_boost"], [1, 3])
+    full = [_result_row(_config_key(config), evaluate_config(
+        pairs, index, config, [StageCache(unscoped={scoring_key(config)}) for _ in pairs]))
+        for config in grid.configs()]
+    assert rows == full
 
 
 def test_sweep_leaves_the_collector_on_and_makes_no_cycles(fixture_data, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from guiloc.cli import run
 SEED = 8
 MUTANTS_PER_INPUT = 40
 HUGE = 10**400  # more digits than a float holds
-SWAPS = (None, True, 0, -1, 2.5, HUGE, "x", [], {})
+SWAPS = (None, True, 0, -1, 2.5, HUGE, "x", "\ud800", [], {})  # a lone surrogate, as JSON escapes it
 NON_OBJECTS = (None, True, 0, 2.5, "x", [])
 CONFIG = {
     "scorer": "rvsm",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import random
@@ -781,3 +782,79 @@ def test_build_index_rejects_a_count_that_an_index_file_cannot_store(count, mess
 def test_build_index_rejects_a_length_that_an_index_file_cannot_store():
     with pytest.raises(InputError, match="lengths must be below 2"):
         build_index([make_doc("a.java", {"save": 2**32 - 1, "note": 1})])
+
+
+def _hex(scores):
+    return [score.hex() for score in scores]
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_a_scoring_within_some_files_gives_them_the_bits_of_a_full_scoring(scorer):
+    """Terms that half the files hold read dense counts; the rest walk postings, cold or kept."""
+    rng = random.Random(31)
+    vocab = [f"t{i}" for i in range(14)]
+    docs = [make_doc(f"f{i:02d}.java", rng.choices(vocab[: rng.randint(3, 14)], k=rng.randint(1, 20)))
+            for i in range(40)]
+    index = build_index(docs)
+    score = index_module.SCORER_FUNCS[scorer]
+    n = index.doc_count
+    queries = [rng.choices(vocab, k=8) + ["absent"] for _ in range(6)]
+    queries.append({"t0": 0.3, "t5": 2.5, "t13": 1.0})  # a fractional weight, as expansion gives
+    assert any(2 * index.doc_freq[t] >= n for q in queries for t in q if t in index.doc_freq)
+    assert any(0 < 2 * index.doc_freq.get(t, 0) < n for q in queries for t in q)
+    scopes = [[7], [0, n - 1], sorted(rng.sample(range(n), 9)), list(range(n)), []]
+    for _ in range(3):  # a term's first use walks its postings, later uses add a kept column
+        for query in queries:
+            full = score(index, query)
+            for within in scopes:
+                scoped = score(index, query, within)
+                want = [s if d in within else 0.0 for d, s in enumerate(full.scores)]
+                assert _hex(scoped.scores) == _hex(want)
+                assert scoped.flags == full.flags == []
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_a_scoring_within_some_files_keeps_the_query_flags(scorer):
+    index = build_index([make_doc("a.java", ["save", "note"]), make_doc("b.java", ["save"])])
+    score = index_module.SCORER_FUNCS[scorer]
+    cases = [([], "empty-query")]
+    if scorer == "rvsm":  # BM25 weighs a term that every file holds
+        cases.append((["save"], "no-discriminative-terms"))
+    for query, flag in cases:
+        for within in ([0], [0, 1]):
+            scoped = score(index, query, within)
+            assert scoped.flags == [flag] and scoped.scores == [0.0, 0.0]
+
+
+def test_dense_counts_hold_the_pairs_of_a_lookup_and_are_kept():
+    index = build_index(scan_corpus(FIXTURES / "app"))
+    postings, n = index.postings, index.doc_count
+    for term in postings:
+        dense = postings.dense(term, n)
+        assert [(d, f) for d, f in enumerate(dense) if f] == postings[term]
+    assert postings.dense("note", n) is postings.dense("note", n)
+    fresh = build_index(scan_corpus(FIXTURES / "app")).postings
+    fresh.columns("save")  # made from the kept doc ids rather than a decode
+    assert fresh.dense("save", n) == postings.dense("save", n)
+
+
+def test_indexes_that_differ_in_one_posting_have_different_digests():
+    docs = [make_doc("a.java", ["save", "note"]), make_doc("b.java", ["save"])]
+    moved = [make_doc("a.java", ["save"]), make_doc("b.java", ["save", "note"])]
+    counted = [make_doc("a.java", ["save", "note", "note"]), make_doc("b.java", ["save"])]
+    digests = {build_index(d).digest for d in (docs, moved, counted)}
+    assert len(digests) == 3
+    assert build_index(docs).digest == build_index(docs).digest
+
+
+def test_the_digest_is_hashed_once_per_index(monkeypatch):
+    index = build_index(scan_corpus(FIXTURES / "app"))
+    hashes = []
+
+    def sha256(data):
+        hashes.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(index_module, "hashlib", SimpleNamespace(sha256=sha256))
+    assert index.digest is index.digest
+    assert len(hashes) == 1

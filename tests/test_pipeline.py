@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,13 +14,15 @@ from guiloc.mapping import COMPONENT_THRESHOLD, GuiContext, gui_context
 from guiloc.pipeline import (
     QUERY_STRATEGIES,
     PipelineConfig,
+    StageCache,
     apply_rerank,
     build_query,
     localize,
+    scoring_key,
 )
 from guiloc.reports import BugReport
 
-from conftest import FIXTURES, make_component, make_doc, make_screen, make_trace
+from conftest import FIXTURES, counted_scorings, make_component, make_doc, make_screen, make_trace
 
 
 def _ranked(paths):
@@ -344,3 +347,44 @@ def test_localize_top_k_equals_the_truncated_reranked_ranking(monkeypatch):
                         (e.path, e.score, e.gui_flags) for e in full.entries[:k]
                     ], (scorer, strategy, k)
                     assert got.flags == sorted(set(full.flags) | set(query_flags))
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_localize_filter_boost_without_gui_related_files_scores_every_file(scorer, monkeypatch):
+    index = _mini_index()
+    report, _ = _mini_case()
+    trace = make_trace("r1", [make_screen("com.app.Elsewhere")])  # nothing GUI-related
+    scorings = counted_scorings(monkeypatch)
+    cache = StageCache()
+    config = PipelineConfig(scorer=scorer, query_strategy="expand", rerank_strategy="filter_boost")
+    got = localize(report, trace, index, config, cache)
+    assert scorings == [None] and cache.scope is None
+    assert "filter-fallback" in got.flags
+    full = StageCache()
+    want = localize(report, trace, index, replace(config, rerank_strategy="none"), full)
+    assert [(e.path, e.score) for e in got.entries] == [(e.path, e.score) for e in want.entries]
+    assert cache.scored.scores == full.scored.scores
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_a_filtered_scoring_scores_the_kept_files_and_serves_only_their_configs(scorer, monkeypatch):
+    index = _mini_index()
+    report, trace = _mini_case()
+    scorings = counted_scorings(monkeypatch)
+    cache = StageCache()
+    filtered = PipelineConfig(scorer=scorer, query_strategy="expand", rerank_strategy="filter")
+    localize(report, trace, index, filtered, cache)
+    editor = index.doc_ids["ui/EditorActivity.java"]
+    assert scorings == [[editor]] and cache.scope == {"ui/EditorActivity.java"}
+    assert [d for d, score in enumerate(cache.scored.scores) if score] == [editor]
+    # filter_boost keeps the same files; none keeps every file, which takes a full scoring
+    localize(report, trace, index, replace(filtered, rerank_strategy="filter_boost"), cache)
+    localize(report, trace, index, replace(filtered, rerank_strategy="none"), cache)
+    assert scorings == [[editor], None]
+    # a full scoring serves every re-rank of its key
+    localize(report, trace, index, filtered, cache)
+    assert scorings == [[editor], None]
+    # and with the key unscoped, a filter's scoring is full as well
+    unscoped = StageCache(unscoped={scoring_key(filtered)})
+    localize(report, trace, index, filtered, unscoped)
+    assert scorings == [[editor], None, None] and unscoped.scope is None
